@@ -13,12 +13,15 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .corpus import align, augment_aliases, read_alignments, read_oie_file, read_pairs_file, remove_leakage, write_alignments
@@ -60,11 +63,11 @@ from .preranker import (
 )
 from .reranker import (
     RerankTrainConfig,
-    build_neighbor_lists,
     enumerate_candidates,
     load_cross_params,
     rerank,
     save_cross_params,
+    store_neighbor_lists,
     train_reranker,
     write_neighbor_lists,
 )
@@ -97,6 +100,10 @@ DEFAULT_CONFIG = {
     "detector": "entropy",
     "link_k": 1,
 }
+
+
+# a diverging trainer stops at its first overflow (exit 3), saving no params
+_RAISE_FLOAT_ERRORS = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
 class UsageError(Exception):
@@ -208,13 +215,29 @@ def _benchmark_alignments(config: dict, store, portion: str):
     return alignments
 
 
-def _encoder_config(config: dict) -> EncoderConfig:
-    section = config["encoder"]
-    return EncoderConfig(
-        dim=int(section.get("dim", 200)),
-        hidden=int(section.get("hidden", 64)),
-        buckets=int(section.get("buckets", 2**18)),
-    )
+def _section(config: dict, name: str, cls, extras: dict | None = None, **defaults):
+    """``cls`` from config section ``name`` over ``defaults``, plus the
+    section's values of the non-field keys in ``extras`` ({key: default}).
+    An unknown key, a wrong type or a value ``cls`` rejects is a usage error."""
+    section = config[name]
+    if not isinstance(section, dict):
+        raise UsageError(f"config section {name!r} must be a JSON object")
+    section = {**defaults, **section}
+    extras = dict(extras or {})
+    known = {f.name: f.default for f in dataclasses.fields(cls)} | extras
+    for key, value in section.items():
+        if key not in known:
+            raise UsageError(f"config section {name!r}: unknown key {key!r}")
+        kind = type(known[key])  # an int stands in for a float
+        if type(value) is not kind and (kind, type(value)) != (float, int):
+            raise UsageError(f"config section {name!r}: {key} must be a {kind.__name__}, "
+                             f"got {value!r}")
+    for key in extras:
+        extras[key] = section.pop(key, extras[key])
+    try:
+        return cls(**section), extras
+    except ValueError as exc:
+        raise UsageError(f"config section {name!r}: {exc}") from None
 
 
 def _load_encoder(config: dict, params_path: str | None = None) -> ReferenceEncoder:
@@ -285,10 +308,11 @@ def _train_alignments(config: dict):
 def cmd_train_preranker(config: dict, args) -> int:
     store = _load_store(config)
     alignments = _train_alignments(config)
-    section = dict(config["preranker"])
-    section.setdefault("seed", stream_seed(config["seed"], "negatives"))
-    section.setdefault("with_context", config["with_context"])
-    train_config = PrerankTrainConfig(**section)
+    train_config, _ = _section(
+        config, "preranker", PrerankTrainConfig,
+        seed=stream_seed(config["seed"], "negatives"), with_context=config["with_context"],
+    )
+    encoder_config, _ = _section(config, "encoder", EncoderConfig)
     out = _out_dir(config)
     params_path = out / "preranker.params"
 
@@ -298,10 +322,11 @@ def cmd_train_preranker(config: dict, args) -> int:
             raise DataError(f"cannot resume: {params_path} does not exist")
         initial_params, initial_tau = load_params(params_path)
 
-    params, trace = train_preranker(
-        alignments, store, train_config, _encoder_config(config),
-        initial_params=initial_params, initial_tau=initial_tau,
-    )
+    with np.errstate(**_RAISE_FLOAT_ERRORS):
+        params, trace = train_preranker(
+            alignments, store, train_config, encoder_config,
+            initial_params=initial_params, initial_tau=initial_tau,
+        )
     save_params(params, params_path, tau=trace[-1]["tau"], header_extra=artifact_header(config))
     write_jsonl(out / "preranker.trace.jsonl", trace, header=artifact_header(config))
     print(f"final loss {trace[-1]['mean_loss']:.6f} tau {trace[-1]['tau']:.4f}")
@@ -312,19 +337,18 @@ def cmd_train_reranker(config: dict, args) -> int:
     store = _load_store(config)
     alignments = _train_alignments(config)
     encoder = _load_encoder(config, config.get("preranker_params"))
-    section = dict(config["reranker"])
-    section.setdefault("seed", stream_seed(config["seed"], "corruption"))
-    section.setdefault("with_context", config["with_context"])
-    train_config = RerankTrainConfig(**section)
+    train_config, _ = _section(
+        config, "reranker", RerankTrainConfig,
+        seed=stream_seed(config["seed"], "corruption"), with_context=config["with_context"],
+    )
     out = _out_dir(config)
 
-    params, trace = train_reranker(alignments, encoder, store, train_config)
+    with np.errstate(**_RAISE_FLOAT_ERRORS):
+        neighbors = store_neighbor_lists(encoder, store, train_config.hard_negative_pool)
+        params, trace = train_reranker(alignments, encoder, store, train_config, neighbors)
     save_cross_params(params, out / "reranker.params")
     _write_binary_meta(out / "reranker.params", config)
     write_jsonl(out / "reranker.trace.jsonl", trace, header=artifact_header(config))
-    entity_index, predicate_index = build_store_indices(encoder, store)
-    neighbors = build_neighbor_lists(entity_index, train_config.hard_negative_pool)
-    neighbors.update(build_neighbor_lists(predicate_index, train_config.hard_negative_pool))
     write_neighbor_lists(out / "neighbors.jsonl", neighbors, header=artifact_header(config))
     print(f"final loss {trace[-1]['mean_loss']:.6f}")
     return 0
@@ -339,21 +363,23 @@ def cmd_train_ookg(config: dict, args) -> int:
         raise DataError(f"calibration alignments not found: {path}")
     alignments = read_alignments(path)
     encoder = _load_encoder(config, config.get("preranker_params"))
-    section = dict(config["ookg"])
-    grid_size = int(section.pop("grid_size", 200))
-    calibrate = bool(section.pop("calibrate_thresholds", False))
-    attention_threshold = float(section.pop("attention_threshold", OokgThresholds().attention))
-    section.setdefault("seed", stream_seed(config["seed"], "calibration"))
-    train_config = QkvTrainConfig(**section)
+    train_config, extras = _section(
+        config, "ookg", QkvTrainConfig,
+        extras={"grid_size": 200, "calibrate_thresholds": False,
+                "attention_threshold": OokgThresholds().attention},
+        seed=stream_seed(config["seed"], "calibration"),
+    )
+    grid_size = extras["grid_size"]
     out = _out_dir(config)
 
-    params, trace = train_qkv(alignments, encoder, store, train_config)
+    with np.errstate(**_RAISE_FLOAT_ERRORS):
+        params, trace = train_qkv(alignments, encoder, store, train_config)
     save_qkv_params(params, out / "qkv.params", header_extra=artifact_header(config))
     write_jsonl(out / "qkv.trace.jsonl", trace, header=artifact_header(config))
 
-    if calibrate:
+    if extras["calibrate_thresholds"]:
         thresholds, grid_meta = calibrate_all_thresholds(
-            alignments, store, encoder, attention=attention_threshold,
+            alignments, store, encoder, attention=float(extras["attention_threshold"]),
             grid_size=grid_size, with_context=config["with_context"],
         )
     else:

@@ -8,7 +8,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import MalformedRecordError, MissingContextError, UnknownIdError
+from .errors import (
+    EmptyTrainingSetError,
+    MalformedRecordError,
+    MissingContextError,
+    UnknownIdError,
+)
 from .io import iter_jsonl, write_jsonl
 from .kg import KgFact, KgStore
 from .text import (
@@ -221,6 +226,17 @@ def oie_text(triple: OieTriple, with_context: bool = False) -> str:
             )
         rendered += f" {SENT_TOKEN} {triple.sentence}"
     return rendered
+
+
+def check_training_set(alignments: Sequence[Alignment], store: KgStore, role: str) -> None:
+    """A trainer's input check: at least one alignment, every fact id in
+    the store."""
+    if not alignments:
+        raise EmptyTrainingSetError(f"no {role} alignments")
+    for alignment in alignments:
+        for entry_id in alignment.fact.ids:
+            if entry_id not in store:
+                raise UnknownIdError(f"alignment fact references unknown id {entry_id!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ KG entries to one unit vector.
 
 The built-in reference encoder replaces a pretrained transformer with
 hashed word/character-trigram features, a trainable feature table and
-linear projections; an external-embedding import serves frozen vectors
-produced elsewhere.
+linear projections. ``encode_batch`` is its only forward pass: the
+pre-ranker's trainer and ``ReferenceEncoder`` both call it. An
+external-embedding import serves frozen vectors produced elsewhere.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 import hashlib
+import json
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -24,7 +26,7 @@ from .errors import (
     MissingVectorError,
     NumericError,
 )
-from .io import iter_jsonl, write_jsonl
+from .io import iter_jsonl, reading_artifact, write_jsonl
 from .kg import KgEntry
 from .text import MARKER_TOKENS
 
@@ -88,6 +90,10 @@ class EncoderConfig:
     hidden: int = 64
     buckets: int = 2**18
 
+    def __post_init__(self):
+        if min(self.dim, self.hidden) < 1 or self.buckets <= _N_RESERVED:
+            raise ValueError(f"dim, hidden must be positive, buckets above {_N_RESERVED}")
+
 
 @dataclass
 class ReferenceEncoderParams:
@@ -134,18 +140,89 @@ def init_params(config: EncoderConfig, seed: int) -> ReferenceEncoderParams:
     )
 
 
-def normalize(vector: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0 or not np.isfinite(norm):
+class _SegmentBatch:
+    """Compiled feature arrays for a list of texts, supporting one forward
+    weighted-mean over feature-table rows and one scatter-add backward.
+
+    Empty feature sets are encoded as a single zero-weight feature so that
+    segment boundaries stay non-empty and no gradient leaks.
+    """
+
+    def __init__(self, hasher: FeatureHasher, texts: Sequence[str]):
+        empty = (np.zeros(1, dtype=np.int64), np.zeros(1))
+        compiled = [hasher.compile(t) for t in texts]
+        compiled = [(i, w) if len(i) else empty for i, w in compiled]
+        counts = np.array([len(i) for i, _ in compiled], dtype=np.int64)
+        self.ids = np.concatenate([i for i, _ in compiled])
+        self.weights = np.concatenate([w for _, w in compiled])
+        self.starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
+        self.rows = np.repeat(np.arange(len(compiled)), counts)
+
+    def forward(self, feature_table: np.ndarray) -> np.ndarray:
+        gathered = feature_table[self.ids] * self.weights[:, None]
+        return np.add.reduceat(gathered, self.starts, axis=0)
+
+    def scatter_add(self, target: np.ndarray, d_segments: np.ndarray, scale: float = 1.0) -> None:
+        # sort-based segment sum: much faster than np.add.at and still
+        # deterministic (stable sort fixes the accumulation order)
+        contributions = d_segments[self.rows] * (self.weights * scale)[:, None]
+        order = np.argsort(self.ids, kind="stable")
+        sorted_ids = self.ids[order]
+        boundaries = np.flatnonzero(
+            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
+        )
+        summed = np.add.reduceat(contributions[order], boundaries, axis=0)
+        target[sorted_ids[boundaries]] += summed
+
+    def touched(self) -> np.ndarray:
+        return np.unique(self.ids)
+
+
+def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms) & (norms > 0)):
         raise NumericError("cannot normalize zero or non-finite vector")
-    return vector / norm
+    return z / norms, norms
 
 
-def segment_vector(params: ReferenceEncoderParams, ids: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted mean of feature-table rows; zero vector for empty feature sets."""
-    if len(ids) == 0:
-        return np.zeros(params.hidden)
-    return weights @ params.feature_table[ids]
+@dataclass
+class Forward:
+    """Unit slot and entry vectors of one ``encode_batch``, plus what the
+    trainer's backward reads: projection inputs and pre-normalization norms."""
+
+    batch: _SegmentBatch
+    slot_inputs: np.ndarray
+    slot_vectors: np.ndarray
+    slot_norms: np.ndarray
+    entry_inputs: np.ndarray
+    entry_vectors: np.ndarray
+    entry_norms: np.ndarray
+
+
+def encode_batch(
+    params: ReferenceEncoderParams,
+    hasher: FeatureHasher,
+    slot_texts: Sequence[tuple[str, str, str, str]],
+    entry_texts: Sequence[tuple[str, str]],
+) -> Forward:
+    """The reference encoder's forward pass over (subject, relation,
+    object, triple text) per OIE triple and (label, description or "") per
+    entry. Each text maps to the weighted mean of its feature-table rows;
+    a slot projects [its segment, its triple's], an entry [label segment,
+    description segment], normalized to unit length. With b triples,
+    ``slot_vectors`` holds the b subjects, then relations, then objects."""
+    b, m = len(slot_texts), len(entry_texts)
+    texts = [t[part] for part in range(4) for t in slot_texts] + [
+        t[part] for part in range(2) for t in entry_texts
+    ]
+    batch = _SegmentBatch(hasher, texts)
+    segments = batch.forward(params.feature_table)
+    slots, triples, labels, descriptions = np.split(segments, [3 * b, 4 * b, 4 * b + m])
+    u = np.concatenate([slots, np.tile(triples, (3, 1))], axis=1)
+    o_hat, o_norms = _normalize_rows(u @ params.slot_projection)
+    v = np.concatenate([labels, descriptions], axis=1)
+    k_hat, k_norms = _normalize_rows(v @ params.entry_projection)
+    return Forward(batch, u, o_hat, o_norms, v, k_hat, k_norms)
 
 
 class Encoder(Protocol):
@@ -159,74 +236,53 @@ class Encoder(Protocol):
 
     def entry_embed(self, entry: KgEntry, mask_description: bool = False) -> np.ndarray: ...
 
+    def entry_embeds(
+        self, entries: Sequence[KgEntry], mask_description: bool = False
+    ) -> np.ndarray: ...
+
 
 class ReferenceEncoder:
-    """Inference wrapper over frozen reference-encoder params.
+    """Inference wrapper over frozen reference-encoder params: every
+    embedding is a cached row of ``encode_batch``, so slots see cross-slot
+    context through the triple segment. Caches assume frozen params."""
 
-    Each slot embedding concatenates the slot's own segment vector with the
-    whole-triple segment vector before projection, so every slot sees
-    cross-slot context. Embedding caches assume the params never change.
-    """
-
-    def __init__(self, params: ReferenceEncoderParams, cache: bool = True):
+    def __init__(self, params: ReferenceEncoderParams):
         self.params = params
         self.dim = params.dim
         self.hasher = FeatureHasher(params.buckets)
-        self._cache_enabled = cache
         self._slot_cache: dict[tuple[str, bool], tuple[np.ndarray, ...]] = {}
         self._entry_cache: dict[tuple[str, bool], np.ndarray] = {}
-
-    def _segment(self, text: str) -> np.ndarray:
-        ids, weights = self.hasher.compile(text)
-        return segment_vector(self.params, ids, weights)
 
     def slot_embed(
         self, triple: OieTriple, with_context: bool = False
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         key = (oie_uid(triple), with_context)
-        if self._cache_enabled and key in self._slot_cache:
-            return self._slot_cache[key]
-        triple_segment = self._segment(oie_text(triple, with_context))
-        embeddings = tuple(
-            normalize(
-                np.concatenate([self._segment(slot_text), triple_segment])
-                @ self.params.slot_projection
-            )
-            for slot_text in triple.slots
-        )
-        if self._cache_enabled:
+        embeddings = self._slot_cache.get(key)
+        if embeddings is None:
+            texts = (*triple.slots, oie_text(triple, with_context))
+            forward = encode_batch(self.params, self.hasher, [texts], ())
+            embeddings = tuple(forward.slot_vectors)
             self._slot_cache[key] = embeddings
         return embeddings
 
     def entry_embed(self, entry: KgEntry, mask_description: bool = False) -> np.ndarray:
-        masked = mask_description or entry.description is None
-        key = (entry.id, masked)
-        if self._cache_enabled and key in self._entry_cache:
-            return self._entry_cache[key]
-        label_segment = self._segment(entry.label)
-        if masked:
-            description_segment = np.zeros(self.params.hidden)
-        else:
-            description_segment = self._segment(entry.description)
-        embedding = normalize(
-            np.concatenate([label_segment, description_segment])
-            @ self.params.entry_projection
-        )
-        if self._cache_enabled:
-            self._entry_cache[key] = embedding
-        return embedding
+        hit = self._entry_cache.get((entry.id, mask_description or entry.description is None))
+        return hit if hit is not None else self.entry_embeds([entry], mask_description)[0]
 
-
-def slot_embed(
-    params: ReferenceEncoderParams, triple: OieTriple, with_context: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return ReferenceEncoder(params, cache=False).slot_embed(triple, with_context)
-
-
-def entry_embed(
-    params: ReferenceEncoderParams, entry: KgEntry, mask_description: bool = False
-) -> np.ndarray:
-    return ReferenceEncoder(params, cache=False).entry_embed(entry, mask_description)
+    def entry_embeds(
+        self, entries: Sequence[KgEntry], mask_description: bool = False
+    ) -> np.ndarray:
+        """Stacked entry embeddings; the uncached entries share one forward."""
+        keys = [(e.id, mask_description or e.description is None) for e in entries]
+        missing = {k: e for k, e in zip(keys, entries) if k not in self._entry_cache}
+        if missing:
+            texts = [(e.label, "" if masked else e.description)
+                     for (_, masked), e in missing.items()]
+            vectors = encode_batch(self.params, self.hasher, (), texts).entry_vectors
+            self._entry_cache.update(zip(missing, vectors))
+            if len(missing) == len(keys):  # the cache's rows, not a second copy
+                return vectors
+        return np.stack([self._entry_cache[key] for key in keys])
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +296,6 @@ def save_params(
     tau: float | None = None,
     header_extra: dict | None = None,
 ) -> None:
-    import json
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {
@@ -263,28 +317,23 @@ def save_params(
 
 
 def load_params(path: str | Path) -> tuple[ReferenceEncoderParams, float | None]:
-    import json
-
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecordError(f"{path}: bad params header") from exc
+    with reading_artifact(path), open(path, "rb") as fh:
+        header = json.loads(fh.readline())
         if header.get("format") != "reference-encoder":
             raise MalformedRecordError(f"{path}: not a reference-encoder params file")
-        buckets, hidden, dim = header["buckets"], header["hidden"], header["dim"]
+        buckets, hidden, dim = int(header["buckets"]), int(header["hidden"]), int(header["dim"])
+        rng_seed = int(header["rng_seed"])
         payload = fh.read()
-    sizes = (buckets * hidden, 2 * hidden * dim, 2 * hidden * dim)
-    if len(payload) != sum(sizes) * 8:
-        raise MalformedRecordError(f"{path}: truncated params payload")
+        sizes = (buckets * hidden, 2 * hidden * dim, 2 * hidden * dim)
+        if len(payload) != sum(sizes) * 8:
+            raise MalformedRecordError(f"{path}: truncated params payload")
     flat = np.frombuffer(payload, dtype="<f8")
     offsets = np.cumsum((0,) + sizes)
     params = ReferenceEncoderParams(
         feature_table=flat[offsets[0] : offsets[1]].reshape(buckets, hidden).copy(),
         slot_projection=flat[offsets[1] : offsets[2]].reshape(2 * hidden, dim).copy(),
         entry_projection=flat[offsets[2] : offsets[3]].reshape(2 * hidden, dim).copy(),
-        rng_seed=int(header["rng_seed"]),
+        rng_seed=rng_seed,
     )
     return params, header.get("tau")
 
@@ -323,6 +372,11 @@ class ImportedEncoder:
     def entry_embed(self, entry: KgEntry, mask_description: bool = False) -> np.ndarray:
         return self._get(entry.id)
 
+    def entry_embeds(
+        self, entries: Sequence[KgEntry], mask_description: bool = False
+    ) -> np.ndarray:
+        return np.stack([self._get(entry.id) for entry in entries])
+
 
 def import_embeddings(path: str | Path) -> ImportedEncoder:
     """Load {key, vector} records into a frozen encoder; vectors are
@@ -342,10 +396,11 @@ def import_embeddings(path: str | Path) -> ImportedEncoder:
                 f"line {line_number}: vector for {record['key']!r} has length "
                 f"{vector.shape[0]}, expected {dim}"
             )
-        vectors[str(record["key"])] = normalize(vector)
+        vectors[str(record["key"])] = vector
     if dim is None:
         raise MalformedRecordError(f"embedding file {path} is empty")
-    return ImportedEncoder(vectors, dim)
+    unit, _ = _normalize_rows(np.stack(list(vectors.values())))
+    return ImportedEncoder(dict(zip(vectors, unit)), dim)
 
 
 def export_embeddings(

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import math
+
 
 class FactLinkError(Exception):
     """Base class for all package errors."""
@@ -61,3 +63,10 @@ class EmptyEvaluationError(DataError):
 
 class NumericError(FactLinkError):
     """Numerical failure (non-finite values etc.). CLI maps these to exit code 3."""
+
+
+def require_finite(value: float, what: str) -> float:
+    """``value`` itself; NumericError when it is NaN or infinite."""
+    if not math.isfinite(value):
+        raise NumericError(f"{what} is not finite ({value})")
+    return value

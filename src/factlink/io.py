@@ -7,6 +7,8 @@ Artifact files written by the CLI start with a header record carrying
 from __future__ import annotations
 
 import json
+import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -65,3 +67,14 @@ def read_header(path: str | Path) -> dict | None:
     if isinstance(record, dict) and HEADER_KEY in record:
         return record
     return None
+
+
+@contextmanager
+def reading_artifact(path: str | Path) -> Iterator[None]:
+    """Report a parse failure inside the block (bad or incomplete header,
+    bad value, short read) as a MalformedRecordError naming the file."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, struct.error) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise MalformedRecordError(f"{path}: malformed artifact: {detail}") from None

@@ -21,7 +21,7 @@ from .errors import (
     UnknownIdError,
 )
 from .io import iter_jsonl
-from .text import DESC_TOKEN, MASK_TOKEN, check_no_markers, normalize_surface
+from .text import check_no_markers, normalize_surface
 
 
 class EntryKind(enum.Enum):
@@ -262,16 +262,6 @@ def restrict_to_benchmark(store: KgStore, alignments: "list[Alignment]") -> KgSt
     entries = [store.entries[eid] for eid in store.entries if eid in referenced]
     facts = [f for f in store.facts if _fact_member_ids(f) <= referenced]
     return build_store(entries, facts, case_fold=store.case_fold)
-
-
-def entry_text(entry: KgEntry, mask_description: bool = False) -> str:
-    """Render an entry as its label followed by its (optionally masked)
-    description; the bare label when there is no description."""
-    if entry.description is None:
-        return entry.label
-    if mask_description:
-        return f"{entry.label} {DESC_TOKEN} {MASK_TOKEN}"
-    return f"{entry.label} {DESC_TOKEN} {entry.description}"
 
 
 def lookup_surface(store: KgStore, surface: str) -> frozenset[str]:

@@ -5,16 +5,22 @@ cross-attention head over frozen pre-ranker embeddings."""
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Alignment, alignment_uid
+from .corpus import Alignment, alignment_uid, check_training_set
 from .encoder import Encoder
-from .errors import DataError, EmptyKeySetError, EmptyTrainingSetError, UnknownIdError
+from .errors import (
+    DataError, EmptyKeySetError, MalformedRecordError, UnknownIdError, require_finite,
+)
+from .io import reading_artifact
 from .kg import KgStore
 from .preranker import EmbeddingIndex, IndexKind, build_index, embed_entries, topk
+from .reranker import _sigmoid, bce_grad, bce_loss
 
 TOP_SUPPORT = 5  # fixed support for the confidence and entropy heuristics
 
@@ -105,13 +111,6 @@ class QkvParams:
         )
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return e / (1.0 + e)
-
-
 def _qkv_forward(params: QkvParams, query: np.ndarray, keys: np.ndarray) -> dict:
     d = params.dim
     q_projected = params.q_proj @ query
@@ -173,12 +172,7 @@ def train_qkv(
     probability (label 0) or kept (label 1), the remainder filled with
     uniformly drawn non-matching entries.
     """
-    if not alignments:
-        raise EmptyTrainingSetError("no calibration alignments")
-    for alignment in alignments:
-        for entry_id in alignment.fact.ids:
-            if entry_id not in store:
-                raise UnknownIdError(f"alignment fact references unknown id {entry_id!r}")
+    check_training_set(alignments, store, "calibration")
 
     params = initial_params.copy() if initial_params is not None else QkvParams.identity(
         encoder.dim
@@ -215,15 +209,12 @@ def train_qkv(
 
                 query = queries[slot]
                 state = _qkv_forward(params, query, keys)
-                score = _sigmoid(state["logit"])
                 logit = state["logit"]
-                epoch_loss += float(
-                    max(logit, 0.0) - logit * label + np.log1p(np.exp(-abs(logit)))
-                )
+                epoch_loss += bce_loss(logit, label)
                 n_examples += 1
 
                 # backward
-                d_logit = score - label
+                d_logit = bce_grad(logit, label)
                 d_scale = d_logit * state["inner"]
                 d_bias = d_logit
                 d_context = (d_logit * params.scale) * query
@@ -242,7 +233,8 @@ def train_qkv(
                 params.v_proj -= lr * (d_v + wd * params.v_proj)
                 params.scale -= lr * d_scale
                 params.bias -= lr * d_bias
-        trace.append({"epoch": epoch, "mean_loss": epoch_loss / max(n_examples, 1)})
+        mean_loss = require_finite(epoch_loss / max(n_examples, 1), f"epoch {epoch} mean loss")
+        trace.append({"epoch": epoch, "mean_loss": mean_loss})
     return params, trace
 
 
@@ -253,9 +245,6 @@ def train_qkv(
 def save_qkv_params(params: QkvParams, path, header_extra: dict | None = None) -> None:
     """One JSON header line {dim, scale, bias}, then raw little-endian
     float64 Q, K, V blocks."""
-    import json
-    from pathlib import Path
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {"format": "qkv-attention", "dim": params.dim,
@@ -269,24 +258,19 @@ def save_qkv_params(params: QkvParams, path, header_extra: dict | None = None) -
 
 
 def load_qkv_params(path) -> QkvParams:
-    import json
-
-    from .errors import MalformedRecordError
-
-    with open(path, "rb") as fh:
+    with reading_artifact(path), open(path, "rb") as fh:
         header = json.loads(fh.readline())
         if header.get("format") != "qkv-attention":
             raise MalformedRecordError(f"{path}: not a qkv params file")
         d = int(header["dim"])
         payload = fh.read()
-    if len(payload) != 3 * d * d * 8:
-        raise MalformedRecordError(f"{path}: truncated qkv payload")
-    flat = np.frombuffer(payload, dtype="<f8")
-    blocks = flat.reshape(3, d, d)
-    return QkvParams(
-        q_proj=blocks[0].copy(), k_proj=blocks[1].copy(), v_proj=blocks[2].copy(),
-        scale=float(header["scale"]), bias=float(header["bias"]),
-    )
+        if len(payload) != 3 * d * d * 8:
+            raise MalformedRecordError(f"{path}: truncated qkv payload")
+        blocks = np.frombuffer(payload, dtype="<f8").reshape(3, d, d)
+        return QkvParams(
+            q_proj=blocks[0].copy(), k_proj=blocks[1].copy(), v_proj=blocks[2].copy(),
+            scale=float(header["scale"]), bias=float(header["bias"]),
+        )
 
 
 def thresholds_record(thresholds: OokgThresholds, grid_metadata: dict | None = None) -> dict:

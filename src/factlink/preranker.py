@@ -15,26 +15,29 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Alignment, OieTriple, oie_text
+from .corpus import Alignment, OieTriple, check_training_set, oie_text
 from .encoder import (
     Encoder,
     EncoderConfig,
     FeatureHasher,
     ReferenceEncoderParams,
+    encode_batch,
     init_params,
 )
 from .errors import (
     DataError,
     DuplicateIdError,
-    EmptyTrainingSetError,
     MalformedRecordError,
     UnknownIdError,
+    require_finite,
 )
+from .io import reading_artifact
 from .kg import KgEntry, KgFact, KgStore
 
 _FLIX_MAGIC = b"FLIX"
 _FLIX_VERSION = 1
 _SCAN_CHUNK = 8192
+_EMBED_CHUNK = 64  # entries per forward pass when a store is embedded
 
 
 class IndexKind(enum.Enum):
@@ -143,7 +146,14 @@ def link(
 
 
 def embed_entries(encoder: Encoder, entries: Iterable[KgEntry]) -> list[tuple[str, np.ndarray]]:
-    return [(entry.id, encoder.entry_embed(entry)) for entry in entries]
+    """(id, embedding) per entry, in chunks: one forward over a whole store
+    would allocate hundreds of MB of temporaries."""
+    entries = list(entries)
+    embedded = []
+    for start in range(0, len(entries), _EMBED_CHUNK):
+        chunk = entries[start : start + _EMBED_CHUNK]
+        embedded.extend(zip((e.id for e in chunk), encoder.entry_embeds(chunk)))
+    return embedded
 
 
 def build_store_indices(
@@ -178,7 +188,7 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
-    with open(path, "rb") as fh:
+    with reading_artifact(path), open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _FLIX_MAGIC:
             raise MalformedRecordError(f"{path}: not an index file (bad magic {magic!r})")
@@ -193,7 +203,7 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         if len(payload) != count * dim * 4:
             raise MalformedRecordError(f"{path}: truncated index payload")
         matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim).copy()
-    return EmbeddingIndex(ids=tuple(ids), matrix=matrix, kind=IndexKind(kind_value))
+        return EmbeddingIndex(ids=tuple(ids), matrix=matrix, kind=IndexKind(kind_value))
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +237,12 @@ def infonce_grad(
     return float(d_pos), d_negs, float(d_tau)
 
 
-def sample_negatives(
-    ids: Sequence[str], exclude: str | None, count: int, rng: np.random.Generator
-) -> list[str]:
-    """Uniform sample (without replacement) of up to ``count`` ids,
-    never returning ``exclude``."""
-    pool = [i for i in ids if i != exclude]
-    if count >= len(pool):
-        return pool
-    chosen = rng.choice(len(pool), size=count, replace=False)
-    return [pool[i] for i in chosen]
+def sample_negatives(ids: Sequence[str], count: int, rng: np.random.Generator) -> list[str]:
+    """Uniform sample (without replacement) of up to ``count`` ids."""
+    if count >= len(ids):
+        return list(ids)
+    chosen = rng.choice(len(ids), size=count, replace=False)
+    return [ids[i] for i in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -255,65 +261,14 @@ class PrerankTrainConfig:
     global_neg_predicates: int = 64
     with_context: bool = False
     seed: int = 0
-    optimizer: str = "sgd"  # recorded for forward compatibility
 
     def __post_init__(self):
         if min(self.epochs, self.batch_size) < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0 or self.temperature_init <= 0:
-            raise ValueError("learning_rate and temperature_init must be positive")
+        if min(self.learning_rate, self.temperature_init, self.temperature_min) <= 0:
+            raise ValueError("learning_rate, temperature_init, temperature_min must be > 0")
         if min(self.global_neg_entities, self.global_neg_predicates) < 0:
             raise ValueError("global negative counts must be >= 0")
-
-
-class _SegmentBatch:
-    """Compiled feature arrays for a list of texts, supporting one forward
-    weighted-mean over feature-table rows and one scatter-add backward.
-
-    Empty feature sets are encoded as a single zero-weight feature so that
-    segment boundaries stay non-empty and no gradient leaks.
-    """
-
-    def __init__(self, hasher: FeatureHasher, texts: Sequence[str]):
-        compiled = [hasher.compile(t) for t in texts]
-        ids = []
-        weights = []
-        counts = np.empty(len(compiled), dtype=np.int64)
-        for row, (i, w) in enumerate(compiled):
-            if len(i) == 0:
-                i = np.zeros(1, dtype=np.int64)
-                w = np.zeros(1, dtype=np.float64)
-            ids.append(i)
-            weights.append(w)
-            counts[row] = len(i)
-        self.ids = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
-        self.weights = np.concatenate(weights) if weights else np.zeros(0)
-        self.starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
-        self.rows = np.repeat(np.arange(len(compiled)), counts)
-
-    def forward(self, feature_table: np.ndarray) -> np.ndarray:
-        gathered = feature_table[self.ids] * self.weights[:, None]
-        return np.add.reduceat(gathered, self.starts, axis=0)
-
-    def scatter_add(self, target: np.ndarray, d_segments: np.ndarray, scale: float = 1.0) -> None:
-        # sort-based segment sum: much faster than np.add.at and still
-        # deterministic (stable sort fixes the accumulation order)
-        contributions = d_segments[self.rows] * (self.weights * scale)[:, None]
-        order = np.argsort(self.ids, kind="stable")
-        sorted_ids = self.ids[order]
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
-        )
-        summed = np.add.reduceat(contributions[order], boundaries, axis=0)
-        target[sorted_ids[boundaries]] += summed
-
-    def touched(self) -> np.ndarray:
-        return np.unique(self.ids)
-
-
-def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    return z / norms, norms
 
 
 def _d_normalize(normalized: np.ndarray, norms: np.ndarray, d_out: np.ndarray) -> np.ndarray:
@@ -338,14 +293,7 @@ def train_preranker(
     clamped from below. Returns trained params and a per-epoch
     {epoch, mean_loss, tau} trace.
     """
-    if not alignments:
-        raise EmptyTrainingSetError("no training alignments")
-    for alignment in alignments:
-        for entry_id in alignment.fact.ids:
-            if entry_id not in store:
-                raise UnknownIdError(
-                    f"alignment fact references unknown id {entry_id!r}"
-                )
+    check_training_set(alignments, store, "training")
 
     params = initial_params.copy() if initial_params is not None else init_params(
         encoder_config, config.seed
@@ -364,10 +312,8 @@ def train_preranker(
         (a.oie.subject, a.oie.relation, a.oie.object, oie_text(a.oie, config.with_context))
         for a in alignments
     ]
-    entry_texts: dict[str, tuple[str, str]] = {}
-    for entry_id in (*entity_ids, *predicate_ids):
-        entry = store.entry(entry_id)
-        entry_texts[entry_id] = (entry.label, entry.description or "")
+    entries = map(store.entry, (*entity_ids, *predicate_ids))
+    entry_texts = {e.id: (e.label, e.description or "") for e in entries}
 
     n = len(alignments)
     h = params.hidden
@@ -387,11 +333,9 @@ def train_preranker(
 
             # candidate pools per slot: in-batch entries of the same slot
             # plus one global sample per kind, deduplicated by id
-            global_entities = sample_negatives(
-                entity_ids, None, config.global_neg_entities, rng
-            )
+            global_entities = sample_negatives(entity_ids, config.global_neg_entities, rng)
             global_predicates = sample_negatives(
-                predicate_ids, None, config.global_neg_predicates, rng
+                predicate_ids, config.global_neg_predicates, rng
             )
             subj_pool = list(
                 dict.fromkeys([f.subject_id for f in batch_facts] + global_entities)
@@ -404,33 +348,12 @@ def train_preranker(
             )
             all_ids = list(dict.fromkeys(subj_pool + obj_pool + pred_pool))
             row_of = {eid: j for j, eid in enumerate(all_ids)}
-            m = len(all_ids)
 
-            # --- forward: one segment batch covers slots, triples, entries
-            texts = (
-                [slot_texts[i][0] for i in batch]
-                + [slot_texts[i][1] for i in batch]
-                + [slot_texts[i][2] for i in batch]
-                + [slot_texts[i][3] for i in batch]
-                + [entry_texts[eid][0] for eid in all_ids]
-                + [entry_texts[eid][1] for eid in all_ids]
+            # --- forward: the serving encoder's forward over the whole batch
+            forward = encode_batch(
+                params, hasher, [slot_texts[i] for i in batch], [entry_texts[e] for e in all_ids]
             )
-            seg_batch = _SegmentBatch(hasher, texts)
-            segments = seg_batch.forward(params.feature_table)
-            slot_segments = segments[: 3 * b]
-            triple_segments = segments[3 * b : 4 * b]
-            label_segments = segments[4 * b : 4 * b + m]
-            desc_segments = segments[4 * b + m :]
-
-            u = np.concatenate(
-                [slot_segments, np.tile(triple_segments, (3, 1))], axis=1
-            )  # (3b, 2h)
-            z_slots = u @ params.slot_projection
-            o_hat, o_norms = _normalize_rows(z_slots)
-
-            v = np.concatenate([label_segments, desc_segments], axis=1)  # (m, 2h)
-            z_entries = v @ params.entry_projection
-            k_hat, k_norms = _normalize_rows(z_entries)
+            o_hat, k_hat = forward.slot_vectors, forward.entry_vectors
 
             d_o_hat = np.zeros_like(o_hat)
             d_k_hat = np.zeros_like(k_hat)
@@ -464,36 +387,28 @@ def train_preranker(
             d_log_tau = d_tau_total * scale * tau
 
             # --- backward through normalization, projections, feature table
-            d_z_slots = _d_normalize(o_hat, o_norms, d_o_hat)
-            d_z_entries = _d_normalize(k_hat, k_norms, d_k_hat)
+            d_z_slots = _d_normalize(o_hat, forward.slot_norms, d_o_hat)
+            d_z_entries = _d_normalize(k_hat, forward.entry_norms, d_k_hat)
 
-            d_slot_projection = u.T @ d_z_slots
-            d_entry_projection = v.T @ d_z_entries
+            d_slot_projection = forward.slot_inputs.T @ d_z_slots
+            d_entry_projection = forward.entry_inputs.T @ d_z_entries
             d_u = d_z_slots @ params.slot_projection.T
             d_v = d_z_entries @ params.entry_projection.T
 
-            d_segments = np.empty_like(segments)
-            d_segments[: 3 * b] = d_u[:, :h]
-            d_segments[3 * b : 4 * b] = d_u[:b, h:] + d_u[b : 2 * b, h:] + d_u[2 * b :, h:]
-            d_segments[4 * b : 4 * b + m] = d_v[:, :h]
-            d_segments[4 * b + m :] = d_v[:, h:]
+            d_triples = d_u[:b, h:] + d_u[b : 2 * b, h:] + d_u[2 * b :, h:]
+            d_segments = np.concatenate([d_u[:, :h], d_triples, d_v[:, :h], d_v[:, h:]])
 
             # --- SGD with decoupled weight decay; feature-table rows decay
             # only when touched (the table is updated sparsely)
             params.slot_projection -= lr * (d_slot_projection + wd * params.slot_projection)
             params.entry_projection -= lr * (d_entry_projection + wd * params.entry_projection)
-            seg_batch.scatter_add(params.feature_table, d_segments, scale=-lr)
-            touched = seg_batch.touched()
+            forward.batch.scatter_add(params.feature_table, d_segments, scale=-lr)
+            touched = forward.batch.touched()
             params.feature_table[touched] *= 1.0 - lr * wd
             log_tau = max(log_tau - lr * d_log_tau, log_tau_min)
 
-        trace.append(
-            {
-                "epoch": epoch,
-                "mean_loss": epoch_loss / max(epoch_terms, 1),
-                "tau": float(np.exp(log_tau)),
-            }
-        )
+        mean_loss = require_finite(epoch_loss / max(epoch_terms, 1), f"epoch {epoch} mean loss")
+        trace.append({"epoch": epoch, "mean_loss": mean_loss, "tau": float(np.exp(log_tau))})
     return params, trace
 
 

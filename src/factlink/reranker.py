@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Alignment, OieTriple
+from .corpus import Alignment, OieTriple, check_training_set
 from .encoder import Encoder
-from .errors import DataError, EmptyTrainingSetError, MalformedRecordError, UnknownIdError
-from .io import iter_jsonl, write_jsonl
+from .errors import DataError, MalformedRecordError, require_finite
+from .io import iter_jsonl, reading_artifact, write_jsonl
 from .kg import KgFact, KgStore
 from .preranker import EmbeddingIndex, SlotLinkResult, build_store_indices
 
@@ -184,6 +184,14 @@ def build_neighbor_lists(index: EmbeddingIndex, pool: int = 10) -> dict[str, tup
     return neighbors
 
 
+def store_neighbor_lists(encoder: Encoder, store: KgStore, pool: int) -> dict[str, tuple[str, ...]]:
+    """Neighbor lists of every entity and every predicate of the store."""
+    entity_index, predicate_index = build_store_indices(encoder, store)
+    neighbors = build_neighbor_lists(entity_index, pool)
+    neighbors.update(build_neighbor_lists(predicate_index, pool))
+    return neighbors
+
+
 def sample_hard_negative(
     fact: KgFact,
     neighbor_lists: dict[str, tuple[str, ...]],
@@ -232,24 +240,17 @@ def train_reranker(
     encoder: Encoder,
     store: KgStore,
     config: RerankTrainConfig,
+    neighbor_lists: dict[str, tuple[str, ...]],
     initial_params: CrossScorerParams | None = None,
 ) -> tuple[CrossScorerParams, list[dict]]:
     """Binary cross-entropy training: gold pairs are positives, one-slot
     corruptions from top-k neighbor lists are negatives; each scored pair
     masks entry descriptions independently with the configured probability.
     Plain SGD with decoupled weight decay; returns params and a per-epoch
-    {epoch, mean_loss} trace.
+    {epoch, mean_loss} trace. ``neighbor_lists`` come from
+    ``store_neighbor_lists(encoder, store, config.hard_negative_pool)``.
     """
-    if not alignments:
-        raise EmptyTrainingSetError("no training alignments")
-    for alignment in alignments:
-        for entry_id in alignment.fact.ids:
-            if entry_id not in store:
-                raise UnknownIdError(f"alignment fact references unknown id {entry_id!r}")
-
-    entity_index, predicate_index = build_store_indices(encoder, store)
-    neighbor_lists = build_neighbor_lists(entity_index, config.hard_negative_pool)
-    neighbor_lists.update(build_neighbor_lists(predicate_index, config.hard_negative_pool))
+    check_training_set(alignments, store, "training")
 
     params = (
         CrossScorerParams(initial_params.weights.copy(), initial_params.bias, initial_params.seed)
@@ -283,7 +284,8 @@ def train_reranker(
                 d_logit = bce_grad(logit, label)
                 params.weights -= lr * (d_logit * features + wd * params.weights)
                 params.bias -= lr * d_logit
-        trace.append({"epoch": epoch, "mean_loss": epoch_loss / max(n_pairs, 1)})
+        mean_loss = require_finite(epoch_loss / max(n_pairs, 1), f"epoch {epoch} mean loss")
+        trace.append({"epoch": epoch, "mean_loss": mean_loss})
     return params, trace
 
 
@@ -303,19 +305,18 @@ def save_cross_params(params: CrossScorerParams, path: str | Path) -> None:
 
 
 def load_cross_params(path: str | Path) -> CrossScorerParams:
-    with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise MalformedRecordError(f"{path}: bad scorer header") from exc
+    with reading_artifact(path), open(path, "rb") as fh:
+        header = json.loads(fh.readline())
         payload = fh.read()
-    dim = int(header["dim"])
-    n_weights = 6 * dim + 3 * N_SLOT_EXTRAS
-    if len(payload) != (n_weights + 1) * 4:
-        raise MalformedRecordError(f"{path}: truncated scorer payload")
-    weights = np.frombuffer(payload[: n_weights * 4], dtype="<f4").astype(np.float64)
-    (bias,) = struct.unpack("<f", payload[n_weights * 4 :])
-    return CrossScorerParams(weights=weights, bias=float(bias), seed=int(header.get("seed", 0)))
+        dim = int(header["dim"])
+        n_weights = 6 * dim + 3 * N_SLOT_EXTRAS
+        if len(payload) != (n_weights + 1) * 4:
+            raise MalformedRecordError(f"{path}: truncated scorer payload")
+        weights = np.frombuffer(payload[: n_weights * 4], dtype="<f4").astype(np.float64)
+        (bias,) = struct.unpack("<f", payload[n_weights * 4 :])
+        return CrossScorerParams(
+            weights=weights, bias=float(bias), seed=int(header.get("seed", 0))
+        )
 
 
 def write_neighbor_lists(

@@ -6,19 +6,6 @@ perturbs the randomness of another.
 
 import hashlib
 
-import numpy as np
-
-# Stage names used by the CLI; library code may derive further streams.
-STREAMS = (
-    "align-order",
-    "negatives",
-    "masking",
-    "corruption",
-    "calibration",
-    "baseline",
-    "detector",
-)
-
 
 def stream_seed(master_seed: int, name: str) -> int:
     """Derive a 63-bit seed for the named stream from the master seed."""
@@ -29,6 +16,3 @@ def stream_seed(master_seed: int, name: str) -> int:
     ).digest()
     return int.from_bytes(digest, "little") & 0x7FFF_FFFF_FFFF_FFFF
 
-
-def stream_rng(master_seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng(stream_seed(master_seed, name))

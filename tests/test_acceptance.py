@@ -48,6 +48,7 @@ from factlink.reranker import (
     init_cross_params,
     rerank,
     score_fact,
+    store_neighbor_lists,
     train_reranker,
 )
 from factlink.corpus import augment_aliases, remove_leakage
@@ -261,9 +262,10 @@ def _seed_run(seed):
     )
     plain = ReferenceEncoder(plain_params)
     ctx = ReferenceEncoder(ctx_params)
+    rerank_config = RerankTrainConfig(epochs=10, learning_rate=0.5, seed=seed, with_context=True)
     scorer, _ = train_reranker(
-        world.train, ctx, world.store,
-        RerankTrainConfig(epochs=10, learning_rate=0.5, seed=seed, with_context=True),
+        world.train, ctx, world.store, rerank_config,
+        store_neighbor_lists(ctx, world.store, rerank_config.hard_negative_pool),
     )
 
     def linker(encoder, store, with_context=False, rerank_k=None):

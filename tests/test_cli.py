@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -251,3 +252,65 @@ class TestDeterminism:
                 hashes = digests
             else:
                 assert digests == hashes
+
+
+def _replace_header(path, header_line):
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(header_line + b"\n" + payload)
+
+
+def _truncate(path, size):
+    path.write_bytes(path.read_bytes()[:size])
+
+
+class TestFailureExitCodes:
+    """Bad config sections exit 1, corrupt artifacts 2, diverging training
+    3: each with one line on stderr, no traceback, and the stage's params
+    left as they were."""
+
+    CASES = {
+        "unknown-key": (1, ["--set", "preranker.bogus=1", "train-preranker"], None),
+        "dead-optimizer-key": (
+            1, ["--set", "preranker.optimizer=sgd", "train-preranker"], None
+        ),
+        "zero-epochs": (1, ["--set", "preranker.epochs=0", "train-preranker"], None),
+        "wrong-type": (1, ["--set", "reranker.epochs=many", "train-reranker"], None),
+        "preranker-diverges": (
+            3, ["--set", "preranker.learning_rate=1e9", "train-preranker"], None
+        ),
+        "reranker-diverges": (
+            3, ["--set", "reranker.learning_rate=1e9", "train-reranker"], None
+        ),
+        "qkv-diverges": (3, ["--set", "ookg.learning_rate=1e12", "train-ookg"], None),
+        "qkv-garbage-header": (
+            2, ["detect", "--detector", "qkv"],
+            lambda out: _replace_header(out / "qkv.params", b"garbage"),
+        ),
+        "reranker-empty-header": (
+            2, ["evaluate", "--facet", "polysemous", "--use-reranker"],
+            lambda out: _replace_header(out / "reranker.params", b"{}"),
+        ),
+        "truncated-index": (2, ["link"], lambda out: _truncate(out / "entities.flix", 30)),
+        "params-header-missing-keys": (
+            2, ["index"],
+            lambda out: _replace_header(
+                out / "preranker.params", b'{"format":"reference-encoder"}'
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_code_and_one_line(self, case, pipeline, tmp_path, capsys):
+        directory, config_path = pipeline
+        code, argv, corrupt = self.CASES[case]
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        if corrupt is not None:
+            corrupt(out)
+        before = {p.name: file_hash(p) for p in out.glob("*.params")}
+        capsys.readouterr()
+        assert run(config_path, "--out-dir", str(out), *argv) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "Traceback" not in err
+        assert {p.name: file_hash(p) for p in out.glob("*.params")} == before

@@ -3,8 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import entity
-from factlink.corpus import OieTriple
+import factlink.preranker as preranker
+from conftest import entity, make_alignment, predicate
+from factlink.corpus import OieTriple, oie_text
 from factlink.encoder import (
     EncoderConfig,
     ReferenceEncoder,
@@ -16,11 +17,15 @@ from factlink.encoder import (
     init_params,
     slot_key,
 )
+from factlink.kg import KgFact, build_store
 from factlink.errors import DimensionMismatchError, MissingContextError, MissingVectorError
 from factlink.io import write_jsonl
 from factlink.text import MARKER_TOKENS
 
 CONFIG = EncoderConfig(dim=16, hidden=8, buckets=512)
+# served and trained vectors agree with the per-text reference forward up
+# to float64 summation order
+FORWARD_TOL = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +84,8 @@ class TestSlotEmbed:
 
     def test_deterministic_bitwise(self):
         params = init_params(CONFIG, seed=9)
-        a = ReferenceEncoder(params, cache=False).slot_embed(triple())
-        b = ReferenceEncoder(params, cache=False).slot_embed(triple())
+        a = ReferenceEncoder(params).slot_embed(triple())
+        b = ReferenceEncoder(params).slot_embed(triple())
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -101,13 +106,13 @@ class TestSlotEmbed:
         params = init_params(CONFIG, seed=5)
         a = triple("Michael Jordan", "played for", "Chicago Bulls")
         b = triple("Michael Jordan", "coached", "Chicago Bulls")
-        full = ReferenceEncoder(params, cache=False)
+        full = ReferenceEncoder(params)
         assert not np.allclose(full.slot_embed(a)[0], full.slot_embed(b)[0])
         # zero the triple half of the slot projection: the subject embedding
         # must become relation-invariant
         restricted_params = params.copy()
         restricted_params.slot_projection[CONFIG.hidden :, :] = 0.0
-        restricted = ReferenceEncoder(restricted_params, cache=False)
+        restricted = ReferenceEncoder(restricted_params)
         assert np.array_equal(restricted.slot_embed(a)[0], restricted.slot_embed(b)[0])
 
 
@@ -183,3 +188,139 @@ class TestImportExport:
     def test_slot_key_format(self):
         t = triple()
         assert slot_key(t, "subject").endswith("#subject")
+
+
+# ---------------------------------------------------------------------------
+# One forward: serving and training against a per-text reference
+
+
+def reference_segment(params, text):
+    """Weighted mean of the feature-table rows of one text."""
+    counts = featurize(text, params.buckets)
+    if not counts:
+        return np.zeros(params.hidden)
+    ids = np.array(list(counts.keys()))
+    weights = np.array(list(counts.values()), dtype=np.float64)
+    return (weights / weights.sum()) @ params.feature_table[ids]
+
+
+def unit(vector):
+    return vector / np.linalg.norm(vector)
+
+
+def reference_slots(params, oie, with_context=False):
+    triple_segment = reference_segment(params, oie_text(oie, with_context))
+    return [
+        unit(np.concatenate([reference_segment(params, text), triple_segment])
+             @ params.slot_projection)
+        for text in oie.slots
+    ]
+
+
+def reference_entry(params, entry, mask_description=False):
+    if mask_description or entry.description is None:
+        description_segment = np.zeros(params.hidden)
+    else:
+        description_segment = reference_segment(params, entry.description)
+    return unit(
+        np.concatenate([reference_segment(params, entry.label), description_segment])
+        @ params.entry_projection
+    )
+
+
+def forward_world(n_entities=150):
+    """More entities than one store-embedding chunk; every third has no
+    description."""
+    entries = [
+        entity(f"Q{i}", f"Person {i} Harbor",
+               None if i % 3 == 0 else f"sailor number {i} of the north")
+        for i in range(n_entities)
+    ] + [
+        predicate("P1", "works with", "professional relation"),
+        predicate("P2", "lives near"),
+    ]
+    facts = [KgFact(f"Q{i}", f"P{1 + i % 2}", f"Q{i + 1}") for i in range(n_entities - 1)]
+    store = build_store(entries, facts)
+    alignments = [
+        make_alignment(f"Person {i} Harbor", ("works with", "lives near")[i % 2],
+                       f"Person {i + 1} Harbor", fact, sentence=f"Sentence number {i}.")
+        for i, fact in enumerate(facts)
+    ]
+    return store, alignments
+
+
+class TestOneForward:
+    def test_entries_match_reference(self):
+        params = init_params(CONFIG, seed=3)
+        encoder = ReferenceEncoder(params)
+        entries = [
+            entity("Q1", "Michael Jordan", "American basketball player"),
+            entity("Q2", "Bulls"),
+            predicate("P1", "member of sports team", "team the subject plays for"),
+        ]
+        for e in entries:
+            for masked in (False, True):
+                np.testing.assert_allclose(
+                    encoder.entry_embed(e, masked), reference_entry(params, e, masked),
+                    rtol=0, atol=FORWARD_TOL,
+                )
+        np.testing.assert_allclose(
+            ReferenceEncoder(params).entry_embeds(entries, mask_description=True),
+            [reference_entry(params, e, True) for e in entries],
+            rtol=0, atol=FORWARD_TOL,
+        )
+
+    def test_slots_match_reference(self):
+        params = init_params(CONFIG, seed=3)
+        encoder = ReferenceEncoder(params)
+        plain = triple()
+        with_sentence = triple(sentence="Michael Jordan played for Chicago Bulls.")
+        for oie, with_context in ((plain, False), (with_sentence, False),
+                                  (with_sentence, True)):
+            got = encoder.slot_embed(oie, with_context)
+            for g, want in zip(got, reference_slots(params, oie, with_context)):
+                np.testing.assert_allclose(g, want, rtol=0, atol=FORWARD_TOL)
+
+    def test_store_larger_than_one_chunk(self):
+        params = init_params(CONFIG, seed=4)
+        store, _ = forward_world()
+        entries = [store.entry(i) for i in store.entity_ids()]
+        assert len(entries) > 2 * preranker._EMBED_CHUNK
+        embedded = preranker.embed_entries(ReferenceEncoder(params), entries)
+        assert [i for i, _ in embedded] == [e.id for e in entries]
+        for (_, vector), e in zip(embedded, entries):
+            np.testing.assert_allclose(
+                vector, reference_entry(params, e), rtol=0, atol=FORWARD_TOL
+            )
+
+    def test_trainer_forward_matches_serving(self, monkeypatch):
+        store, alignments = forward_world(n_entities=40)
+        config = preranker.PrerankTrainConfig(
+            epochs=1, batch_size=16, global_neg_entities=8, global_neg_predicates=1,
+            with_context=True, seed=2,
+        )
+        batches = []
+
+        def recording(params, hasher, slot_texts, entry_texts):
+            forward = encode_batch(params, hasher, slot_texts, entry_texts)
+            batches.append((slot_texts, entry_texts, forward))
+            return forward
+
+        encode_batch = preranker.encode_batch
+        monkeypatch.setattr(preranker, "encode_batch", recording)
+        preranker.train_preranker(alignments, store, config, CONFIG)
+        # the first batch ran on the initial params
+        slot_texts, entry_texts, forward = batches[0]
+        served = ReferenceEncoder(init_params(CONFIG, config.seed))
+        by_texts = {(*a.oie.slots, oie_text(a.oie, True)): a.oie for a in alignments}
+        b = len(slot_texts)
+        for row, texts in enumerate(slot_texts):
+            embeddings = served.slot_embed(by_texts[texts], with_context=True)
+            for slot in range(3):
+                np.testing.assert_allclose(
+                    forward.slot_vectors[slot * b + row], embeddings[slot],
+                    rtol=0, atol=FORWARD_TOL,
+                )
+        entries = {(e.label, e.description or ""): e for e in store.entries.values()}
+        trained = np.stack([served.entry_embed(entries[texts]) for texts in entry_texts])
+        np.testing.assert_allclose(forward.entry_vectors, trained, rtol=0, atol=FORWARD_TOL)

@@ -16,7 +16,6 @@ from factlink.kg import (
     KgFact,
     build_store,
     entry_frequencies,
-    entry_text,
     filter_by_frequency,
     load_kg,
     lookup_surface,
@@ -212,26 +211,6 @@ class TestRestrictToBenchmark:
         alignments = [make_alignment("s", "r", "o", KgFact("Q1", "P54", "Q128109"))]
         with pytest.raises(UnknownIdError, match="Q1"):
             restrict_to_benchmark(jordan_store, alignments)
-
-
-class TestEntryText:
-    def test_label_and_description(self, jordan_store):
-        rendered = entry_text(jordan_store.entry("Q41421"))
-        assert rendered == (
-            "Michael Jordan <DESC> American basketball player and businessman"
-        )
-
-    def test_predicate_rendering(self, jordan_store):
-        rendered = entry_text(jordan_store.entry("P19"))
-        assert rendered == "place of birth <DESC> most specific known birth location"
-
-    def test_masked(self, jordan_store):
-        rendered = entry_text(jordan_store.entry("Q41421"), mask_description=True)
-        assert rendered == "Michael Jordan <DESC> <mask>"
-
-    def test_no_description(self):
-        assert entry_text(entity("Q1", "Bulls")) == "Bulls"
-        assert entry_text(entity("Q1", "Bulls"), mask_description=True) == "Bulls"
 
 
 class TestLookupSurface:

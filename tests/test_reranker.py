@@ -28,6 +28,7 @@ from factlink.reranker import (
     read_neighbor_lists,
     sample_hard_negative,
     save_cross_params,
+    store_neighbor_lists,
     score_fact,
     train_reranker,
     write_neighbor_lists,
@@ -255,11 +256,16 @@ def slot_result_from(store, *facts):
     )
 
 
+def train_with_neighbors(alignments, encoder, store, config):
+    neighbors = store_neighbor_lists(encoder, store, config.hard_negative_pool)
+    return train_reranker(alignments, encoder, store, config, neighbors)
+
+
 class TestTrainReranker:
     def test_loss_decreases(self, mini_encoder):
         store, alignments = mini_world()
         config = RerankTrainConfig(epochs=8, learning_rate=0.5, seed=0)
-        _, trace = train_reranker(alignments, mini_encoder, store, config)
+        _, trace = train_with_neighbors(alignments, mini_encoder, store, config)
         assert trace[-1]["mean_loss"] < trace[0]["mean_loss"]
 
     def test_gold_scores_above_corruptions_held_out(self, mini_encoder):
@@ -267,7 +273,7 @@ class TestTrainReranker:
         held_out = alignments[::5]
         train = [a for a in alignments if a not in held_out]
         config = RerankTrainConfig(epochs=30, learning_rate=0.5, seed=1)
-        params, _ = train_reranker(train, mini_encoder, store, config)
+        params, _ = train_with_neighbors(train, mini_encoder, store, config)
         entity_index, predicate_index = build_store_indices(mini_encoder, store)
         neighbors = build_neighbor_lists(entity_index, pool=3)
         neighbors.update(build_neighbor_lists(predicate_index, pool=3))
@@ -288,7 +294,7 @@ class TestTrainReranker:
         config = RerankTrainConfig(
             epochs=40, learning_rate=0.5, negatives_per_positive=0, seed=3
         )
-        params, _ = train_reranker(train, mini_encoder, store, config)
+        params, _ = train_with_neighbors(train, mini_encoder, store, config)
         scores = [
             score_fact(params, mini_encoder, store, a.oie, a.fact) for a in held_out
         ]
@@ -297,8 +303,8 @@ class TestTrainReranker:
     def test_seeded_reproducible(self, mini_encoder):
         store, alignments = mini_world()
         config = RerankTrainConfig(epochs=3, learning_rate=0.3, seed=7)
-        params_a, trace_a = train_reranker(alignments, mini_encoder, store, config)
-        params_b, trace_b = train_reranker(alignments, mini_encoder, store, config)
+        params_a, trace_a = train_with_neighbors(alignments, mini_encoder, store, config)
+        params_b, trace_b = train_with_neighbors(alignments, mini_encoder, store, config)
         assert trace_a == trace_b
         assert np.array_equal(params_a.weights, params_b.weights)
         assert params_a.bias == params_b.bias
