@@ -34,7 +34,7 @@ from .evalkit import (
     random_baseline,
     report_records,
 )
-from .io import canonical_json, write_jsonl
+from .io import canonical_json, read_jsonl, write_jsonl
 from .kg import filter_by_frequency, load_kg, restrict_to_benchmark
 from .ookg import (
     ConfidenceDetector,
@@ -327,7 +327,7 @@ def cmd_train_preranker(config: dict, args) -> int:
             alignments, store, train_config, encoder_config,
             initial_params=initial_params, initial_tau=initial_tau,
         )
-    save_params(params, params_path, tau=trace[-1]["tau"], header_extra=artifact_header(config))
+    save_params(params, params_path, tau=trace[-1]["tau"], header=artifact_header(config))
     write_jsonl(out / "preranker.trace.jsonl", trace, header=artifact_header(config))
     print(f"final loss {trace[-1]['mean_loss']:.6f} tau {trace[-1]['tau']:.4f}")
     return 0
@@ -346,8 +346,7 @@ def cmd_train_reranker(config: dict, args) -> int:
     with np.errstate(**_RAISE_FLOAT_ERRORS):
         neighbors = store_neighbor_lists(encoder, store, train_config.hard_negative_pool)
         params, trace = train_reranker(alignments, encoder, store, train_config, neighbors)
-    save_cross_params(params, out / "reranker.params")
-    _write_binary_meta(out / "reranker.params", config)
+    save_cross_params(params, out / "reranker.params", header=artifact_header(config))
     write_jsonl(out / "reranker.trace.jsonl", trace, header=artifact_header(config))
     write_neighbor_lists(out / "neighbors.jsonl", neighbors, header=artifact_header(config))
     print(f"final loss {trace[-1]['mean_loss']:.6f}")
@@ -374,7 +373,7 @@ def cmd_train_ookg(config: dict, args) -> int:
 
     with np.errstate(**_RAISE_FLOAT_ERRORS):
         params, trace = train_qkv(alignments, encoder, store, train_config)
-    save_qkv_params(params, out / "qkv.params", header_extra=artifact_header(config))
+    save_qkv_params(params, out / "qkv.params", header=artifact_header(config))
     write_jsonl(out / "qkv.trace.jsonl", trace, header=artifact_header(config))
 
     if extras["calibrate_thresholds"]:
@@ -516,8 +515,6 @@ def cmd_detect(config: dict, args) -> int:
     thresholds = OokgThresholds()
     thresholds_path = Path(config.get("thresholds") or out / "thresholds.jsonl")
     if thresholds_path.exists():
-        from .io import read_jsonl
-
         records = read_jsonl(thresholds_path)
         if records:
             thresholds = thresholds_from_record(records[0])

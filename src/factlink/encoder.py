@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 import hashlib
-import json
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -26,7 +25,7 @@ from .errors import (
     MissingVectorError,
     NumericError,
 )
-from .io import iter_jsonl, reading_artifact, write_jsonl
+from .io import iter_jsonl, load_arrays, reading_artifact, save_arrays, write_jsonl
 from .kg import KgEntry
 from .text import MARKER_TOKENS
 
@@ -286,56 +285,35 @@ class ReferenceEncoder:
 
 
 # ---------------------------------------------------------------------------
-# Params persistence: one JSON header line, then raw little-endian float64
-# blocks for the feature table and the two projections.
+# Params persistence: the shared named-array format (io.save_arrays), float64.
+
+_PARAM_ARRAYS = ("feature_table", "slot_projection", "entry_projection")
 
 
 def save_params(
     params: ReferenceEncoderParams,
     path: str | Path,
     tau: float | None = None,
-    header_extra: dict | None = None,
+    header: dict | None = None,
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = {
-        "format": "reference-encoder",
-        "dim": params.dim,
-        "hidden": params.hidden,
-        "buckets": params.buckets,
-        "rng_seed": params.rng_seed,
-        "tau": tau,
-    }
-    if header_extra:
-        header.update(header_extra)
-    with open(path, "wb") as fh:
-        fh.write(
-            (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
-        )
-        for block in (params.feature_table, params.slot_projection, params.entry_projection):
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    scalars = {"format": "reference-encoder", "rng_seed": params.rng_seed, "tau": tau}
+    arrays = {name: np.asarray(getattr(params, name), dtype="<f8") for name in _PARAM_ARRAYS}
+    save_arrays(path, {**(header or {}), **scalars}, arrays)
 
 
 def load_params(path: str | Path) -> tuple[ReferenceEncoderParams, float | None]:
-    with reading_artifact(path), open(path, "rb") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != "reference-encoder":
-            raise MalformedRecordError(f"{path}: not a reference-encoder params file")
-        buckets, hidden, dim = int(header["buckets"]), int(header["hidden"]), int(header["dim"])
-        rng_seed = int(header["rng_seed"])
-        payload = fh.read()
-        sizes = (buckets * hidden, 2 * hidden * dim, 2 * hidden * dim)
-        if len(payload) != sum(sizes) * 8:
-            raise MalformedRecordError(f"{path}: truncated params payload")
-    flat = np.frombuffer(payload, dtype="<f8")
-    offsets = np.cumsum((0,) + sizes)
-    params = ReferenceEncoderParams(
-        feature_table=flat[offsets[0] : offsets[1]].reshape(buckets, hidden).copy(),
-        slot_projection=flat[offsets[1] : offsets[2]].reshape(2 * hidden, dim).copy(),
-        entry_projection=flat[offsets[2] : offsets[3]].reshape(2 * hidden, dim).copy(),
-        rng_seed=rng_seed,
-    )
-    return params, header.get("tau")
+    header, arrays = load_arrays(path, "reference-encoder", _PARAM_ARRAYS, "<f8")
+    table, slot, entry = arrays.values()
+    with reading_artifact(path):
+        if not (table.ndim == slot.ndim == 2 and slot.shape == entry.shape
+                and slot.shape[0] == 2 * table.shape[1]):
+            raise MalformedRecordError(f"{path}: projections need 2*hidden rows, got shapes "
+                                       f"{table.shape}, {slot.shape}, {entry.shape}")
+        # the config's range checks: dim, hidden positive, buckets above the markers
+        EncoderConfig(dim=slot.shape[1], hidden=table.shape[1], buckets=table.shape[0])
+        tau = header["tau"]
+        params = ReferenceEncoderParams(**arrays, rng_seed=int(header["rng_seed"]))
+        return params, None if tau is None else float(tau)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
-"""Line-delimited JSON record files, the package's common artifact format.
+"""Artifact files: line-delimited JSON records and named-array params.
 
-Artifact files written by the CLI start with a header record carrying
-{tool_version, config_hash, seed}; readers skip it transparently.
+JSONL artifacts written by the CLI start with a header record carrying
+{tool_version, config_hash, seed}; readers skip it transparently. Params
+files carry it in their own header line (``save_arrays``).
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import MalformedRecordError
 
@@ -54,27 +59,59 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return [record for _, record in iter_jsonl(path)]
 
 
-def read_header(path: str | Path) -> dict | None:
-    """Return the artifact header record if the file starts with one."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if not first:
-        return None
-    try:
-        record = json.loads(first)
-    except json.JSONDecodeError:
-        return None
-    if isinstance(record, dict) and HEADER_KEY in record:
-        return record
-    return None
-
-
 @contextmanager
 def reading_artifact(path: str | Path) -> Iterator[None]:
     """Report a parse failure inside the block (bad or incomplete header,
     bad value, short read) as a MalformedRecordError naming the file."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError, struct.error) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError, struct.error) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise MalformedRecordError(f"{path}: malformed artifact: {detail}") from None
+
+
+def save_arrays(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """The params format: ``header`` (``format``, scalars, provenance) plus
+    the ordered ``arrays`` names as one canonical-JSON line, then one
+    ``numpy.lib.format`` 1.0 record per array and nothing after the last."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write((canonical_json({**header, "arrays": list(arrays)}) + "\n").encode("utf-8"))
+        for array in arrays.values():
+            np.lib.format.write_array(
+                fh, np.ascontiguousarray(array), version=(1, 0), allow_pickle=False
+            )
+
+
+def load_arrays(
+    path: str | Path, fmt: str, names: Sequence[str], dtype: str
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of a ``save_arrays`` file; MalformedRecordError for
+    another format or array names, a dtype other than ``dtype``, a record
+    claiming more bytes than the file has left (before allocating it), or
+    bytes after the last record."""
+    with reading_artifact(path), open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        layout = (header.get("format"), header.get("arrays")) if isinstance(header, dict) else ()
+        if layout != (fmt, list(names)):
+            raise MalformedRecordError(f"{path}: not a {fmt} file with arrays {list(names)}")
+        size = os.fstat(fh.fileno()).st_size
+        arrays = {}
+        for name in names:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise MalformedRecordError(f"{path}: {name}: unsupported .npy version")
+            shape, fortran_order, record_dtype = np.lib.format.read_array_header_1_0(fh)
+            if record_dtype.str != dtype or fortran_order:
+                raise MalformedRecordError(
+                    f"{path}: {name}: dtype {record_dtype.str}, expected C-order {dtype}"
+                )
+            count, left = math.prod(shape), size - fh.tell()
+            if min(shape, default=0) < 0 or count * record_dtype.itemsize > left:
+                raise MalformedRecordError(
+                    f"{path}: {name}: shape {shape} exceeds the {left} bytes left"
+                )
+            arrays[name] = np.fromfile(fh, dtype=record_dtype, count=count).reshape(shape)
+        if fh.tell() != size:
+            raise MalformedRecordError(f"{path}: {size - fh.tell()} bytes after the last array")
+    return header, arrays

@@ -5,9 +5,7 @@ cross-attention head over frozen pre-ranker embeddings."""
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -17,7 +15,7 @@ from .encoder import Encoder
 from .errors import (
     DataError, EmptyKeySetError, MalformedRecordError, UnknownIdError, require_finite,
 )
-from .io import reading_artifact
+from .io import load_arrays, reading_artifact, save_arrays
 from .kg import KgStore
 from .preranker import EmbeddingIndex, IndexKind, build_index, embed_entries, topk
 from .reranker import _sigmoid, bce_grad, bce_loss
@@ -44,6 +42,8 @@ class OokgThresholds:
     attention: float = DEFAULT_ATTENTION_THRESHOLD
 
     def __post_init__(self):
+        if len(self.confidence) != 3 or len(self.entropy) != 3:
+            raise ValueError("confidence and entropy need one threshold per slot")
         if not all(0.0 < t < 1.0 for t in self.confidence):
             raise ValueError("confidence thresholds must lie in (0, 1)")
         max_entropy = float(np.log(TOP_SUPPORT))
@@ -105,11 +105,6 @@ class QkvParams:
     def dim(self) -> int:
         return int(self.q_proj.shape[0])
 
-    def copy(self) -> "QkvParams":
-        return QkvParams(
-            self.q_proj.copy(), self.k_proj.copy(), self.v_proj.copy(), self.scale, self.bias
-        )
-
 
 def _qkv_forward(params: QkvParams, query: np.ndarray, keys: np.ndarray) -> dict:
     d = params.dim
@@ -163,7 +158,6 @@ def train_qkv(
     encoder: Encoder,
     store: KgStore,
     config: QkvTrainConfig,
-    initial_params: QkvParams | None = None,
 ) -> tuple[QkvParams, list[dict]]:
     """Train the attention head with binary cross-entropy.
 
@@ -174,9 +168,7 @@ def train_qkv(
     """
     check_training_set(alignments, store, "calibration")
 
-    params = initial_params.copy() if initial_params is not None else QkvParams.identity(
-        encoder.dim
-    )
+    params = QkvParams.identity(encoder.dim)
     rng = np.random.default_rng(config.seed)
     entity_ids = np.array(store.entity_ids(), dtype=object)
     predicate_ids = np.array(store.predicate_ids(), dtype=object)
@@ -239,38 +231,28 @@ def train_qkv(
 
 
 # ---------------------------------------------------------------------------
-# Persistence
+# Persistence: the shared named-array format (io.save_arrays), float64.
+
+_QKV_ARRAYS = ("q_proj", "k_proj", "v_proj")
 
 
-def save_qkv_params(params: QkvParams, path, header_extra: dict | None = None) -> None:
-    """One JSON header line {dim, scale, bias}, then raw little-endian
-    float64 Q, K, V blocks."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = {"format": "qkv-attention", "dim": params.dim,
-              "scale": params.scale, "bias": params.bias}
-    if header_extra:
-        header.update(header_extra)
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode())
-        for block in (params.q_proj, params.k_proj, params.v_proj):
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+def save_qkv_params(params: QkvParams, path, header: dict | None = None) -> None:
+    save_arrays(
+        path,
+        {**(header or {}), "format": "qkv-attention", "scale": params.scale, "bias": params.bias},
+        {name: np.asarray(getattr(params, name), dtype="<f8") for name in _QKV_ARRAYS},
+    )
 
 
 def load_qkv_params(path) -> QkvParams:
-    with reading_artifact(path), open(path, "rb") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != "qkv-attention":
-            raise MalformedRecordError(f"{path}: not a qkv params file")
-        d = int(header["dim"])
-        payload = fh.read()
-        if len(payload) != 3 * d * d * 8:
-            raise MalformedRecordError(f"{path}: truncated qkv payload")
-        blocks = np.frombuffer(payload, dtype="<f8").reshape(3, d, d)
-        return QkvParams(
-            q_proj=blocks[0].copy(), k_proj=blocks[1].copy(), v_proj=blocks[2].copy(),
-            scale=float(header["scale"]), bias=float(header["bias"]),
-        )
+    header, arrays = load_arrays(path, "qkv-attention", _QKV_ARRAYS, "<f8")
+    q, k, v = arrays.values()
+    with reading_artifact(path):
+        if q.ndim != 2 or q.shape[0] != q.shape[1] or not q.shape == k.shape == v.shape:
+            raise MalformedRecordError(
+                f"{path}: need three d x d blocks, got {q.shape}, {k.shape}, {v.shape}"
+            )
+        return QkvParams(**arrays, scale=float(header["scale"]), bias=float(header["bias"]))
 
 
 def thresholds_record(thresholds: OokgThresholds, grid_metadata: dict | None = None) -> dict:
@@ -285,13 +267,15 @@ def thresholds_record(thresholds: OokgThresholds, grid_metadata: dict | None = N
 
 
 def thresholds_from_record(record: dict) -> OokgThresholds:
-    return OokgThresholds(
-        confidence=tuple(record["confidence"]),
-        entropy=tuple(record["entropy"]),
-        attention=float(record["attention"][0])
-        if isinstance(record["attention"], list)
-        else float(record["attention"]),
-    )
+    """Inverse of ``thresholds_record``; a missing key, a wrong count or an
+    out-of-range value is a MalformedRecordError."""
+    with reading_artifact("thresholds record"):
+        attention = record["attention"]
+        return OokgThresholds(
+            confidence=tuple(float(t) for t in record["confidence"]),
+            entropy=tuple(float(t) for t in record["entropy"]),
+            attention=float(attention[0] if isinstance(attention, list) else attention),
+        )
 
 
 # ---------------------------------------------------------------------------

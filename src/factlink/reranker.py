@@ -8,8 +8,6 @@ entry's nearest neighbors.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -20,7 +18,7 @@ import numpy as np
 from .corpus import Alignment, OieTriple, check_training_set
 from .encoder import Encoder
 from .errors import DataError, MalformedRecordError, require_finite
-from .io import iter_jsonl, reading_artifact, write_jsonl
+from .io import iter_jsonl, load_arrays, reading_artifact, save_arrays, write_jsonl
 from .kg import KgFact, KgStore
 from .preranker import EmbeddingIndex, SlotLinkResult, build_store_indices
 
@@ -72,10 +70,6 @@ class CrossScorerParams:
     weights: np.ndarray  # (6*dim + 9,)
     bias: float
     seed: int = 0
-
-    @property
-    def dim(self) -> int:
-        return (len(self.weights) - 3 * N_SLOT_EXTRAS) // 6
 
 
 def init_cross_params(dim: int, seed: int = 0) -> CrossScorerParams:
@@ -241,7 +235,6 @@ def train_reranker(
     store: KgStore,
     config: RerankTrainConfig,
     neighbor_lists: dict[str, tuple[str, ...]],
-    initial_params: CrossScorerParams | None = None,
 ) -> tuple[CrossScorerParams, list[dict]]:
     """Binary cross-entropy training: gold pairs are positives, one-slot
     corruptions from top-k neighbor lists are negatives; each scored pair
@@ -252,11 +245,7 @@ def train_reranker(
     """
     check_training_set(alignments, store, "training")
 
-    params = (
-        CrossScorerParams(initial_params.weights.copy(), initial_params.bias, initial_params.seed)
-        if initial_params is not None
-        else init_cross_params(encoder.dim, config.seed)
-    )
+    params = init_cross_params(encoder.dim, config.seed)
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
     wd = config.weight_decay
@@ -290,32 +279,33 @@ def train_reranker(
 
 
 # ---------------------------------------------------------------------------
-# Persistence: one JSON header line {dim, seed}, then little-endian float32
-# weights followed by the bias.
+# Persistence: the shared named-array format (io.save_arrays), float32
+# weights and bias.
 
 
-def save_cross_params(params: CrossScorerParams, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = {"dim": params.dim, "seed": params.seed}
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode())
-        fh.write(np.ascontiguousarray(params.weights, dtype="<f4").tobytes())
-        fh.write(struct.pack("<f", params.bias))
+def save_cross_params(
+    params: CrossScorerParams, path: str | Path, header: dict | None = None
+) -> None:
+    save_arrays(
+        path,
+        {**(header or {}), "format": "cross-scorer", "rng_seed": params.seed},
+        {"weights": np.asarray(params.weights, dtype="<f4"),
+         "bias": np.array([params.bias], dtype="<f4")},
+    )
 
 
 def load_cross_params(path: str | Path) -> CrossScorerParams:
-    with reading_artifact(path), open(path, "rb") as fh:
-        header = json.loads(fh.readline())
-        payload = fh.read()
-        dim = int(header["dim"])
-        n_weights = 6 * dim + 3 * N_SLOT_EXTRAS
-        if len(payload) != (n_weights + 1) * 4:
-            raise MalformedRecordError(f"{path}: truncated scorer payload")
-        weights = np.frombuffer(payload[: n_weights * 4], dtype="<f4").astype(np.float64)
-        (bias,) = struct.unpack("<f", payload[n_weights * 4 :])
+    header, arrays = load_arrays(path, "cross-scorer", ("weights", "bias"), "<f4")
+    weights, bias = arrays.values()
+    with reading_artifact(path):
+        n = len(weights) - 3 * N_SLOT_EXTRAS if weights.ndim == 1 else -1
+        if n < 6 or n % 6 or bias.shape != (1,):
+            raise MalformedRecordError(
+                f"{path}: need 6*dim+{3 * N_SLOT_EXTRAS} weights and one bias, got shapes "
+                f"{weights.shape} and {bias.shape}"
+            )
         return CrossScorerParams(
-            weights=weights, bias=float(bias), seed=int(header.get("seed", 0))
+            weights=weights.astype(np.float64), bias=float(bias[0]), seed=int(header["rng_seed"])
         )
 
 

@@ -1,11 +1,13 @@
 import hashlib
+import io
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from factlink.cli import main
-from factlink.io import read_header, read_jsonl
+from factlink.io import load_arrays, read_jsonl, save_arrays
 from factlink.preranker import load_index
 from toyworld import build_toy_world, write_input_files
 
@@ -74,8 +76,8 @@ class TestBuildBenchmark:
 
     def test_artifact_headers(self, pipeline):
         directory, _ = pipeline
-        header = read_header(directory / "out" / "alignments.jsonl")
-        assert header is not None
+        first_line = (directory / "out" / "alignments.jsonl").read_text().split("\n", 1)[0]
+        header = json.loads(first_line)
         assert set(header) == {"tool_version", "config_hash", "seed"}
         assert header["seed"] == 7
 
@@ -112,6 +114,7 @@ class TestTraining:
         directory, _ = pipeline
         out = directory / "out"
         assert (out / "reranker.params").exists()
+        assert not (out / "reranker.params.meta.json").exists()  # provenance is in the header
         assert (out / "neighbors.jsonl").exists()
         neighbors = read_jsonl(out / "neighbors.jsonl")
         assert all(len(r["neighbors"]) <= 10 for r in neighbors)
@@ -263,6 +266,24 @@ def _truncate(path, size):
     path.write_bytes(path.read_bytes()[:size])
 
 
+def _claim_huge_first_record(path):
+    """Keep the header line; the first .npy record claims 8 TB of float64."""
+    header_line = path.read_bytes().split(b"\n", 1)[0]
+    record = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        record, {"descr": "<f8", "fortran_order": False, "shape": (10**6, 10**6)}
+    )
+    path.write_bytes(header_line + b"\n" + record.getvalue() + bytes(64))
+
+
+def _drop_projection_rows(path):
+    names = ("feature_table", "slot_projection", "entry_projection")
+    header, arrays = load_arrays(path, "reference-encoder", names, "<f8")
+    for name in names[1:]:
+        arrays[name] = arrays[name][:-1]
+    save_arrays(path, header, arrays)
+
+
 class TestFailureExitCodes:
     """Bad config sections exit 1, corrupt artifacts 2, diverging training
     3: each with one line on stderr, no traceback, and the stage's params
@@ -291,6 +312,26 @@ class TestFailureExitCodes:
             lambda out: _replace_header(out / "reranker.params", b"{}"),
         ),
         "truncated-index": (2, ["link"], lambda out: _truncate(out / "entities.flix", 30)),
+        "reranker-truncated": (
+            2, ["evaluate", "--facet", "polysemous", "--use-reranker"],
+            lambda out: _truncate(out / "reranker.params", -3),
+        ),
+        "qkv-huge-shape": (
+            2, ["detect", "--detector", "qkv"],
+            lambda out: _claim_huge_first_record(out / "qkv.params"),
+        ),
+        "params-trailing-bytes": (
+            2, ["index"],
+            lambda out: (out / "preranker.params").write_bytes(
+                (out / "preranker.params").read_bytes() + b"\0"
+            ),
+        ),
+        "projection-row-count": (
+            2, ["index"], lambda out: _drop_projection_rows(out / "preranker.params")
+        ),
+        "thresholds-empty-record": (
+            2, ["detect"], lambda out: (out / "thresholds.jsonl").write_text("{}\n")
+        ),
         "params-header-missing-keys": (
             2, ["index"],
             lambda out: _replace_header(

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import entity, make_alignment, predicate
 from factlink.encoder import EncoderConfig, ReferenceEncoder
-from factlink.errors import DataError, EmptyKeySetError
+from factlink.errors import DataError, EmptyKeySetError, MalformedRecordError
 from factlink.kg import KgFact, build_store
 from factlink.ookg import (
     ConfidenceDetector,
@@ -23,6 +23,8 @@ from factlink.ookg import (
     entropy_detect,
     ookg_evaluate,
     qkv_score,
+    thresholds_from_record,
+    thresholds_record,
     topk_softmax,
     train_qkv,
 )
@@ -118,6 +120,19 @@ class TestHeuristicDetectors:
         assert thresholds.confidence == (0.235, 0.260, 0.235)
         assert thresholds.entropy == (1.60, 1.58, 1.60)
         assert thresholds.attention == 0.3
+
+    @pytest.mark.parametrize("change", [
+        {"confidence": [0.25]},  # one value where each slot needs one
+        {"entropy": [1.6, 1.6, 1.6, 1.6]},
+        {"confidence": [0.25, 1.5, 0.25]},
+        {"entropy": [1.6, -0.1, 1.6]},
+        {"attention": "high"},
+    ])
+    def test_malformed_record_rejected(self, change):
+        record = thresholds_record(OokgThresholds())
+        assert thresholds_from_record(record) == OokgThresholds()
+        with pytest.raises(MalformedRecordError):
+            thresholds_from_record({**record, **change})
 
 
 class TestQkvScore:

@@ -20,6 +20,7 @@ from factlink.preranker import (
     save_index,
     topk,
     train_preranker,
+    _rowwise_infonce,
 )
 
 SMALL_ENCODER = EncoderConfig(dim=16, hidden=8, buckets=1024)
@@ -92,6 +93,26 @@ class TestInfonceGrad:
                 assert d_negs[j] == pytest.approx(fd(loss_neg, negs[j]), rel=1e-4, abs=1e-9)
             fd_tau = fd(lambda x: infonce_loss(pos, negs, x), tau)
             assert d_tau == pytest.approx(fd_tau, rel=1e-4, abs=1e-9)
+
+    def test_rowwise_matches_central_finite_differences(self):
+        # the batched form the trainer runs, with positives off column 0
+        rng = np.random.default_rng(7)
+        sims = rng.uniform(-1, 1, size=(4, 5))
+        positives = np.array([3, 1, 4, 2])
+        tau, step = 0.2, 1e-6
+        d_sims, _, d_tau = _rowwise_infonce(sims, positives, tau)
+
+        def loss(s, t=tau):
+            return _rowwise_infonce(s, positives, t)[1]
+
+        fd_sims = np.zeros_like(sims)
+        for cell in np.ndindex(sims.shape):
+            bump = np.zeros_like(sims)
+            bump[cell] = step
+            fd_sims[cell] = (loss(sims + bump) - loss(sims - bump)) / (2 * step)
+        np.testing.assert_allclose(d_sims, fd_sims, rtol=1e-4, atol=1e-9)
+        fd_tau = (loss(sims, tau + step) - loss(sims, tau - step)) / (2 * step)
+        assert d_tau == pytest.approx(fd_tau, rel=1e-4, abs=1e-9)
 
 
 class TestIndex:

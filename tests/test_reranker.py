@@ -1,11 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import entity, make_alignment, predicate
-from factlink.encoder import EncoderConfig, ReferenceEncoder
+from factlink.encoder import EncoderConfig, ReferenceEncoder, init_params, load_params, save_params
+from factlink.errors import MalformedRecordError
 from factlink.kg import KgFact, build_store
+from factlink.ookg import QkvParams, load_qkv_params, save_qkv_params
 from factlink.preranker import (
     IndexKind,
     PrerankTrainConfig,
@@ -310,18 +313,69 @@ class TestTrainReranker:
         assert params_a.bias == params_b.bias
 
 
+PROVENANCE = {"tool_version": "0.1.0", "config_hash": "0123456789abcdef", "seed": 7}
+
+
+def encoder_case():
+    params = init_params(EncoderConfig(dim=4, hidden=3, buckets=16), seed=11)
+
+    def state(loaded):
+        params, tau = loaded
+        blocks = (params.feature_table, params.slot_projection, params.entry_projection)
+        return blocks, {"seed": params.rng_seed, "tau": tau}
+
+    return (lambda path: save_params(params, path, tau=0.07, header=PROVENANCE),
+            lambda path: state(load_params(path)), state((params, 0.07)))
+
+
+def reranker_case():
+    rng = np.random.default_rng(4)
+    params = CrossScorerParams(  # float32-representable, as the file stores them
+        weights=rng.standard_normal(6 * 16 + 9).astype(np.float32).astype(np.float64),
+        bias=float(np.float32(0.25)),
+        seed=5,
+    )
+
+    def state(params):
+        return (params.weights,), {"seed": params.seed, "bias": params.bias}
+
+    return (lambda path: save_cross_params(params, path, header=PROVENANCE),
+            lambda path: state(load_cross_params(path)), state(params))
+
+
+def qkv_case():
+    params = QkvParams(*np.random.default_rng(6).standard_normal((3, 5, 5)), scale=1.5, bias=-0.3)
+
+    def state(params):
+        return (params.q_proj, params.k_proj, params.v_proj), {
+            "scale": params.scale, "bias": params.bias}
+
+    return (lambda path: save_qkv_params(params, path, header=PROVENANCE),
+            lambda path: state(load_qkv_params(path)), state(params))
+
+
 class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        params = CrossScorerParams(
-            weights=rng.standard_normal(6 * 16 + 9).astype(np.float32).astype(np.float64),
-            bias=float(np.float32(0.25)),
-            seed=5,
-        )
-        path = tmp_path / "scorer.bin"
-        save_cross_params(params, path)
-        loaded = load_cross_params(path)
-        assert np.array_equal(loaded.weights, params.weights)
-        assert loaded.bias == params.bias
-        assert loaded.seed == 5
-        assert loaded.dim == 16
+    """Encoder, re-ranker and QKV params share one file format."""
+
+    @pytest.mark.parametrize(
+        "case", [encoder_case, reranker_case, qkv_case], ids=["encoder", "reranker", "qkv"]
+    )
+    def test_round_trip(self, case, tmp_path):
+        save, load, (blocks, scalars) = case()
+        path = tmp_path / "model.params"
+        save(path)
+        loaded_blocks, loaded_scalars = load(path)
+        for loaded, block in zip(loaded_blocks, blocks, strict=True):
+            assert loaded.dtype == np.float64 and loaded.shape == block.shape
+            assert loaded.tobytes() == block.tobytes()
+        assert loaded_scalars == scalars
+        data = path.read_bytes()
+        header_line = data.split(b"\n", 1)[0]
+        assert PROVENANCE.items() <= json.loads(header_line).items()
+        # cut inside and at the edges of the header line and of each record
+        cuts = {0, len(header_line), len(header_line) + 1, len(data) - 1}
+        cuts |= set(np.linspace(1, len(data) - 2, 40).astype(int).tolist())
+        for size in sorted(cuts):
+            path.write_bytes(data[:size])
+            with pytest.raises(MalformedRecordError):
+                load(path)
