@@ -144,6 +144,8 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         *parents, leaf = dotted.split(".")
         for parent in parents:
             target = target.setdefault(parent, {})
+            if not isinstance(target, dict):
+                raise UsageError(f"--set {dotted}: {parent!r} is not a JSON object")
         target[leaf] = value
     return config
 
@@ -177,6 +179,21 @@ def _require_paths(config: dict, *keys: str) -> list[Path]:
             raise DataError(f"input path for {key!r} does not exist: {path}")
         paths.append(path)
     return paths
+
+
+def _input_path(config: dict, key: str, default_name: str, what: str, producer: str) -> Path:
+    """Config ``key``, else ``default_name`` under ``out_dir``; a missing file
+    is a data error naming the path and the stage that writes it."""
+    path = Path(config.get(key) or Path(config["out_dir"]) / default_name)
+    if not path.exists():
+        raise DataError(f"{what} not found: {path} (run {producer} first)")
+    return path
+
+
+def _positive_int(value, name: str) -> int:
+    if type(value) is not int or value < 1:
+        raise UsageError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 def _out_dir(config: dict) -> Path:
@@ -240,10 +257,10 @@ def _section(config: dict, name: str, cls, extras: dict | None = None, **default
         raise UsageError(f"config section {name!r}: {exc}") from None
 
 
-def _load_encoder(config: dict, params_path: str | None = None) -> ReferenceEncoder:
-    path = Path(params_path or Path(config["out_dir"]) / "preranker.params")
-    if not path.exists():
-        raise DataError(f"encoder params not found: {path} (run train-preranker first)")
+def _load_encoder(config: dict) -> ReferenceEncoder:
+    path = _input_path(
+        config, "preranker_params", "preranker.params", "encoder params", "train-preranker"
+    )
     params, _tau = load_params(path)
     return ReferenceEncoder(params)
 
@@ -299,10 +316,9 @@ def cmd_split(config: dict, args) -> int:
 
 
 def _train_alignments(config: dict):
-    path = config.get("train_alignments") or str(Path(config["out_dir"]) / "alignments.jsonl")
-    if not Path(path).exists():
-        raise DataError(f"training alignments not found: {path}")
-    return read_alignments(path)
+    return read_alignments(_input_path(
+        config, "train_alignments", "alignments.jsonl", "training alignments", "build-benchmark"
+    ))
 
 
 def cmd_train_preranker(config: dict, args) -> int:
@@ -336,7 +352,7 @@ def cmd_train_preranker(config: dict, args) -> int:
 def cmd_train_reranker(config: dict, args) -> int:
     store = _load_store(config)
     alignments = _train_alignments(config)
-    encoder = _load_encoder(config, config.get("preranker_params"))
+    encoder = _load_encoder(config)
     train_config, _ = _section(
         config, "reranker", RerankTrainConfig,
         seed=stream_seed(config["seed"], "corruption"), with_context=config["with_context"],
@@ -355,13 +371,11 @@ def cmd_train_reranker(config: dict, args) -> int:
 
 def cmd_train_ookg(config: dict, args) -> int:
     store = _load_store(config)
-    path = config.get("calibration_alignments") or str(
-        Path(config["out_dir"]) / "alignments.jsonl"
-    )
-    if not Path(path).exists():
-        raise DataError(f"calibration alignments not found: {path}")
-    alignments = read_alignments(path)
-    encoder = _load_encoder(config, config.get("preranker_params"))
+    alignments = read_alignments(_input_path(
+        config, "calibration_alignments", "alignments.jsonl", "calibration alignments",
+        "build-benchmark",
+    ))
+    encoder = _load_encoder(config)
     train_config, extras = _section(
         config, "ookg", QkvTrainConfig,
         extras={"grid_size": 200, "calibrate_thresholds": False,
@@ -394,7 +408,7 @@ def cmd_train_ookg(config: dict, args) -> int:
 
 def cmd_index(config: dict, args) -> int:
     store = _load_store(config)
-    encoder = _load_encoder(config, config.get("preranker_params"))
+    encoder = _load_encoder(config)
     if config["store_variant"] == "brkg":
         referenced = _train_alignments(config)
         for facet in FACETS:  # the benchmark covers the test facets too
@@ -414,7 +428,7 @@ def cmd_index(config: dict, args) -> int:
 
 def cmd_link(config: dict, args) -> int:
     store = _load_store(config)
-    encoder = _load_encoder(config, config.get("preranker_params"))
+    encoder = _load_encoder(config)
     (oie_path,) = _require_paths(config, "link_oie")
     oies = read_oie_file(oie_path)
     out = _out_dir(config)
@@ -424,7 +438,7 @@ def cmd_link(config: dict, args) -> int:
         predicate_index = load_index(out / "predicates.flix")
     else:
         entity_index, predicate_index = build_store_indices(encoder, store)
-    k = int(args.k if args.k is not None else config["link_k"])
+    k = _positive_int(args.k if args.k is not None else config["link_k"], "--k / link_k")
     with_context = bool(config["with_context"] or args.with_context)
 
     def records():
@@ -447,12 +461,10 @@ def cmd_link(config: dict, args) -> int:
 
 
 def _facet_alignments(config: dict, facet: str):
-    path = config.get("facet_alignments") or str(
-        Path(config["out_dir"]) / f"split-{facet}.jsonl"
-    )
-    if not Path(path).exists():
-        raise DataError(f"split file not found: {path} (run build-benchmark or split)")
-    return read_alignments(path)
+    return read_alignments(_input_path(
+        config, "facet_alignments", f"split-{facet}.jsonl", "split file",
+        "build-benchmark or split",
+    ))
 
 
 def cmd_evaluate(config: dict, args) -> int:
@@ -470,14 +482,13 @@ def cmd_evaluate(config: dict, args) -> int:
     elif args.linker == "random":
         linker = random_baseline(eval_store, seed=stream_seed(config["seed"], "baseline"))
     else:
-        encoder = _load_encoder(config, config.get("preranker_params"))
+        encoder = _load_encoder(config)
         entity_index, predicate_index = build_store_indices(encoder, eval_store)
         if args.use_reranker:
-            scorer_path = Path(config.get("reranker_params") or Path(config["out_dir"]) / "reranker.params")
-            if not scorer_path.exists():
-                raise DataError(f"reranker params not found: {scorer_path}")
-            scorer = load_cross_params(scorer_path)
-            k = int(rerank_k)
+            k = _positive_int(rerank_k, "--rerank-k / rerank_k")
+            scorer = load_cross_params(_input_path(
+                config, "reranker_params", "reranker.params", "reranker params", "train-reranker"
+            ))
             log.info("reranking %d candidates per OIE", k**3)
 
             def linker(triple):
@@ -509,7 +520,7 @@ def cmd_detect(config: dict, args) -> int:
     test = _facet_alignments(config, facet)
     if not test:
         raise DataError(f"facet {facet!r} is empty")
-    encoder = _load_encoder(config, config.get("preranker_params"))
+    encoder = _load_encoder(config)
     out = _out_dir(config)
 
     thresholds = OokgThresholds()
@@ -525,11 +536,9 @@ def cmd_detect(config: dict, args) -> int:
     elif name == "entropy":
         detector = EntropyDetector(thresholds)
     elif name == "qkv":
-        qkv_path = Path(config.get("qkv_params") or out / "qkv.params")
-        if not qkv_path.exists():
-            raise DataError(f"qkv params not found: {qkv_path} (run train-ookg first)")
-        detector = QkvDetector(load_qkv_params(qkv_path), thresholds,
-                               key_pool=int(config.get("qkv_key_pool", 64)))
+        key_pool = _positive_int(config.get("qkv_key_pool", 64), "qkv_key_pool")
+        qkv_path = _input_path(config, "qkv_params", "qkv.params", "qkv params", "train-ookg")
+        detector = QkvDetector(load_qkv_params(qkv_path), thresholds, key_pool=key_pool)
     elif name == "random":
         detector = RandomDetector(seed=stream_seed(config["seed"], "detector"))
     elif name == "always-in":

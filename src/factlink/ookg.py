@@ -346,17 +346,23 @@ class OokgDetector(Protocol):
     ) -> tuple[Decision, float]: ...
 
 
+def _support_statistics(query: np.ndarray, index: EmbeddingIndex) -> tuple[float, float]:
+    """(top-1 probability, entropy) of the softmax over the top ``TOP_SUPPORT``
+    similarities; an empty store variant gets the most out-of-KG pair."""
+    sims = [score for _, score in topk(index, query, TOP_SUPPORT)]
+    if not sims:
+        return 0.0, float(np.log(TOP_SUPPORT))
+    probs = topk_softmax(sims)
+    return float(probs.max()), entropy(probs)
+
+
 class ConfidenceDetector:
     def __init__(self, thresholds: OokgThresholds | None = None):
         self.thresholds = thresholds or OokgThresholds()
 
     def decide(self, query, index, slot, gold_id):
-        sims = [score for _, score in topk(index, query, TOP_SUPPORT)]
-        if not sims:  # an empty store variant cannot contain the referent
-            return Decision.OUT_OF_KG, 0.0
-        probs = topk_softmax(sims)
-        top1 = float(probs.max())
-        return confidence_detect(probs, slot, self.thresholds), top1
+        top1, _ = _support_statistics(query, index)
+        return confidence_detect((top1,), slot, self.thresholds), top1
 
 
 class EntropyDetector:
@@ -364,10 +370,9 @@ class EntropyDetector:
         self.thresholds = thresholds or OokgThresholds()
 
     def decide(self, query, index, slot, gold_id):
-        sims = [score for _, score in topk(index, query, TOP_SUPPORT)]
-        if not sims:  # an empty store variant cannot contain the referent
-            return Decision.OUT_OF_KG, float(np.log(TOP_SUPPORT))
-        h = entropy(topk_softmax(sims))
+        _, h = _support_statistics(query, index)
+        if len(index) == 0:  # out-of-KG even at a threshold of ln TOP_SUPPORT
+            return Decision.OUT_OF_KG, h
         return entropy_detect(h, slot, self.thresholds), h
 
 
@@ -528,12 +533,7 @@ def collect_statistics(
 
     class _Collector:
         def decide(self, query, index, slot, gold_id):
-            sims = [score for _, score in topk(index, query, TOP_SUPPORT)]
-            if sims:
-                probs = topk_softmax(sims)
-                top1, h = float(probs.max()), entropy(probs)
-            else:
-                top1, h = 0.0, float(np.log(TOP_SUPPORT))
+            top1, h = _support_statistics(query, index)
             samples["confidence"][slot][0].append(top1)
             samples["entropy"][slot][0].append(h)
             return Decision.IN_KG, top1

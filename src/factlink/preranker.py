@@ -36,7 +36,6 @@ from .kg import KgEntry, KgFact, KgStore
 
 _FLIX_MAGIC = b"FLIX"
 _FLIX_VERSION = 1
-_SCAN_CHUNK = 8192
 _EMBED_CHUNK = 64  # entries per forward pass when a store is embedded
 
 
@@ -52,11 +51,12 @@ class EmbeddingIndex:
     ids: tuple[str, ...]
     matrix: np.ndarray
     kind: IndexKind
-    _ids_array: np.ndarray = field(init=False, repr=False)
+    _id_rank: np.ndarray = field(init=False, repr=False)
     _row_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._ids_array = np.array(self.ids, dtype=object)
+        # each row's position in ascending id order: the tie key of _top_rows
+        self._id_rank = np.argsort(sorted(range(len(self.ids)), key=self.ids.__getitem__))
         self._row_index = {entry_id: row for row, entry_id in enumerate(self.ids)}
 
     def __len__(self) -> int:
@@ -71,6 +71,15 @@ class EmbeddingIndex:
             return self._row_index[entry_id]
         except KeyError:
             raise UnknownIdError(f"id {entry_id!r} not in index") from None
+
+    def _top_rows(self, scores: np.ndarray, k: int) -> np.ndarray:
+        """Rows of the min(k, n) highest ``scores``, best first; ties by ascending id."""
+        n = len(scores)
+        k = min(k, n)
+        # every row scoring at least the k-th score: a tie group cut at k is ordered by id
+        rows = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+        order = np.lexsort((self._id_rank[rows], -scores[rows]))
+        return rows[order[:k]]
 
 
 def build_index(
@@ -102,16 +111,10 @@ def topk(index: EmbeddingIndex, query: np.ndarray, k: int) -> list[tuple[str, fl
     min(k, len(index)) pairs."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = len(index)
-    if n == 0:
+    if len(index) == 0:
         return []
-    q = np.asarray(query, dtype=np.float32)
-    scores = np.empty(n, dtype=np.float32)
-    for start in range(0, n, _SCAN_CHUNK):
-        block = index.matrix[start : start + _SCAN_CHUNK]
-        scores[start : start + block.shape[0]] = block @ q
-    order = np.lexsort((index._ids_array, -scores))[: min(k, n)]
-    return [(index.ids[i], float(scores[i])) for i in order]
+    scores = index.matrix @ np.asarray(query, dtype=np.float32)
+    return [(index.ids[i], float(scores[i])) for i in index._top_rows(scores, k)]
 
 
 @dataclass(frozen=True)

@@ -160,21 +160,16 @@ def build_neighbor_lists(index: EmbeddingIndex, pool: int = 10) -> dict[str, tup
 
     Computed once from the frozen pre-ranker embeddings.
     """
-    n = len(index)
     neighbors: dict[str, tuple[str, ...]] = {}
-    if n == 0:
-        return neighbors
     matrix = index.matrix
     ids = index.ids
     chunk = 512
-    for start in range(0, n, chunk):
-        block = matrix[start : start + chunk]
-        sims = block @ matrix.T  # (chunk, n)
-        for row in range(block.shape[0]):
-            i = start + row
-            order = np.lexsort((index._ids_array, -sims[row]))
-            picked = [ids[j] for j in order if j != i][:pool]
-            neighbors[ids[i]] = tuple(picked)
+    for start in range(0, len(index), chunk):
+        sims = matrix[start : start + chunk] @ matrix.T  # (chunk, n)
+        for i, scores in enumerate(sims, start):
+            # self need not rank first: keep pool + 1, then drop it
+            picked = [ids[j] for j in index._top_rows(scores, pool + 1) if j != i]
+            neighbors[ids[i]] = tuple(picked[:pool])
     return neighbors
 
 

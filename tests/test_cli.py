@@ -296,6 +296,20 @@ class TestFailureExitCodes:
         ),
         "zero-epochs": (1, ["--set", "preranker.epochs=0", "train-preranker"], None),
         "wrong-type": (1, ["--set", "reranker.epochs=many", "train-reranker"], None),
+        "set-through-scalar": (1, ["--set", "seed.x=1", "build-benchmark"], None),
+        "link-k-zero": (1, ["link", "--k", "0"], None),
+        "link-k-string": (1, ["--set", 'link_k="x"', "link"], None),
+        "rerank-k-zero": (
+            1, ["--set", "rerank_k=0", "evaluate", "--facet", "polysemous", "--use-reranker"],
+            None,
+        ),
+        "rerank-k-string": (
+            1, ["--set", 'rerank_k="x"', "evaluate", "--facet", "polysemous", "--use-reranker"],
+            None,
+        ),
+        "qkv-key-pool-zero": (
+            1, ["--set", "qkv_key_pool=0", "detect", "--detector", "qkv"], None
+        ),
         "preranker-diverges": (
             3, ["--set", "preranker.learning_rate=1e9", "train-preranker"], None
         ),

@@ -16,6 +16,7 @@ from factlink.ookg import (
     QkvParams,
     QkvTrainConfig,
     RandomDetector,
+    TOP_SUPPORT,
     calibrate_threshold,
     confidence_detect,
     detection_accuracy,
@@ -28,7 +29,7 @@ from factlink.ookg import (
     topk_softmax,
     train_qkv,
 )
-from factlink.preranker import PrerankTrainConfig, train_preranker
+from factlink.preranker import IndexKind, PrerankTrainConfig, build_index, train_preranker
 
 SMALL_ENCODER = EncoderConfig(dim=16, hidden=8, buckets=1024)
 
@@ -344,6 +345,19 @@ class TestEvaluateProtocol:
         assert len(report.records) == 2 * 3 * 3
         record = report.records[0]
         assert set(record) == {"alignment_id", "slot", "scenario", "decision", "statistic"}
+
+    def test_empty_store_variant_decides_out(self):
+        # even when an entropy threshold equals the fallback ln TOP_SUPPORT
+        max_entropy = float(np.log(TOP_SUPPORT))
+        thresholds = OokgThresholds(entropy=(max_entropy,) * 3)
+        empty = build_index([], IndexKind.ENTITIES)
+        query = np.ones(4) / 2
+        assert ConfidenceDetector(thresholds).decide(query, empty, 0, "Q1") == (
+            Decision.OUT_OF_KG, 0.0
+        )
+        assert EntropyDetector(thresholds).decide(query, empty, 0, "Q1") == (
+            Decision.OUT_OF_KG, max_entropy
+        )
 
     def test_heuristic_detectors_run(self, calibration_setup):
         store, alignments, encoder = calibration_setup

@@ -31,6 +31,19 @@ def random_unit(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def distinct_case(rng, n):
+    """n random rows and a random unit query."""
+    return rng.standard_normal((n, 24)), random_unit(rng, 24)
+
+
+def tied_case(rng, n):
+    """n rows repeating 8 distinct +-1 vectors, and a +-1 query. Normalized
+    rows hold +-1/4, so every score is a multiple of 1/4 computed exactly:
+    duplicated rows tie exactly, and most k cut through a tie group."""
+    signs = rng.choice((-1.0, 1.0), size=(9, 16))
+    return signs[rng.integers(8, size=n)], signs[8]
+
+
 class TestInfonceLoss:
     def test_zero_negatives_is_zero(self):
         assert infonce_loss(0.73, [], tau=0.07) == 0.0
@@ -164,19 +177,18 @@ class TestIndex:
         index = build_index([(f"Q{i}", random_unit(rng, 8)) for i in range(3)], IndexKind.ENTITIES)
         assert len(topk(index, random_unit(rng, 8), k=50)) == 3
 
-    def test_matches_brute_force_oracle(self):
+    @pytest.mark.parametrize("draw", [distinct_case, tied_case], ids=["distinct", "tied"])
+    def test_matches_brute_force_oracle(self, draw):
         rng = np.random.default_rng(5)
         for trial in range(100):
             n = 1000 if trial < 3 else 120  # a few full-size, the rest fast
-            dim = 24
             ids = [f"Q{i:04d}" for i in range(n)]
             rng.shuffle(ids)
-            matrix = rng.standard_normal((n, dim))
+            matrix, query = draw(rng, n)
             index = build_index(list(zip(ids, matrix)), IndexKind.ENTITIES)
-            query = random_unit(rng, dim)
             scores = index.matrix @ query.astype(np.float32)
             oracle = sorted(zip(index.ids, scores.tolist()), key=lambda p: (-p[1], p[0]))
-            for k in (1, 5, 50):
+            for k in (1, 5, 50, n, n + 1):
                 got = topk(index, query, k)
                 assert got == oracle[: min(k, n)]
 

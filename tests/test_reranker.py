@@ -224,6 +224,27 @@ class TestHardNegatives:
             assert eid not in ns
             assert len(ns) == 10
 
+    def test_neighbor_lists_match_sorted_oracle_with_ties(self):
+        # 30 rows repeating 5 distinct +-1 vectors: normalized rows hold
+        # +-1/4, so every similarity is exact and duplicated rows tie
+        # exactly; groups of about 6 make pool 10 cut through a tie group
+        rng = np.random.default_rng(6)
+        signs = rng.choice((-1.0, 1.0), size=(5, 16))
+        ids = [f"Q{i:02d}" for i in range(30)]
+        rng.shuffle(ids)
+        index = build_index(
+            list(zip(ids, signs[rng.integers(5, size=30)])), IndexKind.ENTITIES
+        )
+        sims = index.matrix @ index.matrix.T
+        oracle = {
+            index.ids[i]: tuple(sorted(
+                (index.ids[j] for j in range(30) if j != i),
+                key=lambda eid: (-sims[i, index.row(eid)], eid),
+            )[:10])
+            for i in range(30)
+        }
+        assert build_neighbor_lists(index, pool=10) == oracle
+
     def test_neighbor_lists_round_trip(self, tmp_path):
         neighbors = {"Q1": ("Q2", "Q3"), "P1": ("P2",)}
         path = tmp_path / "neighbors.jsonl"
