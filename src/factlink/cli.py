@@ -28,8 +28,8 @@ from .corpus import align, augment_aliases, read_alignments, read_oie_file, read
 from .encoder import EncoderConfig, ReferenceEncoder, load_params, save_params
 from .errors import DataError, FactLinkError, NumericError
 from .evalkit import (
-    emit_report,
     evaluate_linker,
+    format_table,
     frequency_baseline,
     random_baseline,
     report_records,
@@ -131,7 +131,13 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         if not Path(path).exists():
             raise DataError(f"config file not found: {path}")
         with open(path, "r", encoding="utf-8") as fh:
-            _deep_update(config, json.load(fh))
+            try:
+                document = json.load(fh)
+            except ValueError as exc:  # undecodable bytes or malformed JSON
+                raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
+        if not isinstance(document, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
+        _deep_update(config, document)
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
@@ -147,6 +153,12 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             if not isinstance(target, dict):
                 raise UsageError(f"--set {dotted}: {parent!r} is not a JSON object")
         target[leaf] = value
+    for key, choices in (
+        ("inductive_mode", [mode.value for mode in InductiveMode]),
+        ("store_variant", ["brkg", "large"]),
+    ):
+        if config[key] not in choices:
+            raise UsageError(f"{key} must be one of {choices}, got {config[key]!r}")
     return config
 
 
@@ -510,7 +522,7 @@ def cmd_evaluate(config: dict, args) -> int:
     out = _out_dir(config)
     suffix = f"{args.facet}-{store_tag.lower()}"
     write_jsonl(out / f"report-{suffix}.jsonl", report_records(report), header=artifact_header(config))
-    sys.stdout.write(emit_report(report, "table").decode("utf-8"))
+    print(format_table(report))
     return 0
 
 

@@ -1,11 +1,10 @@
-"""Pluggable text encoder: OIE triples map to three per-slot unit vectors,
-KG entries to one unit vector.
+"""Text encoder: OIE triples map to three per-slot unit vectors, KG
+entries to one unit vector.
 
 The built-in reference encoder replaces a pretrained transformer with
 hashed word/character-trigram features, a trainable feature table and
 linear projections. ``encode_batch`` is its only forward pass: the
-pre-ranker's trainer and ``ReferenceEncoder`` both call it. An
-external-embedding import serves frozen vectors produced elsewhere.
+pre-ranker's trainer and ``ReferenceEncoder`` both call it.
 """
 
 from __future__ import annotations
@@ -14,22 +13,15 @@ from collections import Counter
 from dataclasses import dataclass
 import hashlib
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import OieTriple, oie_text, oie_uid
-from .errors import (
-    DimensionMismatchError,
-    MalformedRecordError,
-    MissingVectorError,
-    NumericError,
-)
-from .io import iter_jsonl, load_arrays, reading_artifact, save_arrays, write_jsonl
+from .errors import MalformedRecordError, NumericError
+from .io import load_arrays, reading_artifact, save_arrays
 from .kg import KgEntry
 from .text import MARKER_TOKENS
-
-SLOT_NAMES = ("subject", "relation", "object")
 
 _MARKER_BUCKETS = {token: i for i, token in enumerate(MARKER_TOKENS)}
 _N_RESERVED = len(MARKER_TOKENS)
@@ -224,22 +216,6 @@ def encode_batch(
     return Forward(batch, u, o_hat, o_norms, v, k_hat, k_norms)
 
 
-class Encoder(Protocol):
-    """Contract every encoder satisfies: unit-norm, deterministic outputs."""
-
-    dim: int
-
-    def slot_embed(
-        self, triple: OieTriple, with_context: bool = False
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
-
-    def entry_embed(self, entry: KgEntry, mask_description: bool = False) -> np.ndarray: ...
-
-    def entry_embeds(
-        self, entries: Sequence[KgEntry], mask_description: bool = False
-    ) -> np.ndarray: ...
-
-
 class ReferenceEncoder:
     """Inference wrapper over frozen reference-encoder params: every
     embedding is a cached row of ``encode_batch``, so slots see cross-slot
@@ -314,89 +290,3 @@ def load_params(path: str | Path) -> tuple[ReferenceEncoderParams, float | None]
         tau = header["tau"]
         params = ReferenceEncoderParams(**arrays, rng_seed=int(header["rng_seed"]))
         return params, None if tau is None else float(tau)
-
-
-# ---------------------------------------------------------------------------
-# Frozen external-embedding import
-
-
-def slot_key(triple: OieTriple, slot: str) -> str:
-    return f"{oie_uid(triple)}#{slot}"
-
-
-class ImportedEncoder:
-    """Serves renormalized vectors from an embedding file.
-
-    Entry vectors are keyed by entry id; slot vectors by the OIE triple's
-    content uid plus slot name. Imports are frozen: the context and masking
-    flags were the exporter's choice and do not change served vectors.
-    """
-
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int):
-        self.vectors = vectors
-        self.dim = dim
-
-    def _get(self, key: str) -> np.ndarray:
-        vector = self.vectors.get(key)
-        if vector is None:
-            raise MissingVectorError(f"no imported vector for key {key!r}")
-        return vector
-
-    def slot_embed(
-        self, triple: OieTriple, with_context: bool = False
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(self._get(slot_key(triple, slot)) for slot in SLOT_NAMES)
-
-    def entry_embed(self, entry: KgEntry, mask_description: bool = False) -> np.ndarray:
-        return self._get(entry.id)
-
-    def entry_embeds(
-        self, entries: Sequence[KgEntry], mask_description: bool = False
-    ) -> np.ndarray:
-        return np.stack([self._get(entry.id) for entry in entries])
-
-
-def import_embeddings(path: str | Path) -> ImportedEncoder:
-    """Load {key, vector} records into a frozen encoder; vectors are
-    renormalized and must share one dimension."""
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for line_number, record in iter_jsonl(path):
-        if "key" not in record or "vector" not in record:
-            raise MalformedRecordError("embedding record needs key and vector", line_number)
-        vector = np.asarray(record["vector"], dtype=np.float64)
-        if vector.ndim != 1:
-            raise MalformedRecordError("vector must be a flat list", line_number)
-        if dim is None:
-            dim = int(vector.shape[0])
-        elif vector.shape[0] != dim:
-            raise DimensionMismatchError(
-                f"line {line_number}: vector for {record['key']!r} has length "
-                f"{vector.shape[0]}, expected {dim}"
-            )
-        vectors[str(record["key"])] = vector
-    if dim is None:
-        raise MalformedRecordError(f"embedding file {path} is empty")
-    unit, _ = _normalize_rows(np.stack(list(vectors.values())))
-    return ImportedEncoder(dict(zip(vectors, unit)), dim)
-
-
-def export_embeddings(
-    encoder: Encoder,
-    path: str | Path,
-    entries: Iterable[KgEntry] = (),
-    triples: Sequence[OieTriple] = (),
-    with_context: bool = False,
-    header: dict | None = None,
-) -> None:
-    """Write entry and per-slot OIE vectors in the import format."""
-
-    def records():
-        for entry in entries:
-            yield {"key": entry.id, "vector": encoder.entry_embed(entry).tolist()}
-        for triple in triples:
-            embeddings = encoder.slot_embed(triple, with_context)
-            for slot, vector in zip(SLOT_NAMES, embeddings):
-                yield {"key": slot_key(triple, slot), "vector": vector.tolist()}
-
-    write_jsonl(path, records(), header=header)

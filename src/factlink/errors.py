@@ -41,14 +41,6 @@ class MissingContextError(DataError):
     """Context rendering was requested for a triple without a sentence."""
 
 
-class MissingVectorError(DataError):
-    """An imported embedding table has no vector for the requested key."""
-
-
-class DimensionMismatchError(DataError):
-    pass
-
-
 class EmptyTrainingSetError(DataError):
     pass
 

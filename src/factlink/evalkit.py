@@ -1,4 +1,4 @@
-"""Linking metrics, the frequency/random baselines and report emission.
+"""Linking metrics, the frequency/random baselines and report rendering.
 
 A fact scores a hit only when all three of its slots are linked correctly;
 binary hit rates carry the closed-form standard error of the mean.
@@ -127,16 +127,7 @@ def random_baseline(store: KgStore, seed: int = 0) -> Linker:
 
 
 # ---------------------------------------------------------------------------
-# Aggregation and emission
-
-
-def macro_score(reports: Sequence[EvalReport]) -> dict[str, float]:
-    """Unweighted per-metric mean of accuracies across reports."""
-    if not reports:
-        raise EmptyEvaluationError("no reports to aggregate")
-    return {
-        metric: float(np.mean([r.accuracy[metric] for r in reports])) for metric in METRICS
-    }
+# Reports
 
 
 def report_records(report: EvalReport) -> list[dict]:
@@ -156,21 +147,6 @@ def report_records(report: EvalReport) -> list[dict]:
     ]
 
 
-def report_from_records(records: Sequence[dict]) -> EvalReport:
-    by_metric = {record["metric"]: record for record in records}
-    missing = set(METRICS) - set(by_metric)
-    if missing:
-        raise DataError(f"records missing metrics {sorted(missing)}")
-    first = by_metric[METRICS[0]]
-    return EvalReport(
-        split=first["split"],
-        store=first["store"],
-        n=int(first["n"]),
-        accuracy={m: float(by_metric[m]["value"]) for m in METRICS},
-        sem={m: float(by_metric[m]["sem"]) for m in METRICS},
-    )
-
-
 def format_table(report: EvalReport) -> str:
     """Fixed-column table: accuracies as percentages at one decimal."""
     if report.n == 0:
@@ -181,19 +157,3 @@ def format_table(report: EvalReport) -> str:
     ]
     context = f"split={report.split or '-'} store={report.store or '-'} n={report.n}"
     return "\n".join([context, header, "  ".join(cells)])
-
-
-def emit_report(report: EvalReport, format: str = "table") -> bytes:
-    """Render a report as UTF-8 bytes: aligned percentages in table mode,
-    line-delimited full-precision records otherwise."""
-    if format == "table":
-        return (format_table(report) + "\n").encode("utf-8")
-    if format == "records":
-        from .io import canonical_json
-
-        if report.n == 0:
-            raise EmptyEvaluationError("empty report")
-        return (
-            "\n".join(canonical_json(r) for r in report_records(report)) + "\n"
-        ).encode("utf-8")
-    raise ValueError(f"unknown report format {format!r}")

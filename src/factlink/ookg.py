@@ -11,13 +11,13 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import Alignment, alignment_uid, check_training_set
-from .encoder import Encoder
+from .encoder import ReferenceEncoder
 from .errors import (
     DataError, EmptyKeySetError, MalformedRecordError, UnknownIdError, require_finite,
 )
 from .io import load_arrays, reading_artifact, save_arrays
 from .kg import KgStore
-from .preranker import EmbeddingIndex, IndexKind, build_index, embed_entries, topk
+from .preranker import EmbeddingIndex, build_store_indices, topk
 from .reranker import _sigmoid, bce_grad, bce_loss
 
 TOP_SUPPORT = 5  # fixed support for the confidence and entropy heuristics
@@ -155,7 +155,7 @@ class QkvTrainConfig:
 
 def train_qkv(
     alignments: Sequence[Alignment],
-    encoder: Encoder,
+    encoder: ReferenceEncoder,
     store: KgStore,
     config: QkvTrainConfig,
 ) -> tuple[QkvParams, list[dict]]:
@@ -428,55 +428,38 @@ class OokgReport:
     records: list[dict] = field(default_factory=list, repr=False)
 
 
-def _index_without(
-    embeddings: list[tuple[str, np.ndarray]], excluded: set[str], kind: IndexKind
-) -> EmbeddingIndex:
-    return build_index([(i, v) for i, v in embeddings if i not in excluded], kind)
-
-
 def ookg_evaluate(
     detector: OokgDetector,
     alignments: Sequence[Alignment],
     store: KgStore,
-    encoder: Encoder,
+    encoder: ReferenceEncoder,
     with_context: bool = False,
     collect_records: bool = False,
 ) -> OokgReport:
     """Run the paired imputed/removed protocol.
 
-    Two index variants are built per evaluation batch: one with the batch's
-    gold entries present (a hit is an in-KG decision) and one with all of
-    them absent (a hit is an out-of-KG decision). Slot accuracy averages
-    the two scenario trial sets; fact accuracy requires all three slot
-    decisions correct within a trial.
+    Two index variants serve the evaluation batch: the whole store, with
+    the batch's gold entries present (a hit is an in-KG decision), and its
+    row subset with all of them absent (a hit is an out-of-KG decision).
+    Slot accuracy averages the two scenario trial sets; fact accuracy
+    requires all three slot decisions correct within a trial.
     """
     if not alignments:
         raise DataError("no alignments to evaluate")
-    entity_embeddings = embed_entries(encoder, (store.entry(i) for i in store.entity_ids()))
-    predicate_embeddings = embed_entries(
-        encoder, (store.entry(i) for i in store.predicate_ids())
-    )
-    gold_entities: set[str] = set()
-    gold_predicates: set[str] = set()
+    gold: set[str] = set()
     for alignment in alignments:
         fact = alignment.fact
         for entry_id in (fact.subject_id, fact.object_id):
             if entry_id not in store:
                 raise UnknownIdError(f"gold entity {entry_id!r} missing from store")
-            gold_entities.add(entry_id)
         if fact.predicate_id not in store:
             raise UnknownIdError(f"gold predicate {fact.predicate_id!r} missing from store")
-        gold_predicates.add(fact.predicate_id)
+        gold.update(fact.ids)
 
+    imputed = build_store_indices(encoder, store)
     variants = {
-        "imputed": (
-            build_index(entity_embeddings, IndexKind.ENTITIES),
-            build_index(predicate_embeddings, IndexKind.PREDICATES),
-        ),
-        "removed": (
-            _index_without(entity_embeddings, gold_entities, IndexKind.ENTITIES),
-            _index_without(predicate_embeddings, gold_predicates, IndexKind.PREDICATES),
-        ),
+        "imputed": imputed,
+        "removed": tuple(index.subset([i not in gold for i in index.ids]) for index in imputed),
     }
 
     slot_hits = np.zeros(3)
@@ -520,7 +503,7 @@ def ookg_evaluate(
 def collect_statistics(
     alignments: Sequence[Alignment],
     store: KgStore,
-    encoder: Encoder,
+    encoder: ReferenceEncoder,
     with_context: bool = False,
 ) -> dict:
     """Per-slot (statistic, is_out) calibration samples from the paired
@@ -553,7 +536,7 @@ def collect_statistics(
 def calibrate_all_thresholds(
     alignments: Sequence[Alignment],
     store: KgStore,
-    encoder: Encoder,
+    encoder: ReferenceEncoder,
     attention: float = DEFAULT_ATTENTION_THRESHOLD,
     grid_size: int = 200,
     with_context: bool = False,

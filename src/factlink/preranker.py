@@ -17,9 +17,9 @@ import numpy as np
 
 from .corpus import Alignment, OieTriple, check_training_set, oie_text
 from .encoder import (
-    Encoder,
     EncoderConfig,
     FeatureHasher,
+    ReferenceEncoder,
     ReferenceEncoderParams,
     encode_batch,
     init_params,
@@ -71,6 +71,13 @@ class EmbeddingIndex:
             return self._row_index[entry_id]
         except KeyError:
             raise UnknownIdError(f"id {entry_id!r} not in index") from None
+
+    def subset(self, keep: Sequence[bool]) -> "EmbeddingIndex":
+        """The rows where ``keep`` is true, in row order. Rows normalize
+        independently, so this is bitwise ``build_index`` over those entries."""
+        keep = np.asarray(keep, dtype=bool)
+        ids = tuple(entry_id for entry_id, kept in zip(self.ids, keep) if kept)
+        return EmbeddingIndex(ids=ids, matrix=self.matrix[keep], kind=self.kind)
 
     def _top_rows(self, scores: np.ndarray, k: int) -> np.ndarray:
         """Rows of the min(k, n) highest ``scores``, best first; ties by ascending id."""
@@ -131,7 +138,7 @@ class SlotLinkResult:
 
 
 def link(
-    encoder: Encoder,
+    encoder: ReferenceEncoder,
     entity_index: EmbeddingIndex,
     predicate_index: EmbeddingIndex,
     triple: OieTriple,
@@ -148,7 +155,9 @@ def link(
     )
 
 
-def embed_entries(encoder: Encoder, entries: Iterable[KgEntry]) -> list[tuple[str, np.ndarray]]:
+def embed_entries(
+    encoder: ReferenceEncoder, entries: Iterable[KgEntry]
+) -> list[tuple[str, np.ndarray]]:
     """(id, embedding) per entry, in chunks: one forward over a whole store
     would allocate hundreds of MB of temporaries."""
     entries = list(entries)
@@ -160,7 +169,7 @@ def embed_entries(encoder: Encoder, entries: Iterable[KgEntry]) -> list[tuple[st
 
 
 def build_store_indices(
-    encoder: Encoder, store: KgStore
+    encoder: ReferenceEncoder, store: KgStore
 ) -> tuple[EmbeddingIndex, EmbeddingIndex]:
     """Entity and predicate indices over every entry of the store."""
     entities = embed_entries(encoder, (store.entry(i) for i in store.entity_ids()))
@@ -213,31 +222,53 @@ def load_index(path: str | Path) -> EmbeddingIndex:
 # InfoNCE
 
 
+def _rowwise_infonce(
+    sims: np.ndarray, positives: np.ndarray, tau: float
+) -> tuple[np.ndarray, float, float]:
+    """Summed InfoNCE over rows whose positive is a pool column.
+
+    Returns (d_loss/d_sims, total loss, d_loss/d_tau), all unscaled.
+    """
+    if sims.shape[0] == 0:
+        return np.zeros_like(sims), 0.0, 0.0
+    logits = sims / tau
+    peak = logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits - peak)
+    denom = exp.sum(axis=1, keepdims=True)
+    rows = np.arange(sims.shape[0])
+    log_denom = (peak + np.log(denom)).ravel()
+    loss = float((log_denom - logits[rows, positives]).sum())
+    weights = exp / denom
+    d_sims = weights.copy()
+    d_sims[rows, positives] -= 1.0
+    d_sims /= tau
+    pos_sims = sims[rows, positives]
+    d_tau = float(((pos_sims - (weights * sims).sum(axis=1)) / (tau * tau)).sum())
+    return d_sims, loss, d_tau
+
+
+def _one_row_infonce(
+    pos_sim: float, neg_sims: Sequence[float], tau: float
+) -> tuple[np.ndarray, float, float]:
+    """``_rowwise_infonce`` over the single row [pos_sim, *neg_sims]."""
+    if tau <= 0:
+        raise ValueError("temperature must be positive")
+    sims = np.concatenate(([pos_sim], np.asarray(neg_sims, dtype=np.float64)))
+    return _rowwise_infonce(sims[None, :], np.zeros(1, dtype=np.int64), tau)
+
+
 def infonce_loss(pos_sim: float, neg_sims: Sequence[float], tau: float) -> float:
     """Temperature-scaled InfoNCE for one positive against its negatives,
     computed in log-sum-exp form."""
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    logits = np.concatenate(([pos_sim], np.asarray(neg_sims, dtype=np.float64))) / tau
-    peak = logits.max()
-    return float(peak + np.log(np.exp(logits - peak).sum()) - logits[0])
+    return _one_row_infonce(pos_sim, neg_sims, tau)[1]
 
 
 def infonce_grad(
     pos_sim: float, neg_sims: Sequence[float], tau: float
 ) -> tuple[float, np.ndarray, float]:
     """Analytic gradient of infonce_loss w.r.t. (pos_sim, neg_sims, tau)."""
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    sims = np.concatenate(([pos_sim], np.asarray(neg_sims, dtype=np.float64)))
-    logits = sims / tau
-    logits -= logits.max()
-    weights = np.exp(logits)
-    weights /= weights.sum()
-    d_pos = (weights[0] - 1.0) / tau
-    d_negs = weights[1:] / tau
-    d_tau = (pos_sim - float(weights @ sims)) / (tau * tau)
-    return float(d_pos), d_negs, float(d_tau)
+    d_sims, _, d_tau = _one_row_infonce(pos_sim, neg_sims, tau)
+    return float(d_sims[0, 0]), d_sims[0, 1:], d_tau
 
 
 def sample_negatives(ids: Sequence[str], count: int, rng: np.random.Generator) -> list[str]:
@@ -413,28 +444,3 @@ def train_preranker(
         mean_loss = require_finite(epoch_loss / max(epoch_terms, 1), f"epoch {epoch} mean loss")
         trace.append({"epoch": epoch, "mean_loss": mean_loss, "tau": float(np.exp(log_tau))})
     return params, trace
-
-
-def _rowwise_infonce(
-    sims: np.ndarray, positives: np.ndarray, tau: float
-) -> tuple[np.ndarray, float, float]:
-    """Summed InfoNCE over rows whose positive is a pool column.
-
-    Returns (d_loss/d_sims, total loss, d_loss/d_tau), all unscaled.
-    """
-    if sims.shape[0] == 0:
-        return np.zeros_like(sims), 0.0, 0.0
-    logits = sims / tau
-    peak = logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits - peak)
-    denom = exp.sum(axis=1, keepdims=True)
-    rows = np.arange(sims.shape[0])
-    log_denom = (peak + np.log(denom)).ravel()
-    loss = float((log_denom - logits[rows, positives]).sum())
-    weights = exp / denom
-    d_sims = weights.copy()
-    d_sims[rows, positives] -= 1.0
-    d_sims /= tau
-    pos_sims = sims[rows, positives]
-    d_tau = float(((pos_sims - (weights * sims).sum(axis=1)) / (tau * tau)).sum())
-    return d_sims, loss, d_tau

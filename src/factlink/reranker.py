@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Alignment, OieTriple, check_training_set
-from .encoder import Encoder
+from .encoder import ReferenceEncoder
 from .errors import DataError, MalformedRecordError, require_finite
-from .io import iter_jsonl, load_arrays, reading_artifact, save_arrays, write_jsonl
+from .io import load_arrays, reading_artifact, save_arrays, write_jsonl
 from .kg import KgFact, KgStore
 from .preranker import EmbeddingIndex, SlotLinkResult, build_store_indices
 
@@ -78,7 +78,7 @@ def init_cross_params(dim: int, seed: int = 0) -> CrossScorerParams:
 
 
 def cross_features(
-    encoder: Encoder,
+    encoder: ReferenceEncoder,
     store: KgStore,
     triple: OieTriple,
     fact: KgFact | CandidateFact,
@@ -108,7 +108,7 @@ def _sigmoid(z: float) -> float:
 
 def score_fact(
     params: CrossScorerParams,
-    encoder: Encoder,
+    encoder: ReferenceEncoder,
     store: KgStore,
     triple: OieTriple,
     fact: KgFact | CandidateFact,
@@ -133,7 +133,7 @@ def bce_grad(logit: float, label: float) -> float:
 
 def rerank(
     params: CrossScorerParams,
-    encoder: Encoder,
+    encoder: ReferenceEncoder,
     store: KgStore,
     triple: OieTriple,
     candidates: Sequence[CandidateFact],
@@ -173,7 +173,9 @@ def build_neighbor_lists(index: EmbeddingIndex, pool: int = 10) -> dict[str, tup
     return neighbors
 
 
-def store_neighbor_lists(encoder: Encoder, store: KgStore, pool: int) -> dict[str, tuple[str, ...]]:
+def store_neighbor_lists(
+    encoder: ReferenceEncoder, store: KgStore, pool: int
+) -> dict[str, tuple[str, ...]]:
     """Neighbor lists of every entity and every predicate of the store."""
     entity_index, predicate_index = build_store_indices(encoder, store)
     neighbors = build_neighbor_lists(entity_index, pool)
@@ -226,7 +228,7 @@ class RerankTrainConfig:
 
 def train_reranker(
     alignments: Sequence[Alignment],
-    encoder: Encoder,
+    encoder: ReferenceEncoder,
     store: KgStore,
     config: RerankTrainConfig,
     neighbor_lists: dict[str, tuple[str, ...]],
@@ -312,12 +314,3 @@ def write_neighbor_lists(
         ({"id": eid, "neighbors": list(ns)} for eid, ns in sorted(neighbor_lists.items())),
         header=header,
     )
-
-
-def read_neighbor_lists(path: str | Path) -> dict[str, tuple[str, ...]]:
-    out: dict[str, tuple[str, ...]] = {}
-    for line_number, record in iter_jsonl(path):
-        if "id" not in record or "neighbors" not in record:
-            raise MalformedRecordError("neighbor record needs id and neighbors", line_number)
-        out[str(record["id"])] = tuple(str(n) for n in record["neighbors"])
-    return out

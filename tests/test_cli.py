@@ -285,9 +285,9 @@ def _drop_projection_rows(path):
 
 
 class TestFailureExitCodes:
-    """Bad config sections exit 1, corrupt artifacts 2, diverging training
-    3: each with one line on stderr, no traceback, and the stage's params
-    left as they were."""
+    """Bad config files and values exit 1, corrupt artifacts 2, diverging
+    training 3: each with one line on stderr, no traceback, and the stage's
+    params left as they were. ``{out}`` in argv is the case's out_dir."""
 
     CASES = {
         "unknown-key": (1, ["--set", "preranker.bogus=1", "train-preranker"], None),
@@ -297,6 +297,20 @@ class TestFailureExitCodes:
         "zero-epochs": (1, ["--set", "preranker.epochs=0", "train-preranker"], None),
         "wrong-type": (1, ["--set", "reranker.epochs=many", "train-reranker"], None),
         "set-through-scalar": (1, ["--set", "seed.x=1", "build-benchmark"], None),
+        "config-not-object": (
+            1, ["--config", "{out}/list.json", "index"],
+            lambda out: (out / "list.json").write_text("[1]\n"),
+        ),
+        "config-not-json": (
+            1, ["--config", "{out}/broken.json", "index"],
+            lambda out: (out / "broken.json").write_text('{"seed": 7,\n'),
+        ),
+        "inductive-mode-bogus": (
+            1, ["--set", "inductive_mode=bogus", "build-benchmark"], None
+        ),
+        "store-variant-bogus": (
+            1, ["--set", "store_variant=bogus", "evaluate", "--facet", "transductive"], None
+        ),
         "link-k-zero": (1, ["link", "--k", "0"], None),
         "link-k-string": (1, ["--set", 'link_k="x"', "link"], None),
         "rerank-k-zero": (
@@ -364,6 +378,7 @@ class TestFailureExitCodes:
             corrupt(out)
         before = {p.name: file_hash(p) for p in out.glob("*.params")}
         capsys.readouterr()
+        argv = [arg.replace("{out}", str(out)) for arg in argv]
         assert run(config_path, "--out-dir", str(out), *argv) == code
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, err

@@ -11,15 +11,11 @@ from factlink.encoder import (
     ReferenceEncoder,
     _hash_feature,
     _N_RESERVED,
-    export_embeddings,
     featurize,
-    import_embeddings,
     init_params,
-    slot_key,
 )
 from factlink.kg import KgFact, build_store
-from factlink.errors import DimensionMismatchError, MissingContextError, MissingVectorError
-from factlink.io import write_jsonl
+from factlink.errors import MissingContextError
 from factlink.text import MARKER_TOKENS
 
 CONFIG = EncoderConfig(dim=16, hidden=8, buckets=512)
@@ -135,59 +131,6 @@ class TestEntryEmbed:
             encoder.entry_embed(e, mask_description=False),
             encoder.entry_embed(e, mask_description=True),
         )
-
-
-class TestImportExport:
-    def test_round_trip(self, tmp_path, encoder):
-        entries = [
-            entity("Q1", "Alpha", "first letter"),
-            entity("Q2", "Beta"),
-        ]
-        triples = [triple("Alpha", "precedes", "Beta")]
-        path = tmp_path / "embeddings.jsonl"
-        export_embeddings(encoder, path, entries=entries, triples=triples)
-        imported = import_embeddings(path)
-        assert imported.dim == CONFIG.dim
-        for e in entries:
-            np.testing.assert_allclose(
-                imported.entry_embed(e), encoder.entry_embed(e), atol=1e-12
-            )
-        got = imported.slot_embed(triples[0])
-        want = encoder.slot_embed(triples[0])
-        for g, w in zip(got, want):
-            np.testing.assert_allclose(g, w, atol=1e-12)
-
-    def test_missing_vector(self, tmp_path):
-        path = tmp_path / "embeddings.jsonl"
-        write_jsonl(path, [{"key": "Q1", "vector": [1.0, 0.0]}])
-        imported = import_embeddings(path)
-        with pytest.raises(MissingVectorError, match="Q2"):
-            imported.entry_embed(entity("Q2", "Beta"))
-        with pytest.raises(MissingVectorError):
-            imported.slot_embed(triple())
-
-    def test_dimension_mismatch(self, tmp_path):
-        path = tmp_path / "embeddings.jsonl"
-        write_jsonl(
-            path,
-            [
-                {"key": "Q1", "vector": [1.0, 0.0]},
-                {"key": "Q2", "vector": [1.0, 0.0, 0.0]},
-            ],
-        )
-        with pytest.raises(DimensionMismatchError, match="Q2"):
-            import_embeddings(path)
-
-    def test_vectors_renormalized(self, tmp_path):
-        path = tmp_path / "embeddings.jsonl"
-        write_jsonl(path, [{"key": "Q1", "vector": [3.0, 4.0]}])
-        imported = import_embeddings(path)
-        vec = imported.entry_embed(entity("Q1", "Alpha"))
-        np.testing.assert_allclose(vec, [0.6, 0.8], atol=1e-12)
-
-    def test_slot_key_format(self):
-        t = triple()
-        assert slot_key(t, "subject").endswith("#subject")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,12 +6,10 @@ from factlink.errors import EmptyEvaluationError
 from factlink.evalkit import (
     EvalReport,
     METRICS,
-    emit_report,
     evaluate_linker,
+    format_table,
     frequency_baseline,
-    macro_score,
     random_baseline,
-    report_from_records,
     report_records,
     score_linking,
     sem,
@@ -73,43 +69,6 @@ class TestScoreLinking:
             score_linking([], [])
 
 
-class TestMacroScore:
-    def test_two_dataset_average(self):
-        # the two-row macro example: subject accuracies 62.0 and 53.6
-        reports = [
-            EvalReport(
-                split="inductive", store="Large", n=100,
-                accuracy={"subject": 0.620, "relation": 0.698, "object": 0.482, "fact": 0.254},
-                sem={m: 0.0 for m in METRICS},
-            ),
-            EvalReport(
-                split="inductive", store="Large", n=100,
-                accuracy={"subject": 0.536, "relation": 0.572, "object": 0.449, "fact": 0.174},
-                sem={m: 0.0 for m in METRICS},
-            ),
-        ]
-        macro = macro_score(reports)
-        assert macro["subject"] == pytest.approx(0.578, abs=1e-12)
-        assert macro["relation"] == pytest.approx(0.635, abs=1e-12)
-
-    def test_single_report_identity(self):
-        report = EvalReport(
-            split="t", store="BRKG", n=5,
-            accuracy={m: 0.4 for m in METRICS}, sem={m: 0.1 for m in METRICS},
-        )
-        assert macro_score([report]) == {m: 0.4 for m in METRICS}
-
-    def test_permutation_invariant(self):
-        reports = [
-            EvalReport(
-                split="a", store="s", n=3,
-                accuracy={m: v for m in METRICS}, sem={m: 0.0 for m in METRICS},
-            )
-            for v in (0.1, 0.5, 0.9)
-        ]
-        assert macro_score(reports) == macro_score(list(reversed(reports)))
-
-
 class TestEmitReport:
     def make_report(self):
         return EvalReport(
@@ -119,16 +78,9 @@ class TestEmitReport:
         )
 
     def test_table_header_order(self):
-        table = emit_report(self.make_report(), "table").decode()
+        table = format_table(self.make_report())
         assert "Subject  Relation  Object  Fact" in table
         assert "86.8" in table and "79.1" in table
-
-    def test_records_round_trip_lossless(self):
-        report = self.make_report()
-        lines = emit_report(report, "records").decode().strip().splitlines()
-        records = [json.loads(line) for line in lines]
-        restored = report_from_records(records)
-        assert restored == report
 
     def test_empty_report_rejected(self):
         empty = EvalReport(
@@ -136,9 +88,9 @@ class TestEmitReport:
             accuracy={m: 0.0 for m in METRICS}, sem={m: 0.0 for m in METRICS},
         )
         with pytest.raises(EmptyEvaluationError):
-            emit_report(empty, "table")
+            format_table(empty)
         with pytest.raises(EmptyEvaluationError):
-            emit_report(empty, "records")
+            report_records(empty)
 
     def test_record_schema(self):
         records = report_records(self.make_report())

@@ -178,6 +178,32 @@ class TestIndex:
         assert len(topk(index, random_unit(rng, 8), k=50)) == 3
 
     @pytest.mark.parametrize("draw", [distinct_case, tied_case], ids=["distinct", "tied"])
+    def test_row_subset_is_build_index_of_the_subset(self, draw):
+        # the out-of-KG "removed" scenario serves a row subset of the full
+        # store index; it must be bitwise the index built from those rows
+        rng = np.random.default_rng(6)
+        for n in (1, 7, 300):
+            ids = [f"Q{i:03d}" for i in range(n)]
+            rng.shuffle(ids)
+            matrix, query = draw(rng, n)
+            matrix = matrix * rng.uniform(0.1, 10.0, size=(n, 1))  # unnormalized rows
+            pairs = list(zip(ids, matrix))
+            full = build_index(pairs, IndexKind.PREDICATES)
+            last = np.arange(n) == n - 1  # keeps each subset below non-empty
+            for keep in ((rng.random(n) < 0.5) | last, np.ones(n, bool), last):
+                subset = full.subset(keep)
+                built = build_index([p for p, kept in zip(pairs, keep) if kept],
+                                    IndexKind.PREDICATES)
+                assert subset.ids == built.ids and subset.kind is built.kind
+                assert subset.matrix.dtype == np.float32
+                assert np.array_equal(subset.matrix, built.matrix)
+                for k in (1, 3, n + 1):
+                    assert topk(subset, query, k) == topk(built, query, k)
+            empty = full.subset(np.zeros(n, bool))
+            assert empty.ids == () and len(empty) == 0
+            assert topk(empty, query, 5) == []
+
+    @pytest.mark.parametrize("draw", [distinct_case, tied_case], ids=["distinct", "tied"])
     def test_matches_brute_force_oracle(self, draw):
         rng = np.random.default_rng(5)
         for trial in range(100):

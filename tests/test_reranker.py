@@ -7,6 +7,7 @@ import pytest
 from conftest import entity, make_alignment, predicate
 from factlink.encoder import EncoderConfig, ReferenceEncoder, init_params, load_params, save_params
 from factlink.errors import MalformedRecordError
+from factlink.io import read_jsonl
 from factlink.kg import KgFact, build_store
 from factlink.ookg import QkvParams, load_qkv_params, save_qkv_params
 from factlink.preranker import (
@@ -28,7 +29,6 @@ from factlink.reranker import (
     init_cross_params,
     load_cross_params,
     rerank,
-    read_neighbor_lists,
     sample_hard_negative,
     save_cross_params,
     store_neighbor_lists,
@@ -249,7 +249,7 @@ class TestHardNegatives:
         neighbors = {"Q1": ("Q2", "Q3"), "P1": ("P2",)}
         path = tmp_path / "neighbors.jsonl"
         write_neighbor_lists(path, neighbors)
-        assert read_neighbor_lists(path) == neighbors
+        assert {r["id"]: tuple(r["neighbors"]) for r in read_jsonl(path)} == neighbors
 
 
 class TestRerank:
