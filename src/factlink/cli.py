@@ -83,6 +83,8 @@ FACETS = {
     "out-of-kg": SplitKind.OUT_OF_KG,
 }
 
+DETECTORS = ("confidence", "entropy", "qkv", "random", "always-in")
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "out_dir": "out",
@@ -124,7 +126,12 @@ def _deep_update(base: dict, extra: dict) -> dict:
     return base
 
 
-def load_config(path: str | None, overrides: list[str]) -> dict:
+def load_config(
+    path: str | None, overrides: list[str], out_dir: str | None = None, seed: int | None = None
+) -> dict:
+    """The default config, updated by the file at ``path`` (else
+    ``$FACTLINK_CONFIG``), the ``--set`` overrides, then ``out_dir`` and
+    ``seed`` when given; a top-level value of the wrong kind is a usage error."""
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     path = path or os.environ.get("FACTLINK_CONFIG")
     if path:
@@ -153,12 +160,29 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             if not isinstance(target, dict):
                 raise UsageError(f"--set {dotted}: {parent!r} is not a JSON object")
         target[leaf] = value
+    if out_dir:
+        config["out_dir"] = out_dir
+    if seed is not None:
+        config["seed"] = seed
     for key, choices in (
         ("inductive_mode", [mode.value for mode in InductiveMode]),
         ("store_variant", ["brkg", "large"]),
+        ("detector", list(DETECTORS)),
     ):
         if config[key] not in choices:
             raise UsageError(f"{key} must be one of {choices}, got {config[key]!r}")
+    for key, kind in (
+        ("seed", int), ("kg_min_count", int), ("out_dir", str),
+        ("case_fold", bool), ("augment", bool), ("with_context", bool),
+    ):
+        if type(config[key]) is not kind:
+            raise UsageError(f"{key} must be a {kind.__name__}, got {config[key]!r}")
+    if not -2**63 <= config["seed"] < 2**63:  # stream_seed keys on its 8 bytes
+        raise UsageError(f"seed must fit in a signed 64-bit integer, got {config['seed']!r}")
+    if config["kg_min_count"] < 0:
+        raise UsageError(f"kg_min_count must be >= 0, got {config['kg_min_count']!r}")
+    if not config["out_dir"]:
+        raise UsageError("out_dir must not be empty")
     return config
 
 
@@ -217,8 +241,8 @@ def _out_dir(config: dict) -> Path:
 def _load_store(config: dict):
     entries_path, facts_path = _require_paths(config, "kg_entries", "kg_facts")
     store = load_kg(entries_path, facts_path, case_fold=config["case_fold"])
-    if config.get("kg_min_count", 0) and config["kg_min_count"] > 1:
-        store = filter_by_frequency(store, int(config["kg_min_count"]))
+    if config["kg_min_count"] > 1:
+        store = filter_by_frequency(store, config["kg_min_count"])
     return store
 
 
@@ -553,10 +577,8 @@ def cmd_detect(config: dict, args) -> int:
         detector = QkvDetector(load_qkv_params(qkv_path), thresholds, key_pool=key_pool)
     elif name == "random":
         detector = RandomDetector(seed=stream_seed(config["seed"], "detector"))
-    elif name == "always-in":
+    else:  # "always-in"; load_config and the parser admit only DETECTORS
         detector = ConstantDetector(Decision.IN_KG)
-    else:
-        raise UsageError(f"unknown detector {name!r}")
 
     report = ookg_evaluate(
         detector, test, store, encoder,
@@ -614,7 +636,7 @@ def build_parser() -> _Parser:
     detect = sub.add_parser("detect", help="out-of-KG detection over a facet")
     detect.add_argument("--facet", choices=sorted(FACETS), default=None)
     detect.add_argument("--detector",
-                        choices=("confidence", "entropy", "qkv", "random", "always-in"),
+                        choices=DETECTORS,
                         default=None)
     detect.add_argument("--with-context", action="store_true")
     return parser
@@ -641,11 +663,7 @@ def main(argv: list[str] | None = None) -> int:
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        config = load_config(args.config, args.set)
-        if args.out_dir:
-            config["out_dir"] = args.out_dir
-        if args.seed is not None:
-            config["seed"] = args.seed
+        config = load_config(args.config, args.set, args.out_dir, args.seed)
         return COMMANDS[args.command](config, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -107,10 +107,11 @@ class QkvParams:
 
 
 def _qkv_forward(params: QkvParams, query: np.ndarray, keys: np.ndarray) -> dict:
-    d = params.dim
+    """The head's forward, with the key projection moved onto the query:
+    ``logits = keys @ (k_projᵀ (q_proj q)) / √d`` costs O(d² + m·d) for m
+    keys, where projecting every key costs O(m·d²)."""
     q_projected = params.q_proj @ query
-    k_projected = keys @ params.k_proj.T
-    logits = (k_projected @ q_projected) / np.sqrt(d)
+    logits = keys @ (params.k_proj.T @ q_projected) / np.sqrt(params.dim)
     attention = topk_softmax(logits)
     mean_key = attention @ keys
     context = params.v_proj @ mean_key
@@ -118,13 +119,30 @@ def _qkv_forward(params: QkvParams, query: np.ndarray, keys: np.ndarray) -> dict
     logit = params.scale * inner + params.bias
     return {
         "q_projected": q_projected,
-        "k_projected": k_projected,
         "attention": attention,
         "mean_key": mean_key,
-        "context": context,
         "inner": inner,
         "logit": logit,
     }
+
+
+def _qkv_backward(
+    params: QkvParams, query: np.ndarray, keys: np.ndarray, state: dict, d_logit: float
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], float, float]:
+    """Gradients of a loss with ``d_logit`` = d loss / d logit at the
+    forward ``state``: each projection's as rank-1 factors (left, right),
+    its gradient being ``outer(left, right)``; then scale's and bias's."""
+    d_context = (d_logit * params.scale) * query
+    d_attention = keys @ (params.v_proj.T @ d_context)
+    a = state["attention"]
+    d_logits = a * (d_attention - float(a @ d_attention))
+    d_key_query = (keys.T @ d_logits) / np.sqrt(params.dim)
+    factors = {
+        "q_proj": (params.k_proj @ d_key_query, query),
+        "k_proj": (state["q_projected"], d_key_query),
+        "v_proj": (d_context, state["mean_key"]),
+    }
+    return factors, d_logit * state["inner"], d_logit
 
 
 def qkv_score(params: QkvParams, query: np.ndarray, keys: Sequence[np.ndarray]) -> float:
@@ -151,6 +169,22 @@ class QkvTrainConfig:
             raise ValueError("epochs, learning_rate and subset_size must be positive")
         if not 0.0 <= self.gold_drop_prob <= 1.0:
             raise ValueError("gold_drop_prob must be in [0, 1]")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
+
+
+def _store_keys(
+    encoder: ReferenceEncoder, store: KgStore
+) -> tuple[np.ndarray, dict[str, int], tuple[tuple[int, int], tuple[int, int]]]:
+    """The store's entity then predicate embeddings as one key matrix, each
+    entry's row, and the (start, count) row span of each kind."""
+    entity_ids, predicate_ids = store.entity_ids(), store.predicate_ids()
+    ids = entity_ids + predicate_ids
+    # single-entry forwards, as an entry_embed cache miss computes them: a
+    # batched forward can differ in the last bits
+    key_matrix = np.stack([encoder.entry_embed(store.entry(eid)) for eid in ids])
+    spans = ((0, len(entity_ids)), (len(entity_ids), len(predicate_ids)))
+    return key_matrix, {eid: row for row, eid in enumerate(ids)}, spans
 
 
 def train_qkv(
@@ -170,12 +204,11 @@ def train_qkv(
 
     params = QkvParams.identity(encoder.dim)
     rng = np.random.default_rng(config.seed)
-    entity_ids = np.array(store.entity_ids(), dtype=object)
-    predicate_ids = np.array(store.predicate_ids(), dtype=object)
-    d = params.dim
-    sqrt_d = np.sqrt(d)
+    key_matrix, rows, spans = _store_keys(encoder, store)
     lr = config.learning_rate
     wd = config.weight_decay
+    shrink = 1.0 - lr * wd
+    update = np.empty_like(params.q_proj)
     trace: list[dict] = []
 
     for epoch in range(config.epochs):
@@ -187,16 +220,15 @@ def train_qkv(
             queries = encoder.slot_embed(alignment.oie)
             gold_ids = alignment.fact.ids
             for slot in range(3):
-                inventory = predicate_ids if slot == 1 else entity_ids
+                start, n = spans[slot == 1]
+                gold = rows[gold_ids[slot]]
+                g = gold - start if start <= gold < start + n else n  # other kind: none excluded
+                others = n - (g < n)
                 keep_gold = bool(rng.random() >= config.gold_drop_prob)
-                others = inventory[inventory != gold_ids[slot]]
-                fill = config.subset_size - (1 if keep_gold else 0)
-                fill = min(fill, len(others))
-                chosen = others[rng.choice(len(others), size=fill, replace=False)]
-                subset = ([gold_ids[slot]] if keep_gold else []) + list(chosen)
-                keys = np.stack(
-                    [encoder.entry_embed(store.entry(eid)) for eid in subset]
-                )
+                fill = min(config.subset_size - (1 if keep_gold else 0), others)
+                picks = rng.choice(others, size=fill, replace=False)
+                picks += start + (picks >= g)  # key-matrix rows, skipping the gold
+                keys = key_matrix[np.concatenate(([gold], picks)) if keep_gold else picks]
                 label = 1.0 if keep_gold else 0.0
 
                 query = queries[slot]
@@ -205,24 +237,16 @@ def train_qkv(
                 epoch_loss += bce_loss(logit, label)
                 n_examples += 1
 
-                # backward
-                d_logit = bce_grad(logit, label)
-                d_scale = d_logit * state["inner"]
-                d_bias = d_logit
-                d_context = (d_logit * params.scale) * query
-                d_v = np.outer(d_context, state["mean_key"])
-                d_mean_key = params.v_proj.T @ d_context
-                d_attention = keys @ d_mean_key
-                a = state["attention"]
-                d_logits = a * (d_attention - float(a @ d_attention))
-                d_q_projected = (state["k_projected"].T @ d_logits) / sqrt_d
-                d_k_projected = np.outer(d_logits, state["q_projected"]) / sqrt_d
-                d_q = np.outer(d_q_projected, query)
-                d_k = d_k_projected.T @ keys
-
-                params.q_proj -= lr * (d_q + wd * params.q_proj)
-                params.k_proj -= lr * (d_k + wd * params.k_proj)
-                params.v_proj -= lr * (d_v + wd * params.v_proj)
+                factors, d_scale, d_bias = _qkv_backward(
+                    params, query, keys, state, bce_grad(logit, label)
+                )
+                for name, (left, right) in factors.items():
+                    weights = getattr(params, name)
+                    if wd:
+                        weights *= shrink
+                    # outer(left, right) as a k = 1 BLAS product: the same bits as
+                    # np.outer, faster, and into one reused buffer
+                    weights -= np.dot((lr * left)[:, None], right[None, :], out=update)
                 params.scale -= lr * d_scale
                 params.bias -= lr * d_bias
         mean_loss = require_finite(epoch_loss / max(n_examples, 1), f"epoch {epoch} mean loss")

@@ -303,6 +303,8 @@ class PrerankTrainConfig:
             raise ValueError("learning_rate, temperature_init, temperature_min must be > 0")
         if min(self.global_neg_entities, self.global_neg_predicates) < 0:
             raise ValueError("global negative counts must be >= 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
 
 
 def _d_normalize(normalized: np.ndarray, norms: np.ndarray, d_out: np.ndarray) -> np.ndarray:

@@ -224,6 +224,8 @@ class RerankTrainConfig:
             raise ValueError("description_mask_prob must be in [0, 1]")
         if self.negatives_per_positive < 0 or self.hard_negative_pool < 1:
             raise ValueError("invalid negative sampling configuration")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
 
 
 def train_reranker(

@@ -311,6 +311,20 @@ class TestFailureExitCodes:
         "store-variant-bogus": (
             1, ["--set", "store_variant=bogus", "evaluate", "--facet", "transductive"], None
         ),
+        "kg-min-count-string": (1, ["--set", 'kg_min_count="x"', "build-benchmark"], None),
+        "seed-string": (1, ["--set", "seed=x", "train-preranker"], None),
+        "seed-out-of-range": (1, ["--seed", str(2**64), "train-preranker"], None),
+        "augment-not-bool": (1, ["--set", "augment=1", "build-benchmark"], None),
+        "detector-bogus": (1, ["--set", "detector=bogus", "detect"], None),
+        "preranker-negative-weight-decay": (
+            1, ["--set", "preranker.weight_decay=-0.1", "train-preranker"], None
+        ),
+        "reranker-negative-weight-decay": (
+            1, ["--set", "reranker.weight_decay=-0.1", "train-reranker"], None
+        ),
+        "ookg-negative-weight-decay": (
+            1, ["--set", "ookg.weight_decay=-0.1", "train-ookg"], None
+        ),
         "link-k-zero": (1, ["link", "--k", "0"], None),
         "link-k-string": (1, ["--set", 'link_k="x"', "link"], None),
         "rerank-k-zero": (

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from factlink.ookg import (
     QkvTrainConfig,
     RandomDetector,
     TOP_SUPPORT,
+    _qkv_backward,
+    _qkv_forward,
     calibrate_threshold,
     confidence_detect,
     detection_accuracy,
@@ -30,6 +33,7 @@ from factlink.ookg import (
     train_qkv,
 )
 from factlink.preranker import IndexKind, PrerankTrainConfig, build_index, train_preranker
+from factlink.reranker import bce_grad, bce_loss
 
 SMALL_ENCODER = EncoderConfig(dim=16, hidden=8, buckets=1024)
 
@@ -182,6 +186,48 @@ class TestQkvScore:
         assert rotated == pytest.approx(original, rel=1e-9)
 
 
+class TestQkvGradient:
+    """The trainer's backward against central differences of the BCE loss,
+    at tiny dims with random non-identity params."""
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_backward_matches_central_differences(self, label):
+        rng = np.random.default_rng(11)
+        d, m = 4, 5
+        params = QkvParams(
+            q_proj=rng.normal(size=(d, d)), k_proj=rng.normal(size=(d, d)),
+            v_proj=rng.normal(size=(d, d)), scale=0.7, bias=-0.2,
+        )
+        query, keys = rng.normal(size=d), rng.normal(size=(m, d))
+
+        def loss(p):
+            return bce_loss(_qkv_forward(p, query, keys)["logit"], label)
+
+        state = _qkv_forward(params, query, keys)
+        factors, d_scale, d_bias = _qkv_backward(
+            params, query, keys, state, bce_grad(state["logit"], label)
+        )
+        eps = 1e-6
+        for name, (left, right) in factors.items():
+            weights = getattr(params, name)
+            numeric = np.empty_like(weights)
+            for idx in np.ndindex(weights.shape):
+                saved = weights[idx]
+                weights[idx] = saved + eps
+                up = loss(params)
+                weights[idx] = saved - eps
+                down = loss(params)
+                weights[idx] = saved
+                numeric[idx] = (up - down) / (2 * eps)
+            assert np.abs(numeric).max() > 1e-3, name  # not a vacuous comparison
+            np.testing.assert_allclose(np.outer(left, right), numeric, rtol=1e-6, atol=1e-9)
+        for name, analytic in (("scale", d_scale), ("bias", d_bias)):
+            value = getattr(params, name)
+            up = loss(dataclasses.replace(params, **{name: value + eps}))
+            down = loss(dataclasses.replace(params, **{name: value - eps}))
+            assert analytic == pytest.approx((up - down) / (2 * eps), rel=1e-6, abs=1e-9)
+
+
 def calibration_world(n_entities=30, n_predicates=6, n_alignments=60, seed=0):
     rng = np.random.default_rng(seed)
     first = ["Arden", "Briar", "Calla", "Dorian", "Elowen", "Fen"]
@@ -228,7 +274,83 @@ def calibration_setup():
     return store, alignments, ReferenceEncoder(params)
 
 
+def reference_train_qkv(alignments, encoder, store, config):
+    """The straightforward per-example trainer: object-array inventories,
+    one entry_embed per sampled id, every key projected, d x d gradients."""
+    params = QkvParams.identity(encoder.dim)
+    rng = np.random.default_rng(config.seed)
+    entity_ids = np.array(store.entity_ids(), dtype=object)
+    predicate_ids = np.array(store.predicate_ids(), dtype=object)
+    sqrt_d = np.sqrt(params.dim)
+    lr, wd = config.learning_rate, config.weight_decay
+    trace = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(alignments))
+        epoch_loss, n_examples = 0.0, 0
+        for i in order:
+            alignment = alignments[i]
+            queries = encoder.slot_embed(alignment.oie)
+            gold_ids = alignment.fact.ids
+            for slot in range(3):
+                inventory = predicate_ids if slot == 1 else entity_ids
+                keep_gold = bool(rng.random() >= config.gold_drop_prob)
+                others = inventory[inventory != gold_ids[slot]]
+                fill = min(config.subset_size - (1 if keep_gold else 0), len(others))
+                chosen = others[rng.choice(len(others), size=fill, replace=False)]
+                subset = ([gold_ids[slot]] if keep_gold else []) + list(chosen)
+                keys = np.stack([encoder.entry_embed(store.entry(eid)) for eid in subset])
+                label = 1.0 if keep_gold else 0.0
+                query = queries[slot]
+
+                q_projected = params.q_proj @ query
+                k_projected = keys @ params.k_proj.T
+                a = topk_softmax((k_projected @ q_projected) / sqrt_d)
+                mean_key = a @ keys
+                inner = float(query @ (params.v_proj @ mean_key))
+                logit = params.scale * inner + params.bias
+                epoch_loss += bce_loss(logit, label)
+                n_examples += 1
+
+                d_logit = bce_grad(logit, label)
+                d_context = (d_logit * params.scale) * query
+                d_v = np.outer(d_context, mean_key)
+                d_attention = keys @ (params.v_proj.T @ d_context)
+                d_logits = a * (d_attention - float(a @ d_attention))
+                d_q = np.outer((k_projected.T @ d_logits) / sqrt_d, query)
+                d_k = (np.outer(d_logits, q_projected) / sqrt_d).T @ keys
+                params.q_proj -= lr * (d_q + wd * params.q_proj)
+                params.k_proj -= lr * (d_k + wd * params.k_proj)
+                params.v_proj -= lr * (d_v + wd * params.v_proj)
+                params.scale -= lr * (d_logit * inner)
+                params.bias -= lr * d_logit
+        trace.append({"epoch": epoch, "mean_loss": epoch_loss / n_examples})
+    return params, trace
+
+
 class TestTrainQkv:
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    @pytest.mark.parametrize("gold_drop_prob", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("subset_size", [4, 10])  # 10 > the 6 predicates: fill capped
+    def test_matches_reference_loop(
+        self, calibration_setup, weight_decay, gold_drop_prob, subset_size
+    ):
+        store, alignments, encoder = calibration_setup
+        config = QkvTrainConfig(
+            epochs=2, learning_rate=0.05, weight_decay=weight_decay,
+            subset_size=subset_size, gold_drop_prob=gold_drop_prob, seed=2,
+        )
+        params, trace = train_qkv(alignments, encoder, store, config)
+        expected, expected_trace = reference_train_qkv(alignments, encoder, store, config)
+        for name in ("q_proj", "k_proj", "v_proj"):
+            np.testing.assert_allclose(
+                getattr(params, name), getattr(expected, name), rtol=0, atol=1e-12
+            )
+        assert params.scale == pytest.approx(expected.scale, rel=0, abs=1e-12)
+        assert params.bias == pytest.approx(expected.bias, rel=0, abs=1e-12)
+        assert [t["epoch"] for t in trace] == [t["epoch"] for t in expected_trace]
+        for got, want in zip(trace, expected_trace):
+            assert got["mean_loss"] == pytest.approx(want["mean_loss"], rel=1e-12, abs=0)
+
     def test_loss_decreases(self, calibration_setup):
         store, alignments, encoder = calibration_setup
         config = QkvTrainConfig(epochs=6, learning_rate=0.05, subset_size=12, seed=0)
