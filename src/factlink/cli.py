@@ -34,7 +34,7 @@ from .evalkit import (
     random_baseline,
     report_records,
 )
-from .io import canonical_json, read_jsonl, write_jsonl
+from .io import canonical_json, read_jsonl, reading_artifact, write_jsonl
 from .kg import filter_by_frequency, load_kg, restrict_to_benchmark
 from .ookg import (
     ConfidenceDetector,
@@ -198,19 +198,21 @@ def artifact_header(config: dict) -> dict:
     }
 
 
-def _require(config: dict, *keys: str) -> list:
-    values = []
-    for key in keys:
-        if key not in config or config[key] is None:
-            raise DataError(f"config key {key!r} is required for this command")
-        values.append(config[key])
-    return values
+def _path_value(config: dict, key: str) -> Path | None:
+    """Config ``key`` as a path, None when unset; any value but a non-empty
+    string is a usage error."""
+    value = config.get(key)
+    if value is not None and (type(value) is not str or not value):
+        raise UsageError(f"{key} must be a non-empty path string, got {value!r}")
+    return None if value is None else Path(value)
 
 
 def _require_paths(config: dict, *keys: str) -> list[Path]:
     paths = []
-    for key, value in zip(keys, _require(config, *keys)):
-        path = Path(value)
+    for key in keys:
+        path = _path_value(config, key)
+        if path is None:
+            raise DataError(f"config key {key!r} is required for this command")
         if not path.exists():
             raise DataError(f"input path for {key!r} does not exist: {path}")
         paths.append(path)
@@ -220,7 +222,7 @@ def _require_paths(config: dict, *keys: str) -> list[Path]:
 def _input_path(config: dict, key: str, default_name: str, what: str, producer: str) -> Path:
     """Config ``key``, else ``default_name`` under ``out_dir``; a missing file
     is a data error naming the path and the stage that writes it."""
-    path = Path(config.get(key) or Path(config["out_dir"]) / default_name)
+    path = _path_value(config, key) or Path(config["out_dir"]) / default_name
     if not path.exists():
         raise DataError(f"{what} not found: {path} (run {producer} first)")
     return path
@@ -250,12 +252,6 @@ def _store_variant(config: dict, store, alignments):
     if config["store_variant"] == "large":
         return store, "Large"
     return restrict_to_benchmark(store, alignments), "BRKG"
-
-
-def _write_binary_meta(path: Path, config: dict) -> None:
-    meta = artifact_header(config)
-    with open(path.with_suffix(path.suffix + ".meta.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(meta) + "\n")
 
 
 def _benchmark_alignments(config: dict, store, portion: str):
@@ -299,6 +295,38 @@ def _load_encoder(config: dict) -> ReferenceEncoder:
     )
     params, _tau = load_params(path)
     return ReferenceEncoder(params)
+
+
+def _inputs_digest(config: dict, encoder: ReferenceEncoder) -> str:
+    """sha256 of what the store vectors are built from: the feature-table
+    shape, both projections (every training step moves them; hashing the
+    table too would cost a serving stage about 0.1 s) and the KG entries."""
+    params = encoder.params
+    digest = hashlib.sha256(repr(params.feature_table.shape).encode("utf-8"))
+    for projection in (params.slot_projection, params.entry_projection):
+        digest.update(projection.tobytes())
+    digest.update(_require_paths(config, "kg_entries")[0].read_bytes())
+    return digest.hexdigest()
+
+
+def _store_indices(config: dict, encoder: ReferenceEncoder, store) -> tuple:
+    """Entity and predicate indices of ``store``: row subsets of the FLIX
+    files that ``index`` wrote when they hold all its entries, else embedded.
+    FLIX files built from other inputs are a data error."""
+    paths = [Path(config["out_dir"]) / f"{name}.flix" for name in ("entities", "predicates")]
+    wanted = (store.entity_ids(), store.predicate_ids())
+    if all(path.exists() for path in paths):
+        digest = _inputs_digest(config, encoder)
+        for meta in (path.with_suffix(".flix.meta.json") for path in paths):
+            with reading_artifact(meta):
+                recorded = json.loads(meta.read_text("utf-8")) if meta.exists() else {}
+                if recorded.get("inputs_sha256") != digest:
+                    raise DataError(f"{meta}: built from other params or KG entries; run index")
+        indices = tuple(index.subset(np.isin(index.ids, ids))
+                        for index, ids in zip(map(load_index, paths), wanted))
+        if all(list(index.ids) == ids for index, ids in zip(indices, wanted)):
+            return indices
+    return build_store_indices(encoder, store)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +456,9 @@ def cmd_train_ookg(config: dict, args) -> int:
 
     if extras["calibrate_thresholds"]:
         thresholds, grid_meta = calibrate_all_thresholds(
-            alignments, store, encoder, attention=float(extras["attention_threshold"]),
-            grid_size=grid_size, with_context=config["with_context"],
+            alignments, build_store_indices(encoder, store), encoder,
+            attention=float(extras["attention_threshold"]), grid_size=grid_size,
+            with_context=config["with_context"],
         )
     else:
         thresholds, grid_meta = OokgThresholds(), {"grid_size": grid_size, "calibrated": False}
@@ -442,38 +471,39 @@ def cmd_train_ookg(config: dict, args) -> int:
     return 0
 
 
+def _index_store(config: dict, store):
+    """The store ``index`` writes and ``link`` serves: BRKG over the training
+    alignments and every split file present, or the whole KG under ``large``."""
+    if config["store_variant"] == "large":
+        return store
+    referenced = _train_alignments(config)
+    for facet in FACETS:  # the benchmark covers the test facets too
+        split_path = Path(config["out_dir"]) / f"split-{facet}.jsonl"
+        if split_path.exists():
+            referenced = referenced + read_alignments(split_path)
+    return restrict_to_benchmark(store, referenced)
+
+
 def cmd_index(config: dict, args) -> int:
-    store = _load_store(config)
+    store = _index_store(config, _load_store(config))
     encoder = _load_encoder(config)
-    if config["store_variant"] == "brkg":
-        referenced = _train_alignments(config)
-        for facet in FACETS:  # the benchmark covers the test facets too
-            split_path = Path(config["out_dir"]) / f"split-{facet}.jsonl"
-            if split_path.exists():
-                referenced = referenced + read_alignments(split_path)
-        store, _tag = _store_variant(config, store, referenced)
     out = _out_dir(config)
     entity_index, predicate_index = build_store_indices(encoder, store)
+    meta = {**artifact_header(config), "inputs_sha256": _inputs_digest(config, encoder)}
     for index, name in ((entity_index, "entities"), (predicate_index, "predicates")):
-        path = out / f"{name}.flix"
-        save_index(index, path)
-        _write_binary_meta(path, config)
+        save_index(index, out / f"{name}.flix")
+        (out / f"{name}.flix.meta.json").write_text(canonical_json(meta) + "\n", "utf-8")
     print(f"indexed {len(entity_index)} entities, {len(predicate_index)} predicates")
     return 0
 
 
 def cmd_link(config: dict, args) -> int:
-    store = _load_store(config)
+    store = _index_store(config, _load_store(config))
     encoder = _load_encoder(config)
     (oie_path,) = _require_paths(config, "link_oie")
     oies = read_oie_file(oie_path)
     out = _out_dir(config)
-    entities_path = out / "entities.flix"
-    if entities_path.exists():
-        entity_index = load_index(entities_path)
-        predicate_index = load_index(out / "predicates.flix")
-    else:
-        entity_index, predicate_index = build_store_indices(encoder, store)
+    entity_index, predicate_index = _store_indices(config, encoder, store)
     k = _positive_int(args.k if args.k is not None else config["link_k"], "--k / link_k")
     with_context = bool(config["with_context"] or args.with_context)
 
@@ -519,7 +549,7 @@ def cmd_evaluate(config: dict, args) -> int:
         linker = random_baseline(eval_store, seed=stream_seed(config["seed"], "baseline"))
     else:
         encoder = _load_encoder(config)
-        entity_index, predicate_index = build_store_indices(encoder, eval_store)
+        entity_index, predicate_index = _store_indices(config, encoder, eval_store)
         if args.use_reranker:
             k = _positive_int(rerank_k, "--rerank-k / rerank_k")
             scorer = load_cross_params(_input_path(
@@ -560,7 +590,7 @@ def cmd_detect(config: dict, args) -> int:
     out = _out_dir(config)
 
     thresholds = OokgThresholds()
-    thresholds_path = Path(config.get("thresholds") or out / "thresholds.jsonl")
+    thresholds_path = _path_value(config, "thresholds") or out / "thresholds.jsonl"
     if thresholds_path.exists():
         records = read_jsonl(thresholds_path)
         if records:
@@ -581,7 +611,7 @@ def cmd_detect(config: dict, args) -> int:
         detector = ConstantDetector(Decision.IN_KG)
 
     report = ookg_evaluate(
-        detector, test, store, encoder,
+        detector, test, _store_indices(config, encoder, store), encoder,
         with_context=bool(config["with_context"] or args.with_context),
         collect_records=True,
     )

@@ -17,7 +17,7 @@ from .errors import (
 )
 from .io import load_arrays, reading_artifact, save_arrays
 from .kg import KgStore
-from .preranker import EmbeddingIndex, build_store_indices, topk
+from .preranker import EmbeddingIndex, topk
 from .reranker import _sigmoid, bce_grad, bce_loss
 
 TOP_SUPPORT = 5  # fixed support for the confidence and entropy heuristics
@@ -455,35 +455,28 @@ class OokgReport:
 def ookg_evaluate(
     detector: OokgDetector,
     alignments: Sequence[Alignment],
-    store: KgStore,
+    indices: tuple[EmbeddingIndex, EmbeddingIndex],
     encoder: ReferenceEncoder,
     with_context: bool = False,
     collect_records: bool = False,
 ) -> OokgReport:
     """Run the paired imputed/removed protocol.
 
-    Two index variants serve the evaluation batch: the whole store, with
-    the batch's gold entries present (a hit is an in-KG decision), and its
-    row subset with all of them absent (a hit is an out-of-KG decision).
-    Slot accuracy averages the two scenario trial sets; fact accuracy
-    requires all three slot decisions correct within a trial.
+    Two variants of the store's (entity, predicate) ``indices`` serve the
+    batch: as given, with its gold entries present (a hit is an in-KG
+    decision), and their row subsets with all of them absent (a hit is an
+    out-of-KG decision). Slot accuracy averages the two scenario trial sets;
+    fact accuracy requires all three slot decisions correct within a trial.
     """
     if not alignments:
         raise DataError("no alignments to evaluate")
-    gold: set[str] = set()
-    for alignment in alignments:
-        fact = alignment.fact
-        for entry_id in (fact.subject_id, fact.object_id):
-            if entry_id not in store:
-                raise UnknownIdError(f"gold entity {entry_id!r} missing from store")
-        if fact.predicate_id not in store:
-            raise UnknownIdError(f"gold predicate {fact.predicate_id!r} missing from store")
-        gold.update(fact.ids)
-
-    imputed = build_store_indices(encoder, store)
+    gold = {entry_id for alignment in alignments for entry_id in alignment.fact.ids}
+    missing = gold.difference(*(index.ids for index in indices))
+    if missing:
+        raise UnknownIdError(f"gold entries missing from store: {sorted(missing)}")
     variants = {
-        "imputed": imputed,
-        "removed": tuple(index.subset([i not in gold for i in index.ids]) for index in imputed),
+        "imputed": indices,
+        "removed": tuple(index.subset([i not in gold for i in index.ids]) for index in indices),
     }
 
     slot_hits = np.zeros(3)
@@ -526,7 +519,7 @@ def ookg_evaluate(
 
 def collect_statistics(
     alignments: Sequence[Alignment],
-    store: KgStore,
+    indices: tuple[EmbeddingIndex, EmbeddingIndex],
     encoder: ReferenceEncoder,
     with_context: bool = False,
 ) -> dict:
@@ -547,7 +540,7 @@ def collect_statistics(
 
     # run the protocol once; scenario labels arrive through the records
     report = ookg_evaluate(
-        _Collector(), alignments, store, encoder, with_context, collect_records=True
+        _Collector(), alignments, indices, encoder, with_context, collect_records=True
     )
     for record in report.records:
         slot = ("subject", "relation", "object").index(record["slot"])
@@ -559,7 +552,7 @@ def collect_statistics(
 
 def calibrate_all_thresholds(
     alignments: Sequence[Alignment],
-    store: KgStore,
+    indices: tuple[EmbeddingIndex, EmbeddingIndex],
     encoder: ReferenceEncoder,
     attention: float = DEFAULT_ATTENTION_THRESHOLD,
     grid_size: int = 200,
@@ -567,7 +560,7 @@ def calibrate_all_thresholds(
 ) -> tuple[OokgThresholds, dict]:
     """Grid-calibrate per-slot confidence and entropy thresholds on a
     hold-out set; returns thresholds plus grid metadata."""
-    samples = collect_statistics(alignments, store, encoder, with_context)
+    samples = collect_statistics(alignments, indices, encoder, with_context)
     confidence = []
     entropy_thresholds = []
     ranges: dict = {"grid_size": grid_size, "statistic_ranges": {}}

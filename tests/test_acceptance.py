@@ -305,12 +305,13 @@ def _seed_run(seed):
         np.mean([a.fact.predicate_id == modal for a in splits["trans"]])
     )
     run["n_entities"] = len(world.store.entity_ids())
-    run["entropy"] = ookg_evaluate(EntropyDetector(), splits["ookg"], world.store, plain)
+    store_indices = build_store_indices(plain, world.store)
+    run["entropy"] = ookg_evaluate(EntropyDetector(), splits["ookg"], store_indices, plain)
     run["always_in"] = ookg_evaluate(
-        ConstantDetector(Decision.IN_KG), splits["ookg"], world.store, plain
+        ConstantDetector(Decision.IN_KG), splits["ookg"], store_indices, plain
     )
     run["coin"] = ookg_evaluate(
-        RandomDetector(seed=seed + 7), (splits["trans"] * 3)[:1000], world.store, plain
+        RandomDetector(seed=seed + 7), (splits["trans"] * 3)[:1000], store_indices, plain
     )
     run["elapsed"] = time.perf_counter() - start
     return run

@@ -147,7 +147,8 @@ class TestIndexAndLink:
         predicates = load_index(out / "predicates.flix")
         assert len(entities) > 0
         assert len(predicates) == 20
-        assert (out / "entities.flix.meta.json").exists()
+        meta = json.loads((out / "entities.flix.meta.json").read_text())
+        assert set(meta) == {"tool_version", "config_hash", "seed", "inputs_sha256"}
 
     def test_link_writes_candidates(self, pipeline):
         directory, config_path = pipeline
@@ -155,6 +156,34 @@ class TestIndexAndLink:
         records = read_jsonl(directory / "out" / "links.jsonl")
         assert records
         assert all(len(r["subject_candidates"]) == 2 for r in records)
+
+
+class TestStoreIndices:
+    """``link``, ``evaluate`` and ``detect`` serve row subsets of the FLIX
+    files when ``index`` wrote them, and embed the same store otherwise."""
+
+    SERVING = (
+        ["link", "--k", "3"],
+        ["evaluate", "--facet", "transductive"],
+        ["evaluate", "--facet", "polysemous", "--use-reranker"],
+        ["detect", "--detector", "entropy"],
+    )
+    OUTPUTS = ("links.jsonl", "report-transductive-brkg.jsonl",
+               "report-polysemous-brkg.jsonl", "detection-entropy.jsonl")
+
+    def test_flix_rows_serve_what_embedding_serves(self, pipeline, tmp_path):
+        directory, config_path = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        written = []
+        for flix_files in (True, False):
+            if not flix_files:
+                for path in out.glob("*.flix"):
+                    path.unlink()
+            for argv in self.SERVING:
+                assert run(config_path, "--out-dir", str(out), *argv) == 0
+            written.append({name: (out / name).read_bytes() for name in self.OUTPUTS})
+        assert written[0] == written[1]
 
 
 class TestEvaluate:
@@ -284,10 +313,20 @@ def _drop_projection_rows(path):
     save_arrays(path, header, arrays)
 
 
+def _perturb_projection(path):
+    """A valid params file whose entry projection moved in one entry: the
+    FLIX files no longer match it."""
+    names = ("feature_table", "slot_projection", "entry_projection")
+    header, arrays = load_arrays(path, "reference-encoder", names, "<f8")
+    arrays["entry_projection"][0, 0] += 1e-3
+    save_arrays(path, header, arrays)
+
+
 class TestFailureExitCodes:
     """Bad config files and values exit 1, corrupt artifacts 2, diverging
     training 3: each with one line on stderr, no traceback, and the stage's
-    params left as they were. ``{out}`` in argv is the case's out_dir."""
+    params left as they were. ``{out}`` in argv is the case's out_dir; a
+    stale index names the stage that mends it."""
 
     CASES = {
         "unknown-key": (1, ["--set", "preranker.bogus=1", "train-preranker"], None),
@@ -316,6 +355,11 @@ class TestFailureExitCodes:
         "seed-out-of-range": (1, ["--seed", str(2**64), "train-preranker"], None),
         "augment-not-bool": (1, ["--set", "augment=1", "build-benchmark"], None),
         "detector-bogus": (1, ["--set", "detector=bogus", "detect"], None),
+        "kg-entries-int": (1, ["--set", "kg_entries=5", "build-benchmark"], None),
+        "train-alignments-empty-list": (
+            1, ["--set", "train_alignments=[]", "train-preranker"], None
+        ),
+        "thresholds-int": (1, ["--set", "thresholds=5", "detect"], None),
         "preranker-negative-weight-decay": (
             1, ["--set", "preranker.weight_decay=-0.1", "train-preranker"], None
         ),
@@ -354,6 +398,13 @@ class TestFailureExitCodes:
             lambda out: _replace_header(out / "reranker.params", b"{}"),
         ),
         "truncated-index": (2, ["link"], lambda out: _truncate(out / "entities.flix", 30)),
+        "stale-index-link": (
+            2, ["link"], lambda out: _perturb_projection(out / "preranker.params")
+        ),
+        "stale-index-evaluate": (
+            2, ["evaluate", "--facet", "transductive"],
+            lambda out: _perturb_projection(out / "preranker.params"),
+        ),
         "reranker-truncated": (
             2, ["evaluate", "--facet", "polysemous", "--use-reranker"],
             lambda out: _truncate(out / "reranker.params", -3),
@@ -397,4 +448,5 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, err
         assert "Traceback" not in err
+        assert err.strip().endswith("run index") == case.startswith("stale-index")
         assert {p.name: file_hash(p) for p in out.glob("*.params")} == before

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import entity, make_alignment, predicate
 from factlink.encoder import EncoderConfig, ReferenceEncoder
-from factlink.errors import DataError, EmptyKeySetError, MalformedRecordError
+from factlink.errors import DataError, EmptyKeySetError, MalformedRecordError, UnknownIdError
 from factlink.kg import KgFact, build_store
 from factlink.ookg import (
     ConfidenceDetector,
@@ -32,7 +33,9 @@ from factlink.ookg import (
     topk_softmax,
     train_qkv,
 )
-from factlink.preranker import IndexKind, PrerankTrainConfig, build_index, train_preranker
+from factlink.preranker import (
+    IndexKind, PrerankTrainConfig, build_index, build_store_indices, train_preranker,
+)
 from factlink.reranker import bce_grad, bce_loss
 
 SMALL_ENCODER = EncoderConfig(dim=16, hidden=8, buckets=1024)
@@ -389,7 +392,9 @@ class TestTrainQkv:
         from factlink.ookg import QkvDetector
 
         detector = QkvDetector(params, OokgThresholds(attention=0.5), key_pool=12)
-        report = ookg_evaluate(detector, held_out, store, encoder)
+        report = ookg_evaluate(
+            detector, held_out, build_store_indices(encoder, store), encoder
+        )
         assert report.slot_accuracy[0] > 0.5
         assert report.slot_accuracy[2] > 0.5
 
@@ -435,7 +440,8 @@ class TestEvaluateProtocol:
     def test_always_in_kg_is_exactly_half(self, calibration_setup):
         store, alignments, encoder = calibration_setup
         report = ookg_evaluate(
-            ConstantDetector(Decision.IN_KG), alignments, store, encoder
+            ConstantDetector(Decision.IN_KG), alignments, build_store_indices(encoder, store),
+            encoder,
         )
         assert report.slot_accuracy == (0.5, 0.5, 0.5)
 
@@ -447,7 +453,9 @@ class TestEvaluateProtocol:
                 present = gold_id in index._row_index
                 return (Decision.IN_KG if present else Decision.OUT_OF_KG), float(present)
 
-        report = ookg_evaluate(OracleDetector(), alignments, store, encoder)
+        report = ookg_evaluate(
+            OracleDetector(), alignments, build_store_indices(encoder, store), encoder
+        )
         assert report.slot_accuracy == (1.0, 1.0, 1.0)
         assert report.fact_accuracy == 1.0
 
@@ -455,18 +463,32 @@ class TestEvaluateProtocol:
         store, alignments, encoder = calibration_setup
         # repeat the alignment list to reach >= 2000 paired trials
         repeated = (alignments * (1000 // len(alignments) + 1))[:1000]
-        report = ookg_evaluate(RandomDetector(seed=13), repeated, store, encoder)
+        report = ookg_evaluate(
+            RandomDetector(seed=13), repeated, build_store_indices(encoder, store), encoder
+        )
         assert report.trials_per_scenario == 1000
         assert abs(report.fact_accuracy - 0.125) <= 0.02
 
     def test_records_schema(self, calibration_setup):
         store, alignments, encoder = calibration_setup
         report = ookg_evaluate(
-            EntropyDetector(), alignments[:3], store, encoder, collect_records=True
+            EntropyDetector(), alignments[:3], build_store_indices(encoder, store), encoder,
+            collect_records=True,
         )
         assert len(report.records) == 2 * 3 * 3
         record = report.records[0]
         assert set(record) == {"alignment_id", "slot", "scenario", "decision", "statistic"}
+
+    def test_gold_missing_from_indices_rejected(self, calibration_setup):
+        store, alignments, encoder = calibration_setup
+        entity_index, predicate_index = build_store_indices(encoder, store)
+        gold = alignments[0].fact.object_id
+        without = entity_index.subset([entry_id != gold for entry_id in entity_index.ids])
+        with pytest.raises(UnknownIdError, match=re.escape(repr(gold))):
+            ookg_evaluate(
+                ConstantDetector(Decision.IN_KG), alignments[:1], (without, predicate_index),
+                encoder,
+            )
 
     def test_empty_store_variant_decides_out(self):
         # even when an entropy threshold equals the fallback ln TOP_SUPPORT
@@ -484,5 +506,7 @@ class TestEvaluateProtocol:
     def test_heuristic_detectors_run(self, calibration_setup):
         store, alignments, encoder = calibration_setup
         for detector in (ConfidenceDetector(), EntropyDetector()):
-            report = ookg_evaluate(detector, alignments[:10], store, encoder)
+            report = ookg_evaluate(
+                detector, alignments[:10], build_store_indices(encoder, store), encoder
+            )
             assert 0.0 <= report.fact_accuracy <= 1.0

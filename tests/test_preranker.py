@@ -383,3 +383,42 @@ class TestTrainPreranker:
                 ]
                 losses.append(infonce_loss(pos, negs, tau))
         assert trace[0]["mean_loss"] == pytest.approx(float(np.mean(losses)), rel=1e-9)
+
+    def test_whole_model_gradient_matches_central_finite_differences(self):
+        # one batch without weight decay: the SGD step moves every parameter
+        # by -lr * gradient, so (before - after) / lr is the trainer's own
+        # gradient of the batch loss, which the trace records before the step
+        store, alignments = tiny_world()
+        encoder_config = EncoderConfig(dim=4, hidden=3, buckets=16)
+        lr = 1e-7
+        config = PrerankTrainConfig(
+            epochs=1, learning_rate=lr, weight_decay=0.0, batch_size=len(alignments),
+            global_neg_entities=2, global_neg_predicates=1, temperature_min=1e-3, seed=4,
+        )
+        initial = init_params(encoder_config, 2)
+        blocks = ("feature_table", "slot_projection", "entry_projection")
+
+        def flatten(params, tau):
+            return np.concatenate([getattr(params, b).ravel() for b in blocks] + [[np.log(tau)]])
+
+        def train(x):
+            params, i = initial.copy(), 0
+            for block in blocks:
+                array = getattr(params, block)
+                array[...] = x[i : i + array.size].reshape(array.shape)
+                i += array.size
+            return train_preranker(
+                alignments, store, config, encoder_config,
+                initial_params=params, initial_tau=float(np.exp(x[-1])),
+            )
+
+        x = flatten(initial, 0.3)
+        stepped, trace = train(x)
+        analytic = (x - flatten(stepped, trace[0]["tau"])) / lr
+        h = 1e-5
+
+        def loss(x):
+            return train(x)[1][0]["mean_loss"]
+
+        numeric = np.array([(loss(x + h * e) - loss(x - h * e)) / (2 * h) for e in np.eye(x.size)])
+        assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(numeric).max()
