@@ -299,12 +299,13 @@ def _load_encoder(config: dict) -> ReferenceEncoder:
 
 def _inputs_digest(config: dict, encoder: ReferenceEncoder) -> str:
     """sha256 of what the store vectors are built from: the feature-table
-    shape, both projections (every training step moves them; hashing the
-    table too would cost a serving stage about 0.1 s) and the KG entries."""
+    shape, its held ids and rows, both projections and the KG entries.
+    Take it before the encoder embeds anything: embedding draws rows."""
     params = encoder.params
-    digest = hashlib.sha256(repr(params.feature_table.shape).encode("utf-8"))
-    for projection in (params.slot_projection, params.entry_projection):
-        digest.update(projection.tobytes())
+    digest = hashlib.sha256(repr((params.buckets, params.hidden)).encode("utf-8"))
+    for array in (params.table_ids, params.feature_table,
+                  params.slot_projection, params.entry_projection):
+        digest.update(array.tobytes())
     digest.update(_require_paths(config, "kg_entries")[0].read_bytes())
     return digest.hexdigest()
 
@@ -408,6 +409,9 @@ def cmd_train_preranker(config: dict, args) -> int:
             initial_params=initial_params, initial_tau=initial_tau,
         )
     save_params(params, params_path, tau=trace[-1]["tau"], header=artifact_header(config))
+    held = len(params.table_ids)
+    log.info("feature table: %d of %d rows learned (%.2f%%)",
+             held, params.buckets, 100 * held / params.buckets)
     write_jsonl(out / "preranker.trace.jsonl", trace, header=artifact_header(config))
     print(f"final loss {trace[-1]['mean_loss']:.6f} tau {trace[-1]['tau']:.4f}")
     return 0
@@ -488,8 +492,8 @@ def cmd_index(config: dict, args) -> int:
     store = _index_store(config, _load_store(config))
     encoder = _load_encoder(config)
     out = _out_dir(config)
-    entity_index, predicate_index = build_store_indices(encoder, store)
     meta = {**artifact_header(config), "inputs_sha256": _inputs_digest(config, encoder)}
+    entity_index, predicate_index = build_store_indices(encoder, store)
     for index, name in ((entity_index, "entities"), (predicate_index, "predicates")):
         save_index(index, out / f"{name}.flix")
         (out / f"{name}.flix.meta.json").write_text(canonical_json(meta) + "\n", "utf-8")

@@ -88,9 +88,16 @@ class EncoderConfig:
 
 @dataclass
 class ReferenceEncoderParams:
-    """Trainable state of the reference encoder."""
+    """Trainable state of the reference encoder.
 
-    feature_table: np.ndarray  # (buckets, hidden)
+    The (buckets, hidden) feature table is sparse: ``feature_table`` holds
+    only the rows of the sorted bucket ids ``table_ids``. Every other row
+    is still its seeded init, which ``rows_of`` draws on first use."""
+
+    buckets: int
+    hidden: int
+    table_ids: np.ndarray  # (rows,) sorted int64 bucket ids
+    feature_table: np.ndarray  # (rows, hidden)
     slot_projection: np.ndarray  # (2*hidden, dim)
     entry_projection: np.ndarray  # (2*hidden, dim)
     rng_seed: int
@@ -99,16 +106,40 @@ class ReferenceEncoderParams:
     def dim(self) -> int:
         return self.slot_projection.shape[1]
 
-    @property
-    def hidden(self) -> int:
-        return self.feature_table.shape[1]
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """Positions in ``feature_table`` of the bucket ids ``ids``; rows
+        not held yet are drawn from the seeded stream and inserted."""
+        positions = np.searchsorted(self.table_ids, ids)
+        held = positions < len(self.table_ids)
+        held[held] = self.table_ids[positions[held]] == ids[held]
+        if held.all():
+            return positions
+        new_ids = np.unique(ids[~held])
+        at = np.searchsorted(self.table_ids, new_ids)
+        self.feature_table = np.insert(self.feature_table, at, self._init_rows(new_ids), axis=0)
+        self.table_ids = np.insert(self.table_ids, at, new_ids)
+        return np.searchsorted(self.table_ids, ids)
 
-    @property
-    def buckets(self) -> int:
-        return self.feature_table.shape[0]
+    def _init_rows(self, ids: np.ndarray) -> np.ndarray:
+        """Rows ``ids`` (sorted, unique) of ``init_params``' dense table:
+        ``uniform`` takes one PCG64 draw per double, so each run of
+        consecutive ids is one jump ahead and one draw."""
+        rng = np.random.default_rng(self.rng_seed)
+        bound = 1.0 / np.sqrt(self.hidden)
+        rows = np.empty((len(ids), self.hidden))
+        starts = np.flatnonzero(np.diff(ids, prepend=-2) != 1)
+        position = 0  # the next row the stream would draw
+        for start, end in zip(starts, [*starts[1:], len(ids)]):
+            rng.bit_generator.advance(int(ids[start] - position) * self.hidden)
+            rows[start:end] = rng.uniform(-bound, bound, size=(end - start, self.hidden))
+            position = int(ids[end - 1]) + 1
+        return rows
 
     def copy(self) -> "ReferenceEncoderParams":
         return ReferenceEncoderParams(
+            buckets=self.buckets,
+            hidden=self.hidden,
+            table_ids=self.table_ids.copy(),
             feature_table=self.feature_table.copy(),
             slot_projection=self.slot_projection.copy(),
             entry_projection=self.entry_projection.copy(),
@@ -118,13 +149,17 @@ class ReferenceEncoderParams:
 
 def init_params(config: EncoderConfig, seed: int) -> ReferenceEncoderParams:
     """Seeded uniform init: feature table in ±1/sqrt(hidden), projections
-    in ±1/sqrt(2*hidden)."""
+    in ±1/sqrt(2*hidden), drawn from one stream in that order. No table row
+    is held: the stream jumps over the table to draw the projections."""
     rng = np.random.default_rng(seed)
     h = config.hidden
-    table_bound = 1.0 / np.sqrt(h)
+    rng.bit_generator.advance(config.buckets * h)
     proj_bound = 1.0 / np.sqrt(2 * h)
     return ReferenceEncoderParams(
-        feature_table=rng.uniform(-table_bound, table_bound, size=(config.buckets, h)),
+        buckets=config.buckets,
+        hidden=h,
+        table_ids=np.zeros(0, dtype=np.int64),
+        feature_table=np.zeros((0, h)),
         slot_projection=rng.uniform(-proj_bound, proj_bound, size=(2 * h, config.dim)),
         entry_projection=rng.uniform(-proj_bound, proj_bound, size=(2 * h, config.dim)),
         rng_seed=seed,
@@ -133,40 +168,43 @@ def init_params(config: EncoderConfig, seed: int) -> ReferenceEncoderParams:
 
 class _SegmentBatch:
     """Compiled feature arrays for a list of texts, supporting one forward
-    weighted-mean over feature-table rows and one scatter-add backward.
+    weighted-mean over feature-table rows and one scatter-add backward,
+    both through the texts' row positions in the params' table.
 
     Empty feature sets are encoded as a single zero-weight feature so that
     segment boundaries stay non-empty and no gradient leaks.
     """
 
-    def __init__(self, hasher: FeatureHasher, texts: Sequence[str]):
+    def __init__(self, params: ReferenceEncoderParams, hasher: FeatureHasher,
+                 texts: Sequence[str]):
         empty = (np.zeros(1, dtype=np.int64), np.zeros(1))
         compiled = [hasher.compile(t) for t in texts]
         compiled = [(i, w) if len(i) else empty for i, w in compiled]
         counts = np.array([len(i) for i, _ in compiled], dtype=np.int64)
-        self.ids = np.concatenate([i for i, _ in compiled])
+        # positions rise with bucket ids, so sums run in bucket-id order
+        self.positions = params.rows_of(np.concatenate([i for i, _ in compiled]))
         self.weights = np.concatenate([w for _, w in compiled])
         self.starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
         self.rows = np.repeat(np.arange(len(compiled)), counts)
 
     def forward(self, feature_table: np.ndarray) -> np.ndarray:
-        gathered = feature_table[self.ids] * self.weights[:, None]
+        gathered = feature_table[self.positions] * self.weights[:, None]
         return np.add.reduceat(gathered, self.starts, axis=0)
 
     def scatter_add(self, target: np.ndarray, d_segments: np.ndarray, scale: float = 1.0) -> None:
         # sort-based segment sum: much faster than np.add.at and still
         # deterministic (stable sort fixes the accumulation order)
         contributions = d_segments[self.rows] * (self.weights * scale)[:, None]
-        order = np.argsort(self.ids, kind="stable")
-        sorted_ids = self.ids[order]
+        order = np.argsort(self.positions, kind="stable")
+        sorted_positions = self.positions[order]
         boundaries = np.flatnonzero(
-            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
+            np.concatenate(([True], sorted_positions[1:] != sorted_positions[:-1]))
         )
         summed = np.add.reduceat(contributions[order], boundaries, axis=0)
-        target[sorted_ids[boundaries]] += summed
+        target[sorted_positions[boundaries]] += summed
 
     def touched(self) -> np.ndarray:
-        return np.unique(self.ids)
+        return np.unique(self.positions)
 
 
 def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +244,7 @@ def encode_batch(
     texts = [t[part] for part in range(4) for t in slot_texts] + [
         t[part] for part in range(2) for t in entry_texts
     ]
-    batch = _SegmentBatch(hasher, texts)
+    batch = _SegmentBatch(params, hasher, texts)
     segments = batch.forward(params.feature_table)
     slots, triples, labels, descriptions = np.split(segments, [3 * b, 4 * b, 4 * b + m])
     u = np.concatenate([slots, np.tile(triples, (3, 1))], axis=1)
@@ -261,9 +299,11 @@ class ReferenceEncoder:
 
 
 # ---------------------------------------------------------------------------
-# Params persistence: the shared named-array format (io.save_arrays), float64.
+# Params persistence: the shared named-array format (io.save_arrays).
 
-_PARAM_ARRAYS = ("feature_table", "slot_projection", "entry_projection")
+_PARAM_ARRAYS = {
+    "table_ids": "<i8", "feature_table": "<f8", "slot_projection": "<f8", "entry_projection": "<f8"
+}
 
 
 def save_params(
@@ -272,21 +312,37 @@ def save_params(
     tau: float | None = None,
     header: dict | None = None,
 ) -> None:
-    scalars = {"format": "reference-encoder", "rng_seed": params.rng_seed, "tau": tau}
-    arrays = {name: np.asarray(getattr(params, name), dtype="<f8") for name in _PARAM_ARRAYS}
+    scalars = {"format": "reference-encoder", "rng_seed": params.rng_seed,
+               "buckets": params.buckets, "hidden": params.hidden, "tau": tau}
+    arrays = {name: np.asarray(getattr(params, name), dtype=dtype)
+              for name, dtype in _PARAM_ARRAYS.items()}
     save_arrays(path, {**(header or {}), **scalars}, arrays)
 
 
 def load_params(path: str | Path) -> tuple[ReferenceEncoderParams, float | None]:
-    header, arrays = load_arrays(path, "reference-encoder", _PARAM_ARRAYS, "<f8")
-    table, slot, entry = arrays.values()
+    header, arrays = load_arrays(path, "reference-encoder", _PARAM_ARRAYS)
+    ids, table, slot, entry = arrays.values()
     with reading_artifact(path):
-        if not (table.ndim == slot.ndim == 2 and slot.shape == entry.shape
-                and slot.shape[0] == 2 * table.shape[1]):
-            raise MalformedRecordError(f"{path}: projections need 2*hidden rows, got shapes "
-                                       f"{table.shape}, {slot.shape}, {entry.shape}")
+        buckets, hidden, seed = header["buckets"], header["hidden"], header["rng_seed"]
+        if not (type(buckets) is type(hidden) is type(seed) is int and seed >= 0):
+            raise MalformedRecordError(
+                f"{path}: buckets and hidden must be integers, rng_seed one >= 0"
+            )
+        if not (ids.ndim == 1 and table.shape == (len(ids), hidden) and slot.ndim == 2
+                and slot.shape == entry.shape and slot.shape[0] == 2 * hidden):
+            raise MalformedRecordError(
+                f"{path}: {len(ids)} table ids at hidden {hidden} need a ({len(ids)}, {hidden}) "
+                f"table and (2*hidden, dim) projections, got shapes {ids.shape}, {table.shape}, "
+                f"{slot.shape}, {entry.shape}"
+            )
         # the config's range checks: dim, hidden positive, buckets above the markers
-        EncoderConfig(dim=slot.shape[1], hidden=table.shape[1], buckets=table.shape[0])
+        EncoderConfig(dim=slot.shape[1], hidden=hidden, buckets=buckets)
+        if len(ids) and not (ids[0] >= 0 and ids[-1] < buckets and np.all(ids[1:] > ids[:-1])):
+            raise MalformedRecordError(
+                f"{path}: table ids must be strictly increasing within [0, {buckets})"
+            )
         tau = header["tau"]
-        params = ReferenceEncoderParams(**arrays, rng_seed=int(header["rng_seed"]))
+        params = ReferenceEncoderParams(
+            buckets=buckets, hidden=hidden, **arrays, rng_seed=seed
+        )
         return params, None if tau is None else float(tau)

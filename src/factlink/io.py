@@ -13,7 +13,7 @@ import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -85,20 +85,21 @@ def save_arrays(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -
 
 
 def load_arrays(
-    path: str | Path, fmt: str, names: Sequence[str], dtype: str
+    path: str | Path, fmt: str, dtypes: dict[str, str]
 ) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and arrays of a ``save_arrays`` file; MalformedRecordError for
-    another format or array names, a dtype other than ``dtype``, a record
-    claiming more bytes than the file has left (before allocating it), or
-    bytes after the last record."""
+    """Header and arrays of a ``save_arrays`` file whose arrays are named
+    and typed as in ``dtypes``; MalformedRecordError for another format or
+    array names, another dtype, a record claiming more bytes than the file
+    has left (before allocating it), or bytes after the last record."""
+    names = list(dtypes)
     with reading_artifact(path), open(path, "rb") as fh:
         header = json.loads(fh.readline())
         layout = (header.get("format"), header.get("arrays")) if isinstance(header, dict) else ()
-        if layout != (fmt, list(names)):
-            raise MalformedRecordError(f"{path}: not a {fmt} file with arrays {list(names)}")
+        if layout != (fmt, names):
+            raise MalformedRecordError(f"{path}: not a {fmt} file with arrays {names}")
         size = os.fstat(fh.fileno()).st_size
         arrays = {}
-        for name in names:
+        for name, dtype in dtypes.items():
             if np.lib.format.read_magic(fh) != (1, 0):
                 raise MalformedRecordError(f"{path}: {name}: unsupported .npy version")
             shape, fortran_order, record_dtype = np.lib.format.read_array_header_1_0(fh)

@@ -269,7 +269,7 @@ def save_qkv_params(params: QkvParams, path, header: dict | None = None) -> None
 
 
 def load_qkv_params(path) -> QkvParams:
-    header, arrays = load_arrays(path, "qkv-attention", _QKV_ARRAYS, "<f8")
+    header, arrays = load_arrays(path, "qkv-attention", dict.fromkeys(_QKV_ARRAYS, "<f8"))
     q, k, v = arrays.values()
     with reading_artifact(path):
         if q.ndim != 2 or q.shape[0] != q.shape[1] or not q.shape == k.shape == v.shape:

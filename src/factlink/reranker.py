@@ -294,7 +294,7 @@ def save_cross_params(
 
 
 def load_cross_params(path: str | Path) -> CrossScorerParams:
-    header, arrays = load_arrays(path, "cross-scorer", ("weights", "bias"), "<f4")
+    header, arrays = load_arrays(path, "cross-scorer", {"weights": "<f4", "bias": "<f4"})
     weights, bias = arrays.values()
     with reading_artifact(path):
         n = len(weights) - 3 * N_SLOT_EXTRAS if weights.ndim == 1 else -1

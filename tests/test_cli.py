@@ -305,21 +305,58 @@ def _claim_huge_first_record(path):
     path.write_bytes(header_line + b"\n" + record.getvalue() + bytes(64))
 
 
-def _drop_projection_rows(path):
-    names = ("feature_table", "slot_projection", "entry_projection")
-    header, arrays = load_arrays(path, "reference-encoder", names, "<f8")
-    for name in names[1:]:
+PARAMS_LAYOUT = {
+    "table_ids": "<i8", "feature_table": "<f8", "slot_projection": "<f8", "entry_projection": "<f8"
+}
+
+
+def _edit_params(edit):
+    """Rewrite ``preranker.params`` after ``edit(header, arrays)``."""
+    def corrupt(out):
+        path = out / "preranker.params"
+        header, arrays = load_arrays(path, "reference-encoder", PARAMS_LAYOUT)
+        edit(header, arrays)
+        save_arrays(path, header, arrays)
+    return corrupt
+
+
+def _drop_projection_rows(header, arrays):
+    for name in ("slot_projection", "entry_projection"):
         arrays[name] = arrays[name][:-1]
-    save_arrays(path, header, arrays)
 
 
-def _perturb_projection(path):
+def _perturb_projection(header, arrays):
     """A valid params file whose entry projection moved in one entry: the
     FLIX files no longer match it."""
-    names = ("feature_table", "slot_projection", "entry_projection")
-    header, arrays = load_arrays(path, "reference-encoder", names, "<f8")
     arrays["entry_projection"][0, 0] += 1e-3
-    save_arrays(path, header, arrays)
+
+
+def _perturb_table_row(header, arrays):
+    """A valid params file with one held feature-table row moved."""
+    arrays["feature_table"][len(arrays["table_ids"]) // 2] += 1e-3
+
+
+def _set_table_id(position, value):
+    def edit(header, arrays):
+        arrays["table_ids"][position] = value(header, arrays["table_ids"])
+    return edit
+
+
+def _drop_table_row(header, arrays):
+    arrays["feature_table"] = arrays["feature_table"][:-1]
+
+
+def _shrink_buckets(header, arrays):
+    header["buckets"] = int(arrays["table_ids"][-1])
+
+
+def _widen_hidden(header, arrays):
+    header["hidden"] += 1
+
+
+def _negative_seed(header, arrays):
+    """Rows not held are drawn from this seed's stream."""
+    header["rng_seed"] = -1
 
 
 class TestFailureExitCodes:
@@ -398,13 +435,11 @@ class TestFailureExitCodes:
             lambda out: _replace_header(out / "reranker.params", b"{}"),
         ),
         "truncated-index": (2, ["link"], lambda out: _truncate(out / "entities.flix", 30)),
-        "stale-index-link": (
-            2, ["link"], lambda out: _perturb_projection(out / "preranker.params")
-        ),
+        "stale-index-link": (2, ["link"], _edit_params(_perturb_projection)),
         "stale-index-evaluate": (
-            2, ["evaluate", "--facet", "transductive"],
-            lambda out: _perturb_projection(out / "preranker.params"),
+            2, ["evaluate", "--facet", "transductive"], _edit_params(_perturb_projection)
         ),
+        "stale-index-table-row": (2, ["link"], _edit_params(_perturb_table_row)),
         "reranker-truncated": (
             2, ["evaluate", "--facet", "polysemous", "--use-reranker"],
             lambda out: _truncate(out / "reranker.params", -3),
@@ -419,9 +454,23 @@ class TestFailureExitCodes:
                 (out / "preranker.params").read_bytes() + b"\0"
             ),
         ),
-        "projection-row-count": (
-            2, ["index"], lambda out: _drop_projection_rows(out / "preranker.params")
+        "projection-row-count": (2, ["index"], _edit_params(_drop_projection_rows)),
+        "table-ids-unsorted": (
+            2, ["index"], _edit_params(_set_table_id(0, lambda header, ids: ids[1] + 1))
         ),
+        "table-ids-duplicated": (
+            2, ["index"], _edit_params(_set_table_id(1, lambda header, ids: ids[0]))
+        ),
+        "table-ids-negative": (
+            2, ["index"], _edit_params(_set_table_id(0, lambda header, ids: -1))
+        ),
+        "table-ids-out-of-range": (
+            2, ["index"], _edit_params(_set_table_id(-1, lambda header, ids: header["buckets"]))
+        ),
+        "table-row-count": (2, ["index"], _edit_params(_drop_table_row)),
+        "table-buckets-too-few": (2, ["index"], _edit_params(_shrink_buckets)),
+        "table-hidden-mismatch": (2, ["index"], _edit_params(_widen_hidden)),
+        "table-seed-negative": (2, ["index"], _edit_params(_negative_seed)),
         "thresholds-empty-record": (
             2, ["detect"], lambda out: (out / "thresholds.jsonl").write_text("{}\n")
         ),
@@ -449,4 +498,6 @@ class TestFailureExitCodes:
         assert len(err.strip().splitlines()) == 1, err
         assert "Traceback" not in err
         assert err.strip().endswith("run index") == case.startswith("stale-index")
+        if case.startswith("table-"):
+            assert "preranker.params" in err
         assert {p.name: file_hash(p) for p in out.glob("*.params")} == before

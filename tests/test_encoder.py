@@ -137,14 +137,28 @@ class TestEntryEmbed:
 # One forward: serving and training against a per-text reference
 
 
+def dense_stream(config, seed):
+    """``init_params``' draws written out densely: the whole (buckets,
+    hidden) table, then the slot and entry projections, from one stream."""
+    rng = np.random.default_rng(seed)
+    table_bound = 1.0 / np.sqrt(config.hidden)
+    proj_bound = 1.0 / np.sqrt(2 * config.hidden)
+    table = rng.uniform(-table_bound, table_bound, size=(config.buckets, config.hidden))
+    projections = [rng.uniform(-proj_bound, proj_bound, size=(2 * config.hidden, config.dim))
+                   for _ in range(2)]
+    return table, *projections
+
+
 def reference_segment(params, text):
-    """Weighted mean of the feature-table rows of one text."""
+    """Weighted mean of the rows of one text in the dense init table: the
+    reference forward never reads the params' own table."""
     counts = featurize(text, params.buckets)
     if not counts:
         return np.zeros(params.hidden)
     ids = np.array(list(counts.keys()))
     weights = np.array(list(counts.values()), dtype=np.float64)
-    return (weights / weights.sum()) @ params.feature_table[ids]
+    config = EncoderConfig(dim=params.dim, hidden=params.hidden, buckets=params.buckets)
+    return (weights / weights.sum()) @ dense_stream(config, params.rng_seed)[0][ids]
 
 
 def unit(vector):
@@ -190,6 +204,38 @@ def forward_world(n_entities=150):
         for i, fact in enumerate(facts)
     ]
     return store, alignments
+
+
+class TestSparseTable:
+    def test_init_holds_no_rows_and_draws_the_projections(self):
+        params = init_params(CONFIG, seed=7)
+        _, slot, entry = dense_stream(CONFIG, 7)
+        assert params.feature_table.shape == (0, CONFIG.hidden)
+        assert params.table_ids.dtype == np.int64 and len(params.table_ids) == 0
+        assert np.array_equal(params.slot_projection, slot)
+        assert np.array_equal(params.entry_projection, entry)
+
+    def test_every_row_is_the_dense_init_row(self):
+        params = init_params(CONFIG, seed=7)
+        table = dense_stream(CONFIG, 7)[0]
+        # repeated, unsorted ids in runs and singletons, drawn in two calls
+        first = np.array([300, 5, 6, 7, 5, 511, 0, 299])
+        positions = params.rows_of(first)  # before reading the table it grows
+        assert np.array_equal(params.feature_table[positions], table[first])
+        assert np.array_equal(params.table_ids, np.unique(first))
+        positions = params.rows_of(np.arange(CONFIG.buckets))
+        assert np.array_equal(positions, np.arange(CONFIG.buckets))
+        assert np.array_equal(params.feature_table, table)
+
+    def test_held_rows_are_kept(self):
+        params = init_params(CONFIG, seed=7)
+        learned = params.rows_of(np.array([3, 9]))
+        params.feature_table[learned] += 1.0
+        params.rows_of(np.array([1, 4, 10]))
+        table = dense_stream(CONFIG, 7)[0]
+        assert params.table_ids.tolist() == [1, 3, 4, 9, 10]
+        assert np.array_equal(params.feature_table[[1, 3]], table[[3, 9]] + 1.0)
+        assert np.array_equal(params.feature_table[[0, 2, 4]], table[[1, 4, 10]])
 
 
 class TestOneForward:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import entity, make_alignment, predicate
-from factlink.encoder import EncoderConfig, ReferenceEncoder, init_params
+from factlink.encoder import (
+    EncoderConfig,
+    ReferenceEncoder,
+    init_params,
+    load_params,
+    save_params,
+)
 from factlink.errors import DuplicateIdError, EmptyTrainingSetError
 from factlink.kg import KgFact, build_store
 from factlink.preranker import (
@@ -345,6 +351,27 @@ class TestTrainPreranker:
         assert np.array_equal(params_a.slot_projection, params_b.slot_projection)
         assert np.array_equal(params_a.entry_projection, params_b.entry_projection)
 
+    def test_resume_from_saved_params_is_bitwise_in_memory_resume(self, tmp_path):
+        store, alignments = tiny_world()
+        config = PrerankTrainConfig(
+            epochs=2, learning_rate=0.2, batch_size=2, seed=11,
+            global_neg_entities=4, global_neg_predicates=2,
+        )
+        params, trace = train_preranker(alignments, store, config, SMALL_ENCODER)
+        assert 0 < len(params.table_ids) < SMALL_ENCODER.buckets
+        save_params(params, tmp_path / "preranker.params", tau=trace[-1]["tau"])
+        loaded, tau = load_params(tmp_path / "preranker.params")
+        assert tau == trace[-1]["tau"]
+        resume = PrerankTrainConfig(
+            epochs=2, learning_rate=0.2, batch_size=3, seed=12,
+            global_neg_entities=5, global_neg_predicates=2,
+        )
+        from_file = train_preranker(alignments, store, resume, SMALL_ENCODER, loaded, tau)
+        in_memory = train_preranker(alignments, store, resume, SMALL_ENCODER, params, tau)
+        assert from_file[1] == in_memory[1]
+        for name in ("table_ids", "feature_table", "slot_projection", "entry_projection"):
+            assert np.array_equal(getattr(from_file[0], name), getattr(in_memory[0], name))
+
     def test_empty_training_set(self):
         store, _ = tiny_world()
         with pytest.raises(EmptyTrainingSetError):
@@ -396,6 +423,8 @@ class TestTrainPreranker:
             global_neg_entities=2, global_neg_predicates=1, temperature_min=1e-3, seed=4,
         )
         initial = init_params(encoder_config, 2)
+        initial.rows_of(np.arange(encoder_config.buckets))  # perturb all 48 table entries
+        assert initial.feature_table.shape == (16, 3)
         blocks = ("feature_table", "slot_projection", "entry_projection")
 
         def flatten(params, tau):

@@ -339,11 +339,14 @@ PROVENANCE = {"tool_version": "0.1.0", "config_hash": "0123456789abcdef", "seed"
 
 def encoder_case():
     params = init_params(EncoderConfig(dim=4, hidden=3, buckets=16), seed=11)
+    params.rows_of(np.array([2, 3, 9]))
 
     def state(loaded):
         params, tau = loaded
-        blocks = (params.feature_table, params.slot_projection, params.entry_projection)
-        return blocks, {"seed": params.rng_seed, "tau": tau}
+        blocks = (params.table_ids, params.feature_table, params.slot_projection,
+                  params.entry_projection)
+        return blocks, {"seed": params.rng_seed, "buckets": params.buckets,
+                        "hidden": params.hidden, "tau": tau}
 
     return (lambda path: save_params(params, path, tau=0.07, header=PROVENANCE),
             lambda path: state(load_params(path)), state((params, 0.07)))
@@ -387,7 +390,7 @@ class TestPersistence:
         save(path)
         loaded_blocks, loaded_scalars = load(path)
         for loaded, block in zip(loaded_blocks, blocks, strict=True):
-            assert loaded.dtype == np.float64 and loaded.shape == block.shape
+            assert loaded.dtype == block.dtype and loaded.shape == block.shape
             assert loaded.tobytes() == block.tobytes()
         assert loaded_scalars == scalars
         data = path.read_bytes()
