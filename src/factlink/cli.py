@@ -451,21 +451,25 @@ def cmd_train_ookg(config: dict, args) -> int:
         seed=stream_seed(config["seed"], "calibration"),
     )
     grid_size = extras["grid_size"]
+    attention = float(extras["attention_threshold"])
     out = _out_dir(config)
+    indices = build_store_indices(encoder, store)
 
     with np.errstate(**_RAISE_FLOAT_ERRORS):
-        params, trace = train_qkv(alignments, encoder, store, train_config)
+        params, trace = train_qkv(
+            alignments, encoder, indices, train_config, config["with_context"]
+        )
     save_qkv_params(params, out / "qkv.params", header=artifact_header(config))
     write_jsonl(out / "qkv.trace.jsonl", trace, header=artifact_header(config))
 
     if extras["calibrate_thresholds"]:
         thresholds, grid_meta = calibrate_all_thresholds(
-            alignments, build_store_indices(encoder, store), encoder,
-            attention=float(extras["attention_threshold"]), grid_size=grid_size,
+            alignments, indices, encoder, attention=attention, grid_size=grid_size,
             with_context=config["with_context"],
         )
     else:
-        thresholds, grid_meta = OokgThresholds(), {"grid_size": grid_size, "calibrated": False}
+        thresholds = OokgThresholds(attention=attention)
+        grid_meta = {"grid_size": grid_size, "calibrated": False}
     write_jsonl(
         out / "thresholds.jsonl",
         [thresholds_record(thresholds, grid_meta)],

@@ -15,7 +15,7 @@ from .errors import (
     UnknownIdError,
 )
 from .io import iter_jsonl, write_jsonl
-from .kg import KgFact, KgStore
+from .kg import KgFact, KgStore, _validate_fact
 from .text import (
     OBJ_TOKEN,
     REL_TOKEN,
@@ -76,8 +76,8 @@ class Alignment:
 
 
 def oie_uid(triple: OieTriple) -> str:
-    """Stable content-derived id for an OIE triple (used as an embedding
-    import key; extractor tags do not affect the rendered text)."""
+    """Stable content-derived id for an OIE triple, the first part of
+    ``alignment_uid``; extractor tags do not affect it."""
     payload = "\x1f".join(
         (triple.subject, triple.relation, triple.object, triple.sentence or "")
     )
@@ -229,14 +229,12 @@ def oie_text(triple: OieTriple, with_context: bool = False) -> str:
 
 
 def check_training_set(alignments: Sequence[Alignment], store: KgStore, role: str) -> None:
-    """A trainer's input check: at least one alignment, every fact id in
-    the store."""
+    """A trainer's input check: at least one alignment, every fact id an
+    entry of the store of its slot's kind."""
     if not alignments:
         raise EmptyTrainingSetError(f"no {role} alignments")
     for alignment in alignments:
-        for entry_id in alignment.fact.ids:
-            if entry_id not in store:
-                raise UnknownIdError(f"alignment fact references unknown id {entry_id!r}")
+        _validate_fact(alignment.fact, store.entries, where="alignment ")
 
 
 # ---------------------------------------------------------------------------

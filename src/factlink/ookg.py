@@ -10,13 +10,13 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Alignment, alignment_uid, check_training_set
+from .corpus import Alignment, alignment_uid
 from .encoder import ReferenceEncoder
 from .errors import (
-    DataError, EmptyKeySetError, MalformedRecordError, UnknownIdError, require_finite,
+    DataError, EmptyKeySetError, EmptyTrainingSetError, MalformedRecordError, UnknownIdError,
+    require_finite,
 )
 from .io import load_arrays, reading_artifact, save_arrays
-from .kg import KgStore
 from .preranker import EmbeddingIndex, topk
 from .reranker import _sigmoid, bce_grad, bce_loss
 
@@ -173,38 +173,27 @@ class QkvTrainConfig:
             raise ValueError("weight_decay must be >= 0")
 
 
-def _store_keys(
-    encoder: ReferenceEncoder, store: KgStore
-) -> tuple[np.ndarray, dict[str, int], tuple[tuple[int, int], tuple[int, int]]]:
-    """The store's entity then predicate embeddings as one key matrix, each
-    entry's row, and the (start, count) row span of each kind."""
-    entity_ids, predicate_ids = store.entity_ids(), store.predicate_ids()
-    ids = entity_ids + predicate_ids
-    # single-entry forwards, as an entry_embed cache miss computes them: a
-    # batched forward can differ in the last bits
-    key_matrix = np.stack([encoder.entry_embed(store.entry(eid)) for eid in ids])
-    spans = ((0, len(entity_ids)), (len(entity_ids), len(predicate_ids)))
-    return key_matrix, {eid: row for row, eid in enumerate(ids)}, spans
-
-
 def train_qkv(
     alignments: Sequence[Alignment],
     encoder: ReferenceEncoder,
-    store: KgStore,
+    indices: tuple[EmbeddingIndex, EmbeddingIndex],
     config: QkvTrainConfig,
+    with_context: bool = False,
 ) -> tuple[QkvParams, list[dict]]:
     """Train the attention head with binary cross-entropy.
 
-    Per alignment and slot, a key subset of the matching kind is sampled
-    from the store: the gold entry is dropped with the configured
-    probability (label 0) or kept (label 1), the remainder filled with
-    uniformly drawn non-matching entries.
+    Per alignment and slot, a key subset is sampled from the (entity,
+    predicate) ``indices`` entry of the slot's kind: the gold row is dropped
+    with the configured probability (label 0) or kept (label 1), the
+    remainder filled with uniformly drawn other rows. Keys are index rows
+    cast to float64, as ``QkvDetector`` reads them; a gold id missing from
+    its kind's index is an UnknownIdError.
     """
-    check_training_set(alignments, store, "calibration")
+    if not alignments:
+        raise EmptyTrainingSetError("no calibration alignments")
 
     params = QkvParams.identity(encoder.dim)
     rng = np.random.default_rng(config.seed)
-    key_matrix, rows, spans = _store_keys(encoder, store)
     lr = config.learning_rate
     wd = config.weight_decay
     shrink = 1.0 - lr * wd
@@ -217,18 +206,17 @@ def train_qkv(
         n_examples = 0
         for i in order:
             alignment = alignments[i]
-            queries = encoder.slot_embed(alignment.oie)
-            gold_ids = alignment.fact.ids
-            for slot in range(3):
-                start, n = spans[slot == 1]
-                gold = rows[gold_ids[slot]]
-                g = gold - start if start <= gold < start + n else n  # other kind: none excluded
-                others = n - (g < n)
+            queries = encoder.slot_embed(alignment.oie, with_context)
+            for slot, gold_id in enumerate(alignment.fact.ids):
+                index = indices[slot == 1]
+                gold = index.row(gold_id)
                 keep_gold = bool(rng.random() >= config.gold_drop_prob)
-                fill = min(config.subset_size - (1 if keep_gold else 0), others)
-                picks = rng.choice(others, size=fill, replace=False)
-                picks += start + (picks >= g)  # key-matrix rows, skipping the gold
-                keys = key_matrix[np.concatenate(([gold], picks)) if keep_gold else picks]
+                fill = min(config.subset_size - (1 if keep_gold else 0), len(index) - 1)
+                rows = rng.choice(len(index) - 1, size=fill, replace=False)
+                rows += rows >= gold  # index rows, skipping the gold's
+                if keep_gold:
+                    rows = np.concatenate(([gold], rows))
+                keys = index.matrix[rows].astype(np.float64)
                 label = 1.0 if keep_gold else 0.0
 
                 query = queries[slot]
@@ -517,39 +505,6 @@ def ookg_evaluate(
     )
 
 
-def collect_statistics(
-    alignments: Sequence[Alignment],
-    indices: tuple[EmbeddingIndex, EmbeddingIndex],
-    encoder: ReferenceEncoder,
-    with_context: bool = False,
-) -> dict:
-    """Per-slot (statistic, is_out) calibration samples from the paired
-    imputed/removed protocol, for both the confidence and entropy
-    statistics."""
-    samples = {
-        "confidence": [([], []) for _ in range(3)],
-        "entropy": [([], []) for _ in range(3)],
-    }
-
-    class _Collector:
-        def decide(self, query, index, slot, gold_id):
-            top1, h = _support_statistics(query, index)
-            samples["confidence"][slot][0].append(top1)
-            samples["entropy"][slot][0].append(h)
-            return Decision.IN_KG, top1
-
-    # run the protocol once; scenario labels arrive through the records
-    report = ookg_evaluate(
-        _Collector(), alignments, indices, encoder, with_context, collect_records=True
-    )
-    for record in report.records:
-        slot = ("subject", "relation", "object").index(record["slot"])
-        is_out = record["scenario"] == "removed"
-        samples["confidence"][slot][1].append(is_out)
-        samples["entropy"][slot][1].append(is_out)
-    return samples
-
-
 def calibrate_all_thresholds(
     alignments: Sequence[Alignment],
     indices: tuple[EmbeddingIndex, EmbeddingIndex],
@@ -559,25 +514,28 @@ def calibrate_all_thresholds(
     with_context: bool = False,
 ) -> tuple[OokgThresholds, dict]:
     """Grid-calibrate per-slot confidence and entropy thresholds on a
-    hold-out set; returns thresholds plus grid metadata."""
-    samples = collect_statistics(alignments, indices, encoder, with_context)
+    hold-out set, from the statistics of one paired imputed/removed
+    protocol run; returns thresholds plus grid metadata."""
+    samples: list[list[tuple[float, float, bool]]] = [[], [], []]
+
+    class _Collector:
+        def decide(self, query, index, slot, gold_id):
+            top1, h = _support_statistics(query, index)
+            samples[slot].append((top1, h, gold_id not in index))
+            return Decision.IN_KG, top1
+
+    ookg_evaluate(_Collector(), alignments, indices, encoder, with_context)
     confidence = []
     entropy_thresholds = []
     ranges: dict = {"grid_size": grid_size, "statistic_ranges": {}}
-    for slot in range(3):
-        stats_c, labels_c = samples["confidence"][slot]
-        stats_e, labels_e = samples["entropy"][slot]
-        confidence.append(calibrate_threshold(stats_c, labels_c, "below", grid_size))
+    for slot, slot_samples in enumerate(samples):
+        top1, h, is_out = (np.array(column) for column in zip(*slot_samples))
+        confidence.append(calibrate_threshold(top1, is_out, "below", grid_size))
         entropy_thresholds.append(
-            min(calibrate_threshold(stats_e, labels_e, "above", grid_size),
-                float(np.log(TOP_SUPPORT)))
+            min(calibrate_threshold(h, is_out, "above", grid_size), float(np.log(TOP_SUPPORT)))
         )
-        ranges["statistic_ranges"][f"confidence[{slot}]"] = [
-            float(np.min(stats_c)), float(np.max(stats_c))
-        ]
-        ranges["statistic_ranges"][f"entropy[{slot}]"] = [
-            float(np.min(stats_e)), float(np.max(stats_e))
-        ]
+        ranges["statistic_ranges"][f"confidence[{slot}]"] = [float(top1.min()), float(top1.max())]
+        ranges["statistic_ranges"][f"entropy[{slot}]"] = [float(h.min()), float(h.max())]
     thresholds = OokgThresholds(
         confidence=tuple(np.clip(confidence, 1e-9, 1 - 1e-9)),
         entropy=tuple(entropy_thresholds),

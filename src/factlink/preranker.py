@@ -62,6 +62,9 @@ class EmbeddingIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def __contains__(self, entry_id: str) -> bool:
+        return entry_id in self._row_index
+
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[1])

@@ -53,15 +53,7 @@ class SplitResult:
 
 
 def compute_stats(alignments: Sequence[Alignment]) -> SplitStats:
-    entities: set[str] = set()
-    predicates: set[str] = set()
-    facts: set[tuple[str, str, str]] = set()
-    for alignment in alignments:
-        fact = alignment.fact
-        entities.add(fact.subject_id)
-        entities.add(fact.object_id)
-        predicates.add(fact.predicate_id)
-        facts.add(fact.ids)
+    entities, predicates, facts = _seen_sets(alignments)
     return SplitStats(
         samples=len(alignments),
         unique_entities=len(entities),

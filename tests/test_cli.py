@@ -128,6 +128,46 @@ class TestTraining:
         assert record["entropy"] == [1.60, 1.58, 1.60]
         assert record["attention"] == [0.3, 0.3, 0.3]
 
+    def test_attention_threshold_without_calibration(self, pipeline, tmp_path):
+        directory, config_path = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        assert run(config_path, "--out-dir", str(out),
+                   "--set", "ookg.attention_threshold=0.6", "train-ookg") == 0
+        (record,) = read_jsonl(out / "thresholds.jsonl")
+        assert record["attention"] == [0.6, 0.6, 0.6]
+        assert record["grid"] == {"grid_size": 200, "calibrated": False}
+
+    def test_calibrated_thresholds(self, pipeline, tmp_path):
+        directory, config_path = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        argv = ("--out-dir", str(out), "--set", "ookg.calibrate_thresholds=true")
+        assert run(config_path, *argv, "train-ookg") == 0
+        written = (out / "thresholds.jsonl").read_bytes()
+        (record,) = read_jsonl(out / "thresholds.jsonl")
+        assert all(0.0 < t < 1.0 for t in record["confidence"])
+        assert all(0.0 <= t <= np.log(5) for t in record["entropy"])
+        assert record["grid"]["grid_size"] == 200
+        assert sorted(record["grid"]["statistic_ranges"]) == sorted(
+            f"{name}[{slot}]" for name in ("confidence", "entropy") for slot in range(3)
+        )
+        assert (record["confidence"], record["entropy"]) != (
+            [0.235, 0.260, 0.235], [1.60, 1.58, 1.60]
+        )
+
+        # each detector decides by the calibrated record's per-slot thresholds
+        slots = ("subject", "relation", "object")
+        for detector, out_when in (("confidence", np.less), ("entropy", np.greater)):
+            assert run(config_path, *argv, "detect", "--detector", detector) == 0
+            for row in read_jsonl(out / f"detection-{detector}.jsonl"):
+                threshold = record[detector][slots.index(row["slot"])]
+                decided_out = bool(out_when(row["statistic"], threshold))
+                assert row["decision"] == ("out-of-kg" if decided_out else "in-kg")
+
+        assert run(config_path, *argv, "train-ookg") == 0
+        assert (out / "thresholds.jsonl").read_bytes() == written
+
     def test_resume_continues(self, pipeline):
         directory, config_path = pipeline
         before = file_hash(directory / "out" / "preranker.params")
@@ -354,6 +394,15 @@ def _widen_hidden(header, arrays):
     header["hidden"] += 1
 
 
+def _predicate_as_first_subject(out):
+    """The first training alignment's subject slot holds its predicate id."""
+    path = out / "alignments.jsonl"
+    header, first, rest = path.read_text("utf-8").split("\n", 2)
+    record = json.loads(first)
+    record["subject_id"] = record["predicate_id"]
+    path.write_text("\n".join((header, json.dumps(record), rest)), "utf-8")
+
+
 def _negative_seed(header, arrays):
     """Rows not held are drawn from this seed's stream."""
     header["rng_seed"] = -1
@@ -426,6 +475,7 @@ class TestFailureExitCodes:
             3, ["--set", "reranker.learning_rate=1e9", "train-reranker"], None
         ),
         "qkv-diverges": (3, ["--set", "ookg.learning_rate=1e12", "train-ookg"], None),
+        "alignment-slot-kind": (2, ["train-preranker"], _predicate_as_first_subject),
         "qkv-garbage-header": (
             2, ["detect", "--detector", "qkv"],
             lambda out: _replace_header(out / "qkv.params", b"garbage"),

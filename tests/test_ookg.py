@@ -277,9 +277,9 @@ def calibration_setup():
     return store, alignments, ReferenceEncoder(params)
 
 
-def reference_train_qkv(alignments, encoder, store, config):
+def reference_train_qkv(alignments, encoder, store, indices, config, with_context=False):
     """The straightforward per-example trainer: object-array inventories,
-    one entry_embed per sampled id, every key projected, d x d gradients."""
+    one index-row lookup per sampled id, every key projected, d x d gradients."""
     params = QkvParams.identity(encoder.dim)
     rng = np.random.default_rng(config.seed)
     entity_ids = np.array(store.entity_ids(), dtype=object)
@@ -292,7 +292,7 @@ def reference_train_qkv(alignments, encoder, store, config):
         epoch_loss, n_examples = 0.0, 0
         for i in order:
             alignment = alignments[i]
-            queries = encoder.slot_embed(alignment.oie)
+            queries = encoder.slot_embed(alignment.oie, with_context)
             gold_ids = alignment.fact.ids
             for slot in range(3):
                 inventory = predicate_ids if slot == 1 else entity_ids
@@ -301,7 +301,8 @@ def reference_train_qkv(alignments, encoder, store, config):
                 fill = min(config.subset_size - (1 if keep_gold else 0), len(others))
                 chosen = others[rng.choice(len(others), size=fill, replace=False)]
                 subset = ([gold_ids[slot]] if keep_gold else []) + list(chosen)
-                keys = np.stack([encoder.entry_embed(store.entry(eid)) for eid in subset])
+                index = indices[slot == 1]
+                keys = index.matrix[[index.row(eid) for eid in subset]].astype(np.float64)
                 label = 1.0 if keep_gold else 0.0
                 query = queries[slot]
 
@@ -333,17 +334,28 @@ def reference_train_qkv(alignments, encoder, store, config):
 class TestTrainQkv:
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
     @pytest.mark.parametrize("gold_drop_prob", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("subset_size", [4, 10])  # 10 > the 6 predicates: fill capped
+    @pytest.mark.parametrize(  # 10 > the 6 predicates: fill capped
+        "subset_size, with_context", [(4, False), (10, False), (10, True)],
+        ids=["4", "10", "10-context"],
+    )
     def test_matches_reference_loop(
-        self, calibration_setup, weight_decay, gold_drop_prob, subset_size
+        self, calibration_setup, weight_decay, gold_drop_prob, subset_size, with_context
     ):
         store, alignments, encoder = calibration_setup
+        if with_context:
+            alignments = [
+                dataclasses.replace(a, oie=dataclasses.replace(a.oie, sentence=f"Record {i}."))
+                for i, a in enumerate(alignments)
+            ]
+        indices = build_store_indices(encoder, store)
         config = QkvTrainConfig(
             epochs=2, learning_rate=0.05, weight_decay=weight_decay,
             subset_size=subset_size, gold_drop_prob=gold_drop_prob, seed=2,
         )
-        params, trace = train_qkv(alignments, encoder, store, config)
-        expected, expected_trace = reference_train_qkv(alignments, encoder, store, config)
+        params, trace = train_qkv(alignments, encoder, indices, config, with_context)
+        expected, expected_trace = reference_train_qkv(
+            alignments, encoder, store, indices, config, with_context
+        )
         for name in ("q_proj", "k_proj", "v_proj"):
             np.testing.assert_allclose(
                 getattr(params, name), getattr(expected, name), rtol=0, atol=1e-12
@@ -357,19 +369,29 @@ class TestTrainQkv:
     def test_loss_decreases(self, calibration_setup):
         store, alignments, encoder = calibration_setup
         config = QkvTrainConfig(epochs=6, learning_rate=0.05, subset_size=12, seed=0)
-        _, trace = train_qkv(alignments, encoder, store, config)
+        _, trace = train_qkv(alignments, encoder, build_store_indices(encoder, store), config)
         assert trace[-1]["mean_loss"] < trace[0]["mean_loss"]
 
     def test_seeded_reproducible(self, calibration_setup):
         store, alignments, encoder = calibration_setup
         config = QkvTrainConfig(epochs=2, learning_rate=0.05, subset_size=8, seed=3)
-        a, trace_a = train_qkv(alignments, encoder, store, config)
-        b, trace_b = train_qkv(alignments, encoder, store, config)
+        indices = build_store_indices(encoder, store)
+        a, trace_a = train_qkv(alignments, encoder, indices, config)
+        b, trace_b = train_qkv(alignments, encoder, indices, config)
         assert trace_a == trace_b
         assert np.array_equal(a.q_proj, b.q_proj)
         assert np.array_equal(a.k_proj, b.k_proj)
         assert np.array_equal(a.v_proj, b.v_proj)
         assert (a.scale, a.bias) == (b.scale, b.bias)
+
+    def test_gold_missing_from_its_index_rejected(self, calibration_setup):
+        store, alignments, encoder = calibration_setup
+        entity_index, _ = build_store_indices(encoder, store)
+        gold = alignments[0].fact.predicate_id
+        config = QkvTrainConfig(epochs=1, learning_rate=0.05, subset_size=4, seed=0)
+        # the relation slot reads the entity index, which lacks its predicate
+        with pytest.raises(UnknownIdError, match=re.escape(repr(gold))):
+            train_qkv(alignments[:1], encoder, (entity_index, entity_index), config)
 
     def test_gold_always_kept_single_key_reduces_to_identity_case(self, calibration_setup):
         store, alignments, encoder = calibration_setup
@@ -388,7 +410,7 @@ class TestTrainQkv:
         held_out = alignments[::4]
         train = [a for a in alignments if a not in held_out]
         config = QkvTrainConfig(epochs=10, learning_rate=0.05, subset_size=12, seed=1)
-        params, _ = train_qkv(train, encoder, store, config)
+        params, _ = train_qkv(train, encoder, build_store_indices(encoder, store), config)
         from factlink.ookg import QkvDetector
 
         detector = QkvDetector(params, OokgThresholds(attention=0.5), key_pool=12)
@@ -450,7 +472,7 @@ class TestEvaluateProtocol:
 
         class OracleDetector:
             def decide(self, query, index, slot, gold_id):
-                present = gold_id in index._row_index
+                present = gold_id in index
                 return (Decision.IN_KG if present else Decision.OUT_OF_KG), float(present)
 
         report = ookg_evaluate(
