@@ -428,8 +428,12 @@ def cmd_train_reranker(config: dict, args) -> int:
     out = _out_dir(config)
 
     with np.errstate(**_RAISE_FLOAT_ERRORS):
-        neighbors = store_neighbor_lists(encoder, store, train_config.hard_negative_pool)
-        params, trace = train_reranker(alignments, encoder, store, train_config, neighbors)
+        indices = build_store_indices(encoder, store)
+        neighbors = store_neighbor_lists(indices, train_config.hard_negative_pool)
+        masked = build_store_indices(encoder, store, mask_description=True)
+        params, trace = train_reranker(
+            alignments, encoder, indices, train_config, neighbors, masked
+        )
     save_cross_params(params, out / "reranker.params", header=artifact_header(config))
     write_jsonl(out / "reranker.trace.jsonl", trace, header=artifact_header(config))
     write_neighbor_lists(out / "neighbors.jsonl", neighbors, header=artifact_header(config))
@@ -557,7 +561,7 @@ def cmd_evaluate(config: dict, args) -> int:
         linker = random_baseline(eval_store, seed=stream_seed(config["seed"], "baseline"))
     else:
         encoder = _load_encoder(config)
-        entity_index, predicate_index = _store_indices(config, encoder, eval_store)
+        indices = entity_index, predicate_index = _store_indices(config, encoder, eval_store)
         if args.use_reranker:
             k = _positive_int(rerank_k, "--rerank-k / rerank_k")
             scorer = load_cross_params(_input_path(
@@ -568,8 +572,7 @@ def cmd_evaluate(config: dict, args) -> int:
             def linker(triple):
                 result = link(encoder, entity_index, predicate_index, triple, k, with_context)
                 best, _scores = rerank(
-                    scorer, encoder, eval_store, triple,
-                    enumerate_candidates(result), with_context,
+                    scorer, encoder, indices, triple, enumerate_candidates(result), with_context
                 )
                 return best.to_fact()
 

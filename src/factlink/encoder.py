@@ -256,8 +256,8 @@ def encode_batch(
 
 class ReferenceEncoder:
     """Inference wrapper over frozen reference-encoder params: every
-    embedding is a cached row of ``encode_batch``, so slots see cross-slot
-    context through the triple segment. Caches assume frozen params."""
+    embedding is a row of ``encode_batch``, so slots see cross-slot context
+    through the triple segment. Single lookups are cached for frozen params."""
 
     def __init__(self, params: ReferenceEncoderParams):
         self.params = params
@@ -279,23 +279,19 @@ class ReferenceEncoder:
         return embeddings
 
     def entry_embed(self, entry: KgEntry, mask_description: bool = False) -> np.ndarray:
-        hit = self._entry_cache.get((entry.id, mask_description or entry.description is None))
-        return hit if hit is not None else self.entry_embeds([entry], mask_description)[0]
+        key = (entry.id, mask_description or entry.description is None)
+        hit = self._entry_cache.get(key)
+        if hit is None:
+            hit = self._entry_cache[key] = self.entry_embeds([entry], mask_description)[0]
+        return hit
 
     def entry_embeds(
         self, entries: Sequence[KgEntry], mask_description: bool = False
     ) -> np.ndarray:
-        """Stacked entry embeddings; the uncached entries share one forward."""
-        keys = [(e.id, mask_description or e.description is None) for e in entries]
-        missing = {k: e for k, e in zip(keys, entries) if k not in self._entry_cache}
-        if missing:
-            texts = [(e.label, "" if masked else e.description)
-                     for (_, masked), e in missing.items()]
-            vectors = encode_batch(self.params, self.hasher, (), texts).entry_vectors
-            self._entry_cache.update(zip(missing, vectors))
-            if len(missing) == len(keys):  # the cache's rows, not a second copy
-                return vectors
-        return np.stack([self._entry_cache[key] for key in keys])
+        """Stacked entry embeddings of one forward over ``entries``; no cache."""
+        texts = [(e.label, "" if mask_description or e.description is None else e.description)
+                 for e in entries]
+        return encode_batch(self.params, self.hasher, (), texts).entry_vectors
 
 
 # ---------------------------------------------------------------------------

@@ -81,12 +81,18 @@ class KgStore:
 
     entries: Mapping[str, KgEntry]
     facts: tuple[KgFact, ...]
-    surface_index: Mapping[str, frozenset[str]]
     case_fold: bool = False
     fact_set: frozenset[KgFact] = field(init=False)
+    surface_index: Mapping[str, frozenset[str]] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fact_set", frozenset(self.facts))
+        surface: dict[str, set[str]] = {}
+        for entry in self.entries.values():
+            if entry.kind is EntryKind.ENTITY:
+                for form in (entry.label, *entry.aliases):
+                    surface.setdefault(normalize_surface(form, self.case_fold), set()).add(entry.id)
+        object.__setattr__(self, "surface_index", {k: frozenset(v) for k, v in surface.items()})
 
     def entry(self, entry_id: str) -> KgEntry:
         try:
@@ -105,11 +111,7 @@ class KgStore:
 
 
 def _validate_fact(fact: KgFact, entries: Mapping[str, KgEntry], where: str = "") -> None:
-    for entry_id, want in (
-        (fact.subject_id, EntryKind.ENTITY),
-        (fact.predicate_id, EntryKind.PREDICATE),
-        (fact.object_id, EntryKind.ENTITY),
-    ):
+    for entry_id, want in zip(fact.ids, (EntryKind.ENTITY, EntryKind.PREDICATE, EntryKind.ENTITY)):
         entry = entries.get(entry_id)
         if entry is None:
             raise DanglingFactError(f"{where}fact references unknown id {entry_id!r}")
@@ -131,24 +133,10 @@ def build_store(
             raise DuplicateIdError(f"duplicate entry id {entry.id!r}")
         entry_map[entry.id] = entry
 
-    unique_facts = dict.fromkeys(facts)
+    unique_facts = tuple(dict.fromkeys(facts))
     for fact in unique_facts:
         _validate_fact(fact, entry_map)
-
-    surface: dict[str, set[str]] = {}
-    for entry in entry_map.values():
-        if entry.kind is not EntryKind.ENTITY:
-            continue
-        for form in (entry.label, *entry.aliases):
-            key = normalize_surface(form, case_fold)
-            surface.setdefault(key, set()).add(entry.id)
-
-    return KgStore(
-        entries=entry_map,
-        facts=tuple(unique_facts),
-        surface_index={k: frozenset(v) for k, v in surface.items()},
-        case_fold=case_fold,
-    )
+    return KgStore(entry_map, unique_facts, case_fold)
 
 
 def _parse_entry(record: dict, line_number: int) -> KgEntry:
@@ -195,7 +183,7 @@ def load_kg(
     Entry records: {id, kind: "entity"|"predicate", label, description?, aliases?}.
     Fact records: {subject, predicate, object}. Errors name the offending line.
     """
-    entries: list[KgEntry] = []
+    entry_map: dict[str, KgEntry] = {}
     seen_ids: dict[str, int] = {}
     for line_number, record in iter_jsonl(entries_path):
         entry = _parse_entry(record, line_number)
@@ -205,16 +193,15 @@ def load_kg(
                 f"(first seen on line {seen_ids[entry.id]})"
             )
         seen_ids[entry.id] = line_number
-        entries.append(entry)
+        entry_map[entry.id] = entry
 
-    entry_map = {e.id: e for e in entries}
     facts: list[KgFact] = []
     for line_number, record in iter_jsonl(facts_path):
         fact = _parse_fact(record, line_number)
         _validate_fact(fact, entry_map, where=f"line {line_number}: ")
         facts.append(fact)
 
-    return build_store(entries, facts, case_fold=case_fold)
+    return KgStore(entry_map, tuple(dict.fromkeys(facts)), case_fold)
 
 
 def _fact_member_ids(fact: KgFact) -> set[str]:

@@ -13,8 +13,7 @@ import numpy as np
 from .corpus import Alignment, alignment_uid
 from .encoder import ReferenceEncoder
 from .errors import (
-    DataError, EmptyKeySetError, EmptyTrainingSetError, MalformedRecordError, UnknownIdError,
-    require_finite,
+    DataError, EmptyKeySetError, EmptyTrainingSetError, MalformedRecordError, require_finite,
 )
 from .io import load_arrays, reading_artifact, save_arrays
 from .preranker import EmbeddingIndex, topk
@@ -405,7 +404,7 @@ class QkvDetector:
         top = topk(index, query, self.key_pool)
         if not top:  # an empty store variant cannot contain the referent
             return Decision.OUT_OF_KG, 0.0
-        keys = index.matrix[[index.row(i) for i, _ in top]].astype(np.float64)
+        keys = index.vectors(i for i, _ in top)
         score = qkv_score(self.params, query, keys)
         decision = Decision.OUT_OF_KG if score < self.thresholds.attention else Decision.IN_KG
         return decision, score
@@ -455,13 +454,14 @@ def ookg_evaluate(
     decision), and their row subsets with all of them absent (a hit is an
     out-of-KG decision). Slot accuracy averages the two scenario trial sets;
     fact accuracy requires all three slot decisions correct within a trial.
+    A gold id missing from its slot kind's index is an UnknownIdError.
     """
     if not alignments:
         raise DataError("no alignments to evaluate")
+    for alignment in alignments:  # each slot against its own kind's index
+        for slot, entry_id in enumerate(alignment.fact.ids):
+            indices[slot == 1].row(entry_id)
     gold = {entry_id for alignment in alignments for entry_id in alignment.fact.ids}
-    missing = gold.difference(*(index.ids for index in indices))
-    if missing:
-        raise UnknownIdError(f"gold entries missing from store: {sorted(missing)}")
     variants = {
         "imputed": indices,
         "removed": tuple(index.subset([i not in gold for i in index.ids]) for index in indices),

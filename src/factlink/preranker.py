@@ -75,6 +75,10 @@ class EmbeddingIndex:
         except KeyError:
             raise UnknownIdError(f"id {entry_id!r} not in index") from None
 
+    def vectors(self, ids: Iterable[str]) -> np.ndarray:
+        """The rows of ``ids`` as float64: the re-ranker's and QKV head's entry vectors."""
+        return self.matrix[[self.row(entry_id) for entry_id in ids]].astype(np.float64)
+
     def subset(self, keep: Sequence[bool]) -> "EmbeddingIndex":
         """The rows where ``keep`` is true, in row order. Rows normalize
         independently, so this is bitwise ``build_index`` over those entries."""
@@ -105,7 +109,6 @@ def build_index(
         seen.add(entry_id)
         ids.append(entry_id)
     if not embeddings:
-        dim = 0
         matrix = np.zeros((0, 0), dtype=np.float32)
     else:
         matrix = np.stack([np.asarray(v, dtype=np.float64) for _, v in embeddings])
@@ -159,7 +162,7 @@ def link(
 
 
 def embed_entries(
-    encoder: ReferenceEncoder, entries: Iterable[KgEntry]
+    encoder: ReferenceEncoder, entries: Iterable[KgEntry], mask_description: bool = False
 ) -> list[tuple[str, np.ndarray]]:
     """(id, embedding) per entry, in chunks: one forward over a whole store
     would allocate hundreds of MB of temporaries."""
@@ -167,16 +170,16 @@ def embed_entries(
     embedded = []
     for start in range(0, len(entries), _EMBED_CHUNK):
         chunk = entries[start : start + _EMBED_CHUNK]
-        embedded.extend(zip((e.id for e in chunk), encoder.entry_embeds(chunk)))
+        embedded.extend(zip((e.id for e in chunk), encoder.entry_embeds(chunk, mask_description)))
     return embedded
 
 
 def build_store_indices(
-    encoder: ReferenceEncoder, store: KgStore
+    encoder: ReferenceEncoder, store: KgStore, mask_description: bool = False
 ) -> tuple[EmbeddingIndex, EmbeddingIndex]:
-    """Entity and predicate indices over every entry of the store."""
-    entities = embed_entries(encoder, (store.entry(i) for i in store.entity_ids()))
-    predicates = embed_entries(encoder, (store.entry(i) for i in store.predicate_ids()))
+    """Entity and predicate indices over every entry of the store (labels only if masked)."""
+    entities = embed_entries(encoder, map(store.entry, store.entity_ids()), mask_description)
+    predicates = embed_entries(encoder, map(store.entry, store.predicate_ids()), mask_description)
     return (
         build_index(entities, IndexKind.ENTITIES),
         build_index(predicates, IndexKind.PREDICATES),

@@ -1,9 +1,10 @@
 """Whole-fact re-ranking over pre-ranked per-slot candidates.
 
 Candidates are the cartesian product of the slot lists; each (OIE, fact)
-pair is scored by a logistic model over fixed cross-features of the frozen
-pre-ranker embeddings, trained with hard negatives drawn from each gold
-entry's nearest neighbors.
+pair is scored by a logistic model over fixed per-slot cross-features of
+the frozen pre-ranker's slot embeddings and store-index rows, trained with
+hard negatives drawn from each gold entry's nearest neighbors. The logit
+is a sum over slots, so ``rerank`` scores each slot's entries once.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Alignment, OieTriple, check_training_set
+from .corpus import Alignment, OieTriple
 from .encoder import ReferenceEncoder
-from .errors import DataError, MalformedRecordError, require_finite
+from .errors import DataError, EmptyTrainingSetError, MalformedRecordError, require_finite
 from .io import load_arrays, reading_artifact, save_arrays, write_jsonl
-from .kg import KgFact, KgStore
-from .preranker import EmbeddingIndex, SlotLinkResult, build_store_indices
+from .kg import KgFact
+from .preranker import EmbeddingIndex, SlotLinkResult
 
 N_SLOT_EXTRAS = 3  # cosine, squared cosine, bias per slot pair
 
@@ -49,14 +50,7 @@ def enumerate_candidates(result: SlotLinkResult) -> list[CandidateFact]:
     """Full cartesian product of the three slot lists in rank-lexicographic
     order (subject rank major)."""
     return [
-        CandidateFact(
-            subject_id=s_id,
-            predicate_id=p_id,
-            object_id=o_id,
-            subject_rank=s_rank,
-            predicate_rank=p_rank,
-            object_rank=o_rank,
-        )
+        CandidateFact(s_id, p_id, o_id, s_rank, p_rank, o_rank)
         for (s_rank, (s_id, _)), (p_rank, (p_id, _)), (o_rank, (o_id, _)) in product(
             enumerate(result.subject), enumerate(result.relation), enumerate(result.object)
         )
@@ -77,46 +71,51 @@ def init_cross_params(dim: int, seed: int = 0) -> CrossScorerParams:
     return CrossScorerParams(weights=np.zeros(6 * dim + 3 * N_SLOT_EXTRAS), bias=0.0, seed=seed)
 
 
+def _slot_features(slot_embedding: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """(n, 2*dim + 3) blocks of one slot embedding against n entry vectors:
+    elementwise product, absolute difference, cosine, its square and 1."""
+    products = entries * slot_embedding
+    cosines = products.sum(axis=1, keepdims=True)  # row by row: equal rows, equal bits
+    return np.concatenate(
+        (products, np.abs(slot_embedding - entries), cosines, cosines * cosines,
+         np.ones_like(cosines)), axis=1
+    )
+
+
 def cross_features(
     encoder: ReferenceEncoder,
-    store: KgStore,
+    indices: tuple[EmbeddingIndex, EmbeddingIndex],
     triple: OieTriple,
     fact: KgFact | CandidateFact,
-    mask_description: bool = False,
     with_context: bool = False,
 ) -> np.ndarray:
-    """Per slot pair: elementwise product and absolute difference of the
-    slot and entry embeddings, their cosine, its square, and a constant 1."""
+    """The subject, relation and object blocks of one OIE/fact pair, with
+    entries read from the (entity, predicate) ``indices``: reading a
+    label-only pair masks the descriptions."""
     slot_embeddings = encoder.slot_embed(triple, with_context)
-    ids = (fact.subject_id, fact.predicate_id, fact.object_id)
-    blocks = []
-    for slot_embedding, entry_id in zip(slot_embeddings, ids):
-        entry_embedding = encoder.entry_embed(store.entry(entry_id), mask_description)
-        cosine = float(slot_embedding @ entry_embedding)
-        blocks.append(slot_embedding * entry_embedding)
-        blocks.append(np.abs(slot_embedding - entry_embedding))
-        blocks.append(np.array([cosine, cosine * cosine, 1.0]))
-    return np.concatenate(blocks)
+    return np.concatenate([
+        _slot_features(slot_embedding, indices[slot == 1].vectors([entry_id]))[0]
+        for slot, (slot_embedding, entry_id) in enumerate(zip(slot_embeddings, fact.ids))
+    ])
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return e / (1.0 + e)
+def _sigmoid(z):
+    """Logistic function of a float or, elementwise, of an array, without
+    overflow: the numerator ``e ** (z < 0)`` is exactly 1 where z >= 0, else e."""
+    e = np.exp(-abs(z))
+    return e ** (z < 0) / (1.0 + e)
 
 
 def score_fact(
     params: CrossScorerParams,
     encoder: ReferenceEncoder,
-    store: KgStore,
+    indices: tuple[EmbeddingIndex, EmbeddingIndex],
     triple: OieTriple,
     fact: KgFact | CandidateFact,
-    mask_description: bool = False,
     with_context: bool = False,
 ) -> float:
     """Sigmoid-normalized similarity of a whole OIE/fact pair, in (0, 1)."""
-    features = cross_features(encoder, store, triple, fact, mask_description, with_context)
+    features = cross_features(encoder, indices, triple, fact, with_context)
     return _sigmoid(float(params.weights @ features) + params.bias)
 
 
@@ -134,21 +133,26 @@ def bce_grad(logit: float, label: float) -> float:
 def rerank(
     params: CrossScorerParams,
     encoder: ReferenceEncoder,
-    store: KgStore,
+    indices: tuple[EmbeddingIndex, EmbeddingIndex],
     triple: OieTriple,
     candidates: Sequence[CandidateFact],
     with_context: bool = False,
 ) -> tuple[CandidateFact, list[float]]:
-    """Highest-scoring candidate; ties keep the earliest (rank-lexicographic)
-    candidate."""
+    """Highest-scoring candidate and every candidate's score; ties keep the
+    earliest candidate. The logit has no cross-slot term, so each slot's
+    distinct entries are scored once and a candidate sums its slots'."""
     if not candidates:
         raise DataError("rerank needs at least one candidate")
-    scores = [
-        score_fact(params, encoder, store, triple, c, with_context=with_context)
-        for c in candidates
-    ]
-    best = max(range(len(candidates)), key=lambda i: (scores[i], -i))
-    return candidates[best], scores
+    block = len(params.weights) // 3
+    logits = np.full(len(candidates), params.bias)
+    slot_embeddings = encoder.slot_embed(triple, with_context)
+    for slot, ids in enumerate(zip(*(c.ids for c in candidates))):
+        distinct = {entry_id: i for i, entry_id in enumerate(dict.fromkeys(ids))}
+        features = _slot_features(slot_embeddings[slot], indices[slot == 1].vectors(distinct))
+        slot_logits = (features * params.weights[slot * block : (slot + 1) * block]).sum(axis=1)
+        logits += slot_logits[[distinct[entry_id] for entry_id in ids]]
+    scores = _sigmoid(logits)
+    return candidates[int(np.argmax(scores))], scores.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +178,13 @@ def build_neighbor_lists(index: EmbeddingIndex, pool: int = 10) -> dict[str, tup
 
 
 def store_neighbor_lists(
-    encoder: ReferenceEncoder, store: KgStore, pool: int
+    indices: tuple[EmbeddingIndex, EmbeddingIndex], pool: int
 ) -> dict[str, tuple[str, ...]]:
-    """Neighbor lists of every entity and every predicate of the store."""
-    entity_index, predicate_index = build_store_indices(encoder, store)
-    neighbors = build_neighbor_lists(entity_index, pool)
-    neighbors.update(build_neighbor_lists(predicate_index, pool))
+    """Neighbor lists of every entity and every predicate of the (entity,
+    predicate) index pair."""
+    neighbors: dict[str, tuple[str, ...]] = {}
+    for index in indices:
+        neighbors.update(build_neighbor_lists(index, pool))
     return neighbors
 
 
@@ -231,48 +236,54 @@ class RerankTrainConfig:
 def train_reranker(
     alignments: Sequence[Alignment],
     encoder: ReferenceEncoder,
-    store: KgStore,
+    indices: tuple[EmbeddingIndex, EmbeddingIndex],
     config: RerankTrainConfig,
     neighbor_lists: dict[str, tuple[str, ...]],
+    masked_indices: tuple[EmbeddingIndex, EmbeddingIndex],
 ) -> tuple[CrossScorerParams, list[dict]]:
     """Binary cross-entropy training: gold pairs are positives, one-slot
     corruptions from top-k neighbor lists are negatives; each scored pair
-    masks entry descriptions independently with the configured probability.
-    Plain SGD with decoupled weight decay; returns params and a per-epoch
-    {epoch, mean_loss} trace. ``neighbor_lists`` come from
-    ``store_neighbor_lists(encoder, store, config.hard_negative_pool)``.
+    reads the label-only pair ``masked_indices`` with the configured
+    probability, else ``indices``. Plain SGD with decoupled weight decay;
+    returns params and a per-epoch {epoch, mean_loss} trace. A fact id
+    missing from its slot kind's index is an UnknownIdError.
     """
-    check_training_set(alignments, store, "training")
+    if not alignments:
+        raise EmptyTrainingSetError("no training alignments")
+    for alignment in alignments:
+        for slot, entry_id in enumerate(alignment.fact.ids):
+            indices[slot == 1].row(entry_id)
 
     params = init_cross_params(encoder.dim, config.seed)
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
     wd = config.weight_decay
+    labels = [1.0] + [0.0] * config.negatives_per_positive
     trace: list[dict] = []
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(alignments))
         epoch_loss = 0.0
-        n_pairs = 0
         for i in order:
             alignment = alignments[i]
-            pairs: list[tuple[KgFact, float]] = [(alignment.fact, 1.0)]
-            for _ in range(config.negatives_per_positive):
-                pairs.append(
-                    (sample_hard_negative(alignment.fact, neighbor_lists, rng), 0.0)
-                )
-            for fact, label in pairs:
-                masked = bool(rng.random() < config.description_mask_prob)
-                features = cross_features(
-                    encoder, store, alignment.oie, fact, masked, config.with_context
-                )
+            facts = [alignment.fact] + [
+                sample_hard_negative(alignment.fact, neighbor_lists, rng) for _ in labels[1:]
+            ]
+            masked = rng.random(len(facts))[:, None] < config.description_mask_prob
+            slot_embeddings = encoder.slot_embed(alignment.oie, config.with_context)
+            blocks = []
+            for slot, ids in enumerate(zip(*(fact.ids for fact in facts))):
+                entries = np.where(masked, masked_indices[slot == 1].vectors(ids),
+                                   indices[slot == 1].vectors(ids))
+                blocks.append(_slot_features(slot_embeddings[slot], entries))
+            for features, label in zip(np.concatenate(blocks, axis=1), labels):
                 logit = float(params.weights @ features) + params.bias
                 epoch_loss += bce_loss(logit, label)
-                n_pairs += 1
                 d_logit = bce_grad(logit, label)
                 params.weights -= lr * (d_logit * features + wd * params.weights)
                 params.bias -= lr * d_logit
-        mean_loss = require_finite(epoch_loss / max(n_pairs, 1), f"epoch {epoch} mean loss")
+        n_pairs = len(order) * len(labels)
+        mean_loss = require_finite(epoch_loss / n_pairs, f"epoch {epoch} mean loss")
         trace.append({"epoch": epoch, "mean_loss": mean_loss})
     return params, trace
 

@@ -117,7 +117,7 @@ class TestCriterion1NumericOracles:
         )
         encoder = ReferenceEncoder(init_params(EncoderConfig(dim=8, hidden=4, buckets=256), 0))
         score = score_fact(
-            zero_scorer, encoder, world,
+            zero_scorer, encoder, build_store_indices(encoder, world),
             make_alignment("Alpha", "rel", "Beta", KgFact("Q1", "P1", "Q2")).oie,
             KgFact("Q1", "P1", "Q2"),
         )
@@ -263,19 +263,21 @@ def _seed_run(seed):
     plain = ReferenceEncoder(plain_params)
     ctx = ReferenceEncoder(ctx_params)
     rerank_config = RerankTrainConfig(epochs=10, learning_rate=0.5, seed=seed, with_context=True)
+    ctx_indices = build_store_indices(ctx, world.store)
     scorer, _ = train_reranker(
-        world.train, ctx, world.store, rerank_config,
-        store_neighbor_lists(ctx, world.store, rerank_config.hard_negative_pool),
+        world.train, ctx, ctx_indices, rerank_config,
+        store_neighbor_lists(ctx_indices, rerank_config.hard_negative_pool),
+        build_store_indices(ctx, world.store, mask_description=True),
     )
 
     def linker(encoder, store, with_context=False, rerank_k=None):
-        entity_index, predicate_index = build_store_indices(encoder, store)
+        indices = entity_index, predicate_index = build_store_indices(encoder, store)
 
         def fn(triple):
             if rerank_k:
                 result = link(encoder, entity_index, predicate_index, triple,
                               rerank_k, with_context)
-                best, _ = rerank(scorer, encoder, store, triple,
+                best, _ = rerank(scorer, encoder, indices, triple,
                                  enumerate_candidates(result), with_context)
                 return best.to_fact()
             return link(encoder, entity_index, predicate_index, triple,

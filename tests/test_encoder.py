@@ -282,6 +282,28 @@ class TestOneForward:
                 vector, reference_entry(params, e), rtol=0, atol=FORWARD_TOL
             )
 
+    def test_store_builds_do_not_depend_on_call_history(self):
+        store, _ = forward_world()
+        params = init_params(CONFIG, seed=6)
+        initial = params.copy()
+        used = ReferenceEncoder(params)
+        preranker.build_store_indices(used, forward_world(n_entities=90)[0])
+        entries = [store.entry(i) for i in store.entity_ids()]
+        for e in entries[::7]:
+            used.entry_embed(e)
+            used.entry_embed(e, mask_description=True)
+        for masked in (False, True):
+            chunk = entries[:preranker._EMBED_CHUNK]
+            assert np.array_equal(
+                used.entry_embeds(chunk, masked),
+                ReferenceEncoder(initial.copy()).entry_embeds(chunk, masked),
+            )
+            built = preranker.build_store_indices(used, store, masked)
+            fresh = preranker.build_store_indices(ReferenceEncoder(initial.copy()), store, masked)
+            for got, want in zip(built, fresh, strict=True):
+                assert got.ids == want.ids
+                assert got.matrix.tobytes() == want.matrix.tobytes()
+
     def test_trainer_forward_matches_serving(self, monkeypatch):
         store, alignments = forward_world(n_entities=40)
         config = preranker.PrerankTrainConfig(

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import factlink.kg as kg
 from conftest import entity, make_alignment, predicate
 from factlink.errors import (
     DanglingFactError,
@@ -61,6 +62,25 @@ class TestLoadKg:
         store = load_kg(entries_path, facts_path)
         assert store.facts == ()
         assert entry_frequencies(store.facts) == {}
+
+    def test_each_fact_validated_once(self, tmp_path, monkeypatch):
+        fact = {"subject": "Q41421", "predicate": "P54", "object": "Q128109"}
+        entries_path, facts_path = write_kg_files(
+            tmp_path, [JORDAN_ENTRY, TEAM_ENTRY, PLAYS_FOR], [fact, fact]
+        )
+        validated = []
+        validate = kg._validate_fact
+
+        def counting(fact, *args, **kwargs):
+            validated.append(fact)
+            return validate(fact, *args, **kwargs)
+
+        monkeypatch.setattr(kg, "_validate_fact", counting)
+        store = load_kg(entries_path, facts_path)
+        assert validated == [KgFact("Q41421", "P54", "Q128109")] * 2  # one per line
+        assert store.facts == (KgFact("Q41421", "P54", "Q128109"),)
+        rebuilt = build_store(store.entries.values(), store.facts)
+        assert store.surface_index == rebuilt.surface_index
 
     def test_dangling_fact_reference_names_line(self, tmp_path):
         entries_path, facts_path = write_kg_files(

@@ -512,6 +512,21 @@ class TestEvaluateProtocol:
                 encoder,
             )
 
+    def test_gold_of_the_wrong_kind_rejected(self, calibration_setup):
+        # a predicate id as subject is in the union of both indices' ids, but
+        # the subject slot is scored against the entity index, which lacks it
+        store, alignments, encoder = calibration_setup
+        wrong_kind = [
+            dataclasses.replace(a, fact=KgFact(a.fact.predicate_id, *a.fact.ids[1:]))
+            for a in alignments[:5]
+        ]
+        gold = wrong_kind[0].fact.subject_id
+        with pytest.raises(UnknownIdError, match=re.escape(repr(gold))):
+            ookg_evaluate(
+                ConstantDetector(Decision.IN_KG), wrong_kind, build_store_indices(encoder, store),
+                encoder,
+            )
+
     def test_empty_store_variant_decides_out(self):
         # even when an entropy threshold equals the fallback ln TOP_SUPPORT
         max_entropy = float(np.log(TOP_SUPPORT))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import entity, make_alignment, predicate
+from factlink.corpus import OieTriple
 from factlink.encoder import EncoderConfig, ReferenceEncoder, init_params, load_params, save_params
-from factlink.errors import MalformedRecordError
+from factlink.errors import EmptyTrainingSetError, MalformedRecordError, UnknownIdError
 from factlink.io import read_jsonl
 from factlink.kg import KgFact, build_store
 from factlink.ookg import QkvParams, load_qkv_params, save_qkv_params
@@ -123,40 +125,51 @@ def mini_encoder():
 class TestScoreFact:
     def test_zero_params_score_exactly_half(self, mini_encoder):
         store, alignments = mini_world()
+        indices = build_store_indices(mini_encoder, store)
         params = init_cross_params(SMALL_ENCODER.dim)
         for a in alignments:
-            assert score_fact(params, mini_encoder, store, a.oie, a.fact) == 0.5
+            assert score_fact(params, mini_encoder, indices, a.oie, a.fact) == 0.5
 
     def test_score_in_open_unit_interval(self, mini_encoder):
         store, alignments = mini_world()
+        indices = build_store_indices(mini_encoder, store)
         rng = np.random.default_rng(0)
         params = CrossScorerParams(
             weights=rng.standard_normal(6 * SMALL_ENCODER.dim + 9) * 5, bias=0.3
         )
         for a in alignments:
-            s = score_fact(params, mini_encoder, store, a.oie, a.fact)
+            s = score_fact(params, mini_encoder, indices, a.oie, a.fact)
             assert 0.0 < s < 1.0
 
     def test_deterministic(self, mini_encoder):
         store, alignments = mini_world()
+        indices = build_store_indices(mini_encoder, store)
         params = init_cross_params(SMALL_ENCODER.dim)
         params.weights[:] = 0.01
         a = alignments[0]
-        assert score_fact(params, mini_encoder, store, a.oie, a.fact) == score_fact(
-            params, mini_encoder, store, a.oie, a.fact
+        assert score_fact(params, mini_encoder, indices, a.oie, a.fact) == score_fact(
+            params, mini_encoder, indices, a.oie, a.fact
         )
 
     def test_feature_vector_length(self, mini_encoder):
         store, alignments = mini_world()
         a = alignments[0]
-        features = cross_features(mini_encoder, store, a.oie, a.fact)
+        features = cross_features(
+            mini_encoder, build_store_indices(mini_encoder, store), a.oie, a.fact
+        )
         assert features.shape == (6 * SMALL_ENCODER.dim + 9,)
 
     def test_masking_changes_features(self, mini_encoder):
         store, alignments = mini_world()
         a = alignments[0]
-        plain = cross_features(mini_encoder, store, a.oie, a.fact, mask_description=False)
-        masked = cross_features(mini_encoder, store, a.oie, a.fact, mask_description=True)
+        plain = cross_features(
+            mini_encoder, build_store_indices(mini_encoder, store, mask_description=False),
+            a.oie, a.fact,
+        )
+        masked = cross_features(
+            mini_encoder, build_store_indices(mini_encoder, store, mask_description=True),
+            a.oie, a.fact,
+        )
         assert not np.allclose(plain, masked)
 
 
@@ -257,7 +270,8 @@ class TestRerank:
         store, alignments = mini_world()
         params = init_cross_params(SMALL_ENCODER.dim)
         (candidate,) = enumerate_candidates(slot_result_from(store, alignments[0].fact))
-        best, scores = rerank(params, mini_encoder, store, alignments[0].oie, [candidate])
+        indices = build_store_indices(mini_encoder, store)
+        best, scores = rerank(params, mini_encoder, indices, alignments[0].oie, [candidate])
         assert best == candidate
         assert scores == [0.5]
 
@@ -267,9 +281,89 @@ class TestRerank:
         candidates = enumerate_candidates(
             slot_result_from(store, alignments[0].fact, alignments[1].fact)
         )
-        best, scores = rerank(params, mini_encoder, store, alignments[0].oie, candidates)
+        indices = build_store_indices(mini_encoder, store)
+        best, scores = rerank(params, mini_encoder, indices, alignments[0].oie, candidates)
         assert best == candidates[0]
         assert len(set(scores)) == 1
+
+
+def random_index_pair(rng, dim, n_entities=8, n_predicates=5):
+    """Entity and predicate indices over seeded random rows; rows E1 and E2
+    are equal."""
+    entity_rows = rng.standard_normal((n_entities, dim))
+    entity_rows[2] = entity_rows[1]
+    return (
+        build_index([(f"E{i}", row) for i, row in enumerate(entity_rows)], IndexKind.ENTITIES),
+        build_index([(f"P{i}", rng.standard_normal(dim)) for i in range(n_predicates)],
+                    IndexKind.PREDICATES),
+    )
+
+
+def first_argmax(scores):
+    return max(range(len(scores)), key=lambda i: (scores[i], -i))
+
+
+class TestRerankPerSlot:
+    """``rerank`` scores each slot's entries once; it must pick what scoring
+    every candidate with ``score_fact`` picks."""
+
+    ENCODER = ReferenceEncoder(init_params(SMALL_ENCODER, seed=2))
+
+    def check(self, params, indices, triple, candidates):
+        best, scores = rerank(params, self.ENCODER, indices, triple, candidates)
+        brute = [score_fact(params, self.ENCODER, indices, triple, c) for c in candidates]
+        np.testing.assert_allclose(scores, brute, rtol=0, atol=1e-12)
+        assert best == candidates[first_argmax(brute)]
+        return best, scores
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_brute_force_product(self, k):
+        rng = np.random.default_rng(k)
+        indices = random_index_pair(rng, SMALL_ENCODER.dim)
+        triple = OieTriple("Alice Harbor", "works with", "Bruno Quartz")
+        for _ in range(5):
+            params = CrossScorerParams(
+                weights=rng.standard_normal(6 * SMALL_ENCODER.dim + 9), bias=float(rng.normal())
+            )
+            result = SlotLinkResult(*(
+                tuple((index.ids[row], 0.0) for row in rng.permutation(len(index))[:k])
+                for index in (indices[0], indices[1], indices[0])
+            ))
+            self.check(params, indices, triple, enumerate_candidates(result))
+
+    def test_equal_rows_tie_to_the_earliest_candidate(self):
+        rng = np.random.default_rng(5)
+        indices = random_index_pair(rng, SMALL_ENCODER.dim)
+        triple = OieTriple("Cora Meadow", "lives near", "Dylan Frost")
+        params = CrossScorerParams(
+            weights=rng.standard_normal(6 * SMALL_ENCODER.dim + 9), bias=0.1
+        )
+        for subjects in (("E2", "E1"), ("E1", "E2")):
+            result = SlotLinkResult(
+                subject=tuple((s, 0.0) for s in subjects),
+                relation=(("P0", 0.0), ("P3", 0.0)),
+                object=(("E4", 0.0), ("E0", 0.0), ("E5", 0.0)),
+            )
+            candidates = enumerate_candidates(result)
+            best, scores = self.check(params, indices, triple, candidates)
+            assert best.subject_id == subjects[0]
+            assert scores[:6] == scores[6:]  # subject rows are equal: exact ties
+
+    def test_candidate_list_that_is_not_a_product(self):
+        rng = np.random.default_rng(6)
+        indices = random_index_pair(rng, SMALL_ENCODER.dim)
+        triple = OieTriple("Eve Cinder", "works with", "Alice Harbor")
+        result = SlotLinkResult(*(
+            tuple((entry_id, 0.0) for entry_id in index.ids[:4])
+            for index in (indices[0], indices[1], indices[0])
+        ))
+        product = enumerate_candidates(result)
+        for _ in range(5):
+            params = CrossScorerParams(
+                weights=rng.standard_normal(6 * SMALL_ENCODER.dim + 9), bias=0.0
+            )
+            picked = [product[i] for i in rng.choice(len(product), size=9, replace=False)]
+            self.check(params, indices, triple, picked)
 
 
 def slot_result_from(store, *facts):
@@ -281,8 +375,10 @@ def slot_result_from(store, *facts):
 
 
 def train_with_neighbors(alignments, encoder, store, config):
-    neighbors = store_neighbor_lists(encoder, store, config.hard_negative_pool)
-    return train_reranker(alignments, encoder, store, config, neighbors)
+    indices = build_store_indices(encoder, store)
+    neighbors = store_neighbor_lists(indices, config.hard_negative_pool)
+    masked = build_store_indices(encoder, store, mask_description=True)
+    return train_reranker(alignments, encoder, indices, config, neighbors, masked)
 
 
 class TestTrainReranker:
@@ -298,16 +394,16 @@ class TestTrainReranker:
         train = [a for a in alignments if a not in held_out]
         config = RerankTrainConfig(epochs=30, learning_rate=0.5, seed=1)
         params, _ = train_with_neighbors(train, mini_encoder, store, config)
-        entity_index, predicate_index = build_store_indices(mini_encoder, store)
+        indices = entity_index, predicate_index = build_store_indices(mini_encoder, store)
         neighbors = build_neighbor_lists(entity_index, pool=3)
         neighbors.update(build_neighbor_lists(predicate_index, pool=3))
         rng = np.random.default_rng(2)
         wins = total = 0
         for a in held_out:
-            gold_score = score_fact(params, mini_encoder, store, a.oie, a.fact)
+            gold_score = score_fact(params, mini_encoder, indices, a.oie, a.fact)
             for _ in range(10):
                 corrupted = sample_hard_negative(a.fact, neighbors, rng)
-                wins += gold_score > score_fact(params, mini_encoder, store, a.oie, corrupted)
+                wins += gold_score > score_fact(params, mini_encoder, indices, a.oie, corrupted)
                 total += 1
         assert wins / total >= 0.9
 
@@ -319,10 +415,24 @@ class TestTrainReranker:
             epochs=40, learning_rate=0.5, negatives_per_positive=0, seed=3
         )
         params, _ = train_with_neighbors(train, mini_encoder, store, config)
+        indices = build_store_indices(mini_encoder, store)
         scores = [
-            score_fact(params, mini_encoder, store, a.oie, a.fact) for a in held_out
+            score_fact(params, mini_encoder, indices, a.oie, a.fact) for a in held_out
         ]
         assert float(np.mean(scores)) > 0.9
+
+    def test_fact_id_of_the_wrong_kind_rejected(self, mini_encoder):
+        store, alignments = mini_world()
+        a = alignments[0]
+        wrong_kind = dataclasses.replace(a, fact=KgFact(a.fact.predicate_id, *a.fact.ids[1:]))
+        config = RerankTrainConfig(epochs=1, seed=0)
+        with pytest.raises(UnknownIdError, match=repr(a.fact.predicate_id)):
+            train_with_neighbors([wrong_kind], mini_encoder, store, config)
+
+    def test_empty_training_set_rejected(self, mini_encoder):
+        store, _ = mini_world()
+        with pytest.raises(EmptyTrainingSetError):
+            train_with_neighbors([], mini_encoder, store, RerankTrainConfig(epochs=1))
 
     def test_seeded_reproducible(self, mini_encoder):
         store, alignments = mini_world()
