@@ -54,6 +54,7 @@ from .ookg import (
     train_qkv,
 )
 from .preranker import (
+    IndexKind,
     PrerankTrainConfig,
     build_store_indices,
     link,
@@ -311,11 +312,12 @@ def _inputs_digest(config: dict, encoder: ReferenceEncoder) -> str:
 
 
 def _store_indices(config: dict, encoder: ReferenceEncoder, store) -> tuple:
-    """Entity and predicate indices of ``store``: row subsets of the FLIX
-    files that ``index`` wrote when they hold all its entries, else embedded.
-    FLIX files built from other inputs are a data error."""
+    """Entity and predicate indices of ``store``: the FLIX files that
+    ``index`` wrote, as loaded or as row subsets, when they hold all its
+    entries, else embedded. FLIX files built from other inputs, or holding
+    the other slot's kind, are a data error."""
     paths = [Path(config["out_dir"]) / f"{name}.flix" for name in ("entities", "predicates")]
-    wanted = (store.entity_ids(), store.predicate_ids())
+    wanted = (tuple(store.entity_ids()), tuple(store.predicate_ids()))
     if all(path.exists() for path in paths):
         digest = _inputs_digest(config, encoder)
         for meta in (path.with_suffix(".flix.meta.json") for path in paths):
@@ -323,9 +325,14 @@ def _store_indices(config: dict, encoder: ReferenceEncoder, store) -> tuple:
                 recorded = json.loads(meta.read_text("utf-8")) if meta.exists() else {}
                 if recorded.get("inputs_sha256") != digest:
                     raise DataError(f"{meta}: built from other params or KG entries; run index")
-        indices = tuple(index.subset(np.isin(index.ids, ids))
-                        for index, ids in zip(map(load_index, paths), wanted))
-        if all(list(index.ids) == ids for index, ids in zip(indices, wanted)):
+        indices = tuple(map(load_index, paths))
+        for path, index, kind in zip(paths, indices, IndexKind):
+            if index.kind is not kind:
+                raise DataError(f"{path}: holds {index.kind.name.lower()}, "
+                                f"not {kind.name.lower()}; run index")
+        indices = tuple(index if index.ids == ids else index.subset(np.isin(index.ids, ids))
+                        for index, ids in zip(indices, wanted))
+        if all(index.ids == ids for index, ids in zip(indices, wanted)):
             return indices
     return build_store_indices(encoder, store)
 

@@ -10,7 +10,7 @@ pre-ranker's trainer and ``ReferenceEncoder`` both call it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import hashlib
 from pathlib import Path
 from typing import Sequence
@@ -32,39 +32,51 @@ def _hash_feature(feature: str, space: int) -> int:
     return int.from_bytes(digest, "little") % space
 
 
-def featurize(text: str, buckets: int) -> Counter:
+def _token_buckets(token: str, space: int) -> tuple[int, ...]:
+    """Bucket ids of one whitespace token: its marker bucket, or its
+    lowercased word and then its boundary-marked character trigrams."""
+    if token in _MARKER_BUCKETS:
+        return (_MARKER_BUCKETS[token],)
+    word = token.lower()
+    padded = f"^{word}$"
+    features = ["w:" + word] + ["t:" + padded[i : i + 3] for i in range(len(padded) - 2)]
+    return tuple(_N_RESERVED + _hash_feature(feature, space) for feature in features)
+
+
+def featurize(
+    text: str, buckets: int, memo: dict[str, tuple[int, ...]] | None = None
+) -> Counter:
     """Hashed feature multiset of a text: lowercased word tokens plus
     boundary-marked character trigrams. Reserved marker tokens map to
-    their dedicated buckets and are never hashed."""
+    their dedicated buckets and are never hashed. ``memo`` maps raw tokens
+    to their bucket ids for this bucket count; it is read and filled."""
     if buckets <= _N_RESERVED:
         raise ValueError(f"bucket count must exceed {_N_RESERVED}")
     space = buckets - _N_RESERVED
+    memo = {} if memo is None else memo
     features: Counter = Counter()
     for token in text.split():
-        if token in _MARKER_BUCKETS:
-            features[_MARKER_BUCKETS[token]] += 1
-            continue
-        word = token.lower()
-        features[_N_RESERVED + _hash_feature("w:" + word, space)] += 1
-        padded = f"^{word}$"
-        for i in range(len(padded) - 2):
-            features[_N_RESERVED + _hash_feature("t:" + padded[i : i + 3], space)] += 1
+        ids = memo.get(token)
+        if ids is None:
+            ids = memo[token] = _token_buckets(token, space)
+        features.update(ids)
     return features
 
 
 class FeatureHasher:
-    """Caches compiled (bucket ids, mean weights) per text for one bucket
-    count."""
+    """Caches compiled (bucket ids, mean weights) per text, and bucket ids
+    per token, for one bucket count."""
 
     def __init__(self, buckets: int):
         self.buckets = buckets
         self._cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._token_cache: dict[str, tuple[int, ...]] = {}
 
     def compile(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         hit = self._cache.get(text)
         if hit is not None:
             return hit
-        counts = featurize(text, self.buckets)
+        counts = featurize(text, self.buckets, self._token_cache)
         ids = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
         weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
         total = weights.sum()
@@ -101,6 +113,11 @@ class ReferenceEncoderParams:
     slot_projection: np.ndarray  # (2*hidden, dim)
     entry_projection: np.ndarray  # (2*hidden, dim)
     rng_seed: int
+    # derived from table_ids by _positions, never saved or hashed:
+    # (the table_ids it maps, position + 1 per bucket id, 0 if not held)
+    _bucket_map: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -109,16 +126,25 @@ class ReferenceEncoderParams:
     def rows_of(self, ids: np.ndarray) -> np.ndarray:
         """Positions in ``feature_table`` of the bucket ids ``ids``; rows
         not held yet are drawn from the seeded stream and inserted."""
-        positions = np.searchsorted(self.table_ids, ids)
-        held = positions < len(self.table_ids)
-        held[held] = self.table_ids[positions[held]] == ids[held]
+        positions = self._positions(ids)
+        held = positions >= 0
         if held.all():
             return positions
         new_ids = np.unique(ids[~held])
         at = np.searchsorted(self.table_ids, new_ids)
         self.feature_table = np.insert(self.feature_table, at, self._init_rows(new_ids), axis=0)
         self.table_ids = np.insert(self.table_ids, at, new_ids)
-        return np.searchsorted(self.table_ids, ids)
+        return self._positions(ids)
+
+    def _positions(self, ids: np.ndarray) -> np.ndarray:
+        """Row positions of ``ids``, -1 where no row is held, gathered from a
+        bucket -> position + 1 map rebuilt whenever ``table_ids`` is replaced.
+        The map is zero-allocated, so only the pages of used buckets cost memory."""
+        if self._bucket_map is None or self._bucket_map[0] is not self.table_ids:
+            shifted = np.zeros(self.buckets, dtype=np.int32)
+            shifted[self.table_ids] = np.arange(1, len(self.table_ids) + 1, dtype=np.int32)
+            self._bucket_map = (self.table_ids, shifted)
+        return self._bucket_map[1][ids] - 1
 
     def _init_rows(self, ids: np.ndarray) -> np.ndarray:
         """Rows ``ids`` (sorted, unique) of ``init_params``' dense table:

@@ -7,7 +7,8 @@ concurrent readers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -73,26 +74,22 @@ class KgFact:
 
 @dataclass(frozen=True)
 class KgStore:
-    """Validated, immutable collection of entries and facts.
-
-    ``surface_index`` maps every normalized entity label and alias to the
-    set of entity ids carrying it.
-    """
+    """Validated, immutable collection of entries and facts."""
 
     entries: Mapping[str, KgEntry]
     facts: tuple[KgFact, ...]
     case_fold: bool = False
-    fact_set: frozenset[KgFact] = field(init=False)
-    surface_index: Mapping[str, frozenset[str]] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "fact_set", frozenset(self.facts))
+    @cached_property
+    def surface_index(self) -> Mapping[str, frozenset[str]]:
+        """Every normalized entity label and alias mapped to the set of
+        entity ids carrying it; built on first use (only splits read it)."""
         surface: dict[str, set[str]] = {}
         for entry in self.entries.values():
             if entry.kind is EntryKind.ENTITY:
                 for form in (entry.label, *entry.aliases):
                     surface.setdefault(normalize_surface(form, self.case_fold), set()).add(entry.id)
-        object.__setattr__(self, "surface_index", {k: frozenset(v) for k, v in surface.items()})
+        return {k: frozenset(v) for k, v in surface.items()}
 
     def entry(self, entry_id: str) -> KgEntry:
         try:
@@ -139,25 +136,33 @@ def build_store(
     return KgStore(entry_map, unique_facts, case_fold)
 
 
+_KINDS = {kind.value: kind for kind in EntryKind}
+
+
 def _parse_entry(record: dict, line_number: int) -> KgEntry:
     for required in ("id", "kind", "label"):
         if required not in record:
             raise MalformedRecordError(f"entry record missing field {required!r}", line_number)
     kind_raw = record["kind"]
-    try:
-        kind = EntryKind(kind_raw)
-    except ValueError:
+    kind = _KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
+    if kind is None:
         raise MalformedRecordError(
             f"entry kind must be 'entity' or 'predicate', got {kind_raw!r}", line_number
-        ) from None
-    try:
-        return KgEntry(
-            id=str(record["id"]),
-            kind=kind,
-            label=str(record["label"]),
-            description=record.get("description"),
-            aliases=tuple(record.get("aliases") or ()),
         )
+    description = record.get("description")
+    if description is not None and not isinstance(description, str):
+        raise MalformedRecordError(
+            f"entry description must be a string or null, got {description!r}", line_number
+        )
+    aliases = record.get("aliases")
+    if aliases is None:
+        aliases = ()
+    elif not (isinstance(aliases, list) and all(isinstance(a, str) for a in aliases)):
+        raise MalformedRecordError(
+            f"entry aliases must be a list of strings, got {aliases!r}", line_number
+        )
+    try:
+        return KgEntry(str(record["id"]), kind, str(record["label"]), description, tuple(aliases))
     except ValueError as exc:
         raise MalformedRecordError(str(exc), line_number) from exc
 
@@ -166,11 +171,7 @@ def _parse_fact(record: dict, line_number: int) -> KgFact:
     for required in ("subject", "predicate", "object"):
         if required not in record:
             raise MalformedRecordError(f"fact record missing field {required!r}", line_number)
-    return KgFact(
-        subject_id=str(record["subject"]),
-        predicate_id=str(record["predicate"]),
-        object_id=str(record["object"]),
-    )
+    return KgFact(str(record["subject"]), str(record["predicate"]), str(record["object"]))
 
 
 def load_kg(
@@ -180,8 +181,10 @@ def load_kg(
 ) -> KgStore:
     """Load a store from line-delimited entry and fact files.
 
-    Entry records: {id, kind: "entity"|"predicate", label, description?, aliases?}.
-    Fact records: {subject, predicate, object}. Errors name the offending line.
+    Entry records: {id, kind: "entity"|"predicate", label, description?,
+    aliases?}, the description a string or null and the aliases a list of
+    strings. Fact records: {subject, predicate, object}. Errors name the
+    offending line.
     """
     entry_map: dict[str, KgEntry] = {}
     seen_ids: dict[str, int] = {}

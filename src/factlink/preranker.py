@@ -8,6 +8,7 @@ negatives plus global negatives sampled from the whole store.
 from __future__ import annotations
 
 import enum
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,27 +97,35 @@ class EmbeddingIndex:
         return rows[order[:k]]
 
 
+def _unique_ids(ids: Iterable[str]) -> tuple[str, ...]:
+    ids = tuple(ids)
+    seen = set()
+    for entry_id in ids:
+        if entry_id in seen:
+            raise DuplicateIdError(f"duplicate id {entry_id!r} in index")
+        seen.add(entry_id)
+    return ids
+
+
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """float32 of the float64 rows renormalized; rows normalize independently."""
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    if np.any(norms == 0):
+        raise DataError("index rows must be non-zero vectors")
+    return (matrix / norms).astype(np.float32)
+
+
 def build_index(
     embeddings: Sequence[tuple[str, np.ndarray]], kind: IndexKind
 ) -> EmbeddingIndex:
     """Stack (id, vector) pairs in input order; rows are renormalized and
     stored as float32."""
-    ids = []
-    seen = set()
-    for entry_id, _ in embeddings:
-        if entry_id in seen:
-            raise DuplicateIdError(f"duplicate id {entry_id!r} in index")
-        seen.add(entry_id)
-        ids.append(entry_id)
+    ids = _unique_ids(entry_id for entry_id, _ in embeddings)
     if not embeddings:
         matrix = np.zeros((0, 0), dtype=np.float32)
     else:
-        matrix = np.stack([np.asarray(v, dtype=np.float64) for _, v in embeddings])
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        if np.any(norms == 0):
-            raise DataError("index rows must be non-zero vectors")
-        matrix = (matrix / norms).astype(np.float32)
-    return EmbeddingIndex(ids=tuple(ids), matrix=matrix, kind=kind)
+        matrix = _unit_rows(np.stack([np.asarray(v, dtype=np.float64) for _, v in embeddings]))
+    return EmbeddingIndex(ids=ids, matrix=matrix, kind=kind)
 
 
 def topk(index: EmbeddingIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -161,28 +170,37 @@ def link(
     )
 
 
-def embed_entries(
-    encoder: ReferenceEncoder, entries: Iterable[KgEntry], mask_description: bool = False
-) -> list[tuple[str, np.ndarray]]:
-    """(id, embedding) per entry, in chunks: one forward over a whole store
-    would allocate hundreds of MB of temporaries."""
-    entries = list(entries)
-    embedded = []
+def embed_index(
+    encoder: ReferenceEncoder,
+    entries: Sequence[KgEntry],
+    kind: IndexKind,
+    mask_description: bool = False,
+) -> EmbeddingIndex:
+    """``build_index`` over the entries' embeddings, one forward per
+    64-entry chunk (one forward over a whole store would allocate hundreds
+    of MB of temporaries). Each chunk's float32 rows go straight into the
+    index matrix, so no float64 copy of the store is held."""
+    ids = _unique_ids(e.id for e in entries)
+    if not entries:
+        return EmbeddingIndex(ids=ids, matrix=np.zeros((0, 0), dtype=np.float32), kind=kind)
+    matrix = np.empty((len(entries), encoder.dim), dtype=np.float32)
     for start in range(0, len(entries), _EMBED_CHUNK):
         chunk = entries[start : start + _EMBED_CHUNK]
-        embedded.extend(zip((e.id for e in chunk), encoder.entry_embeds(chunk, mask_description)))
-    return embedded
+        matrix[start : start + len(chunk)] = _unit_rows(
+            encoder.entry_embeds(chunk, mask_description)
+        )
+    return EmbeddingIndex(ids=ids, matrix=matrix, kind=kind)
 
 
 def build_store_indices(
     encoder: ReferenceEncoder, store: KgStore, mask_description: bool = False
 ) -> tuple[EmbeddingIndex, EmbeddingIndex]:
     """Entity and predicate indices over every entry of the store (labels only if masked)."""
-    entities = embed_entries(encoder, map(store.entry, store.entity_ids()), mask_description)
-    predicates = embed_entries(encoder, map(store.entry, store.predicate_ids()), mask_description)
     return (
-        build_index(entities, IndexKind.ENTITIES),
-        build_index(predicates, IndexKind.PREDICATES),
+        embed_index(encoder, [store.entry(i) for i in store.entity_ids()],
+                    IndexKind.ENTITIES, mask_description),
+        embed_index(encoder, [store.entry(i) for i in store.predicate_ids()],
+                    IndexKind.PREDICATES, mask_description),
     )
 
 
@@ -217,10 +235,14 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         for _ in range(count):
             (length,) = struct.unpack("<I", fh.read(4))
             ids.append(fh.read(length).decode("utf-8"))
-        payload = fh.read(count * dim * 4)
-        if len(payload) != count * dim * 4:
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < count * dim * 4:
             raise MalformedRecordError(f"{path}: truncated index payload")
-        matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim).copy()
+        if left > count * dim * 4:
+            raise MalformedRecordError(
+                f"{path}: {left - count * dim * 4} bytes after the index payload; run index"
+            )
+        matrix = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
         return EmbeddingIndex(ids=tuple(ids), matrix=matrix, kind=IndexKind(kind_value))
 
 

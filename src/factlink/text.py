@@ -37,9 +37,10 @@ def normalize_surface(text: str, case_fold: bool = False) -> str:
 
 def check_no_markers(text: str, field: str) -> str:
     """Reject strings containing a reserved marker token; returns the input."""
-    for token in MARKER_TOKENS:
-        if token in text:
-            raise ReservedTokenError(
-                f"{field} contains reserved token {token!r}: {text!r}"
-            )
+    if "<" in text:  # every marker starts with it
+        for token in MARKER_TOKENS:
+            if token in text:
+                raise ReservedTokenError(
+                    f"{field} contains reserved token {token!r}: {text!r}"
+                )
     return text

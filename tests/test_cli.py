@@ -403,6 +403,24 @@ def _predicate_as_first_subject(out):
     path.write_text("\n".join((header, json.dumps(record), rest)), "utf-8")
 
 
+def _kg_entry_with(**fields):
+    """A KG entries file in out_dir whose second line carries ``fields``."""
+    def corrupt(out):
+        records = [{"id": "Q1", "kind": "entity", "label": "Ann"},
+                   {"id": "Q2", "kind": "entity", "label": "Bob", **fields}]
+        (out / "kg_entries.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    return corrupt
+
+
+def _set_flix_kind(out):
+    """entities.flix claims to hold predicates: its kind byte follows the
+    magic and the u32 version."""
+    path = out / "entities.flix"
+    data = bytearray(path.read_bytes())
+    data[8] = 1
+    path.write_bytes(bytes(data))
+
+
 def _negative_seed(header, arrays):
     """Rows not held are drawn from this seed's stream."""
     header["rng_seed"] = -1
@@ -485,6 +503,29 @@ class TestFailureExitCodes:
             lambda out: _replace_header(out / "reranker.params", b"{}"),
         ),
         "truncated-index": (2, ["link"], lambda out: _truncate(out / "entities.flix", 30)),
+        "flix-trailing-bytes": (
+            2, ["link"],
+            lambda out: (out / "entities.flix").write_bytes(
+                (out / "entities.flix").read_bytes() + bytes(18)
+            ),
+        ),
+        "flix-kind-byte": (2, ["evaluate", "--facet", "transductive"], _set_flix_kind),
+        "kg-entry-aliases-int": (
+            2, ["--set", "kg_entries={out}/kg_entries.jsonl", "build-benchmark"],
+            _kg_entry_with(aliases=5),
+        ),
+        "kg-entry-aliases-int-list": (
+            2, ["--set", "kg_entries={out}/kg_entries.jsonl", "build-benchmark"],
+            _kg_entry_with(aliases=[5]),
+        ),
+        "kg-entry-aliases-string": (
+            2, ["--set", "kg_entries={out}/kg_entries.jsonl", "build-benchmark"],
+            _kg_entry_with(aliases="Bob"),
+        ),
+        "kg-entry-description-int": (
+            2, ["--set", "kg_entries={out}/kg_entries.jsonl", "build-benchmark"],
+            _kg_entry_with(description=5),
+        ),
         "stale-index-link": (2, ["link"], _edit_params(_perturb_projection)),
         "stale-index-evaluate": (
             2, ["evaluate", "--facet", "transductive"], _edit_params(_perturb_projection)
@@ -547,7 +588,9 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, err
         assert "Traceback" not in err
-        assert err.strip().endswith("run index") == case.startswith("stale-index")
+        assert err.strip().endswith("run index") == case.startswith(("stale-index", "flix-"))
         if case.startswith("table-"):
             assert "preranker.params" in err
+        if case.startswith("kg-entry-"):
+            assert "line 2: entry" in err
         assert {p.name: file_hash(p) for p in out.glob("*.params")} == before

@@ -8,6 +8,7 @@ from conftest import entity, make_alignment, predicate
 from factlink.corpus import OieTriple, oie_text
 from factlink.encoder import (
     EncoderConfig,
+    FeatureHasher,
     ReferenceEncoder,
     _hash_feature,
     _N_RESERVED,
@@ -15,7 +16,8 @@ from factlink.encoder import (
     init_params,
 )
 from factlink.kg import KgFact, build_store
-from factlink.errors import MissingContextError
+from factlink.preranker import IndexKind
+from factlink.errors import DuplicateIdError, MissingContextError, NumericError
 from factlink.text import MARKER_TOKENS
 
 CONFIG = EncoderConfig(dim=16, hidden=8, buckets=512)
@@ -62,6 +64,21 @@ class TestFeaturize:
     def test_short_words(self):
         # one-char word: one word feature plus one trigram ^a$
         assert sum(featurize("a", CONFIG.buckets).values()) == 2
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_memoized_compile_matches_fresh_featurize(self, order):
+        """The hasher's token memo is keyed by the raw token: a marker and
+        its case variants, which are hashed as words, stay apart."""
+        texts = ["", "  ", "<SUBJ> Bulls <subj> bulls <Subj> BULLS Bulls", "a a a b",
+                 "<mask> <MASK> <Mask> mask", "Chicago Bulls <REL> played for <OBJ> the Bulls",
+                 "<DESC> <desc> <FACT> fact bulls"]
+        hasher = FeatureHasher(CONFIG.buckets)
+        for text in texts[::order]:
+            ids, weights = hasher.compile(text)
+            counts = featurize(text, CONFIG.buckets)  # fresh: no memo
+            assert ids.tolist() == list(counts)  # first-occurrence order
+            total = sum(counts.values())
+            assert weights.tolist() == [count / total for count in counts.values()]
 
 
 class TestSlotEmbed:
@@ -185,6 +202,17 @@ def reference_entry(params, entry, mask_description=False):
     )
 
 
+def embed_entries(encoder, entries, mask_description=False):
+    """(id, float64 vector) per entry, one ``entry_embeds`` per 64-entry
+    chunk: the store path that ``build_index`` stacked before
+    ``embed_index`` built indices chunk by chunk."""
+    embedded = []
+    for start in range(0, len(entries), preranker._EMBED_CHUNK):
+        chunk = entries[start : start + preranker._EMBED_CHUNK]
+        embedded.extend(zip((e.id for e in chunk), encoder.entry_embeds(chunk, mask_description)))
+    return embedded
+
+
 def forward_world(n_entities=150):
     """More entities than one store-embedding chunk; every third has no
     description."""
@@ -275,12 +303,50 @@ class TestOneForward:
         store, _ = forward_world()
         entries = [store.entry(i) for i in store.entity_ids()]
         assert len(entries) > 2 * preranker._EMBED_CHUNK
-        embedded = preranker.embed_entries(ReferenceEncoder(params), entries)
+        embedded = embed_entries(ReferenceEncoder(params), entries)
         assert [i for i, _ in embedded] == [e.id for e in entries]
         for (_, vector), e in zip(embedded, entries):
             np.testing.assert_allclose(
                 vector, reference_entry(params, e), rtol=0, atol=FORWARD_TOL
             )
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    def test_chunked_index_is_bitwise_the_stacked_build(self, n):
+        params = init_params(CONFIG, seed=8)
+        store, _ = forward_world(n_entities=130)
+        entries = [store.entry(i) for i in store.entity_ids()][:n]
+        for masked in (False, True):
+            built = preranker.embed_index(
+                ReferenceEncoder(params.copy()), entries, IndexKind.ENTITIES, masked
+            )
+            stacked = preranker.build_index(
+                embed_entries(ReferenceEncoder(params.copy()), entries, masked), IndexKind.ENTITIES
+            )
+            assert built.ids == stacked.ids == tuple(e.id for e in entries)
+            assert built.kind is stacked.kind
+            assert built.matrix.dtype == stacked.matrix.dtype == np.float32
+            assert built.matrix.shape == stacked.matrix.shape
+            assert built.matrix.tobytes() == stacked.matrix.tobytes()
+
+    def test_chunked_index_rejects_what_the_stacked_build_rejects(self):
+        params = init_params(CONFIG, seed=8)
+        zeroed = params.copy()
+        zeroed.entry_projection[:] = 0.0  # every entry vector is zero
+        store, _ = forward_world(n_entities=70)
+        entries = [store.entry(i) for i in store.entity_ids()]
+
+        def chunked(params, entries):
+            return preranker.embed_index(ReferenceEncoder(params), entries, IndexKind.ENTITIES)
+
+        def stacked(params, entries):
+            embedded = embed_entries(ReferenceEncoder(params), entries)
+            return preranker.build_index(embedded, IndexKind.ENTITIES)
+
+        for build in (chunked, stacked):
+            with pytest.raises(DuplicateIdError, match="'Q3'"):
+                build(params, entries + [entries[3]])  # the repeat is past the first chunk
+            with pytest.raises(NumericError):
+                build(zeroed, entries)
 
     def test_store_builds_do_not_depend_on_call_history(self):
         store, _ = forward_world()

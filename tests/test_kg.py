@@ -55,7 +55,7 @@ class TestLoadKg:
         assert entry.label == "Michael Jordan"
         assert entry.kind is EntryKind.ENTITY
         assert entry.aliases == ("Air Jordan", "M.J.", "His Airness")
-        assert KgFact("Q41421", "P54", "Q128109") in store.fact_set
+        assert KgFact("Q41421", "P54", "Q128109") in store.facts
 
     def test_empty_facts_stream(self, tmp_path):
         entries_path, facts_path = write_kg_files(tmp_path, [JORDAN_ENTRY], [])
@@ -104,6 +104,17 @@ class TestLoadKg:
             tmp_path, [TEAM_ENTRY, {"id": "X1", "kind": "entity"}], []
         )
         with pytest.raises(MalformedRecordError, match="line 2"):
+            load_kg(entries_path, facts_path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("aliases", 5), ("aliases", [5]), ("aliases", "Bob"), ("aliases", {"Bob": 1}),
+        ("description", 5), ("description", ["a player"]),
+    ])
+    def test_field_of_the_wrong_type_names_line(self, tmp_path, field, value):
+        entries_path, facts_path = write_kg_files(
+            tmp_path, [TEAM_ENTRY, {**JORDAN_ENTRY, field: value}], []
+        )
+        with pytest.raises(MalformedRecordError, match=f"line 2: entry {field} must be"):
             load_kg(entries_path, facts_path)
 
     def test_kind_must_match_fact_position(self, tmp_path):
