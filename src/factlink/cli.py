@@ -104,6 +104,13 @@ DEFAULT_CONFIG = {
     "link_k": 1,
 }
 
+# the top-level keys without a default are the path-valued ones and qkv_key_pool
+KNOWN_KEYS = frozenset(DEFAULT_CONFIG) | {
+    "kg_entries", "kg_facts", "train_oie", "test_oie", "link_oie", "train_pairs", "test_pairs",
+    "train_alignments", "test_alignments", "calibration_alignments", "facet_alignments",
+    "preranker_params", "reranker_params", "qkv_params", "thresholds", "qkv_key_pool",
+}
+
 
 # a diverging trainer stops at its first overflow (exit 3), saving no params
 _RAISE_FLOAT_ERRORS = {"over": "raise", "invalid": "raise", "divide": "raise"}
@@ -132,7 +139,7 @@ def load_config(
 ) -> dict:
     """The default config, updated by the file at ``path`` (else
     ``$FACTLINK_CONFIG``), the ``--set`` overrides, then ``out_dir`` and
-    ``seed`` when given; a top-level value of the wrong kind is a usage error."""
+    ``seed`` when given; an unknown or ill-kinded top-level key is a usage error."""
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     path = path or os.environ.get("FACTLINK_CONFIG")
     if path:
@@ -165,6 +172,9 @@ def load_config(
         config["out_dir"] = out_dir
     if seed is not None:
         config["seed"] = seed
+    for key in config:
+        if key not in KNOWN_KEYS:
+            raise UsageError(f"unknown config key {key!r}")
     for key, choices in (
         ("inductive_mode", [mode.value for mode in InductiveMode]),
         ("store_variant", ["brkg", "large"]),
@@ -265,16 +275,14 @@ def _benchmark_alignments(config: dict, store, portion: str):
     return alignments
 
 
-def _section(config: dict, name: str, cls, extras: dict | None = None, **defaults):
-    """``cls`` from config section ``name`` over ``defaults``, plus the
-    section's values of the non-field keys in ``extras`` ({key: default}).
-    An unknown key, a wrong type or a value ``cls`` rejects is a usage error."""
+def _section(config: dict, name: str, cls, **defaults):
+    """``cls`` from config section ``name`` over ``defaults``. An unknown
+    key, a wrong type or a value ``cls`` rejects is a usage error."""
     section = config[name]
     if not isinstance(section, dict):
         raise UsageError(f"config section {name!r} must be a JSON object")
     section = {**defaults, **section}
-    extras = dict(extras or {})
-    known = {f.name: f.default for f in dataclasses.fields(cls)} | extras
+    known = {f.name: f.default for f in dataclasses.fields(cls)}
     for key, value in section.items():
         if key not in known:
             raise UsageError(f"config section {name!r}: unknown key {key!r}")
@@ -282,10 +290,8 @@ def _section(config: dict, name: str, cls, extras: dict | None = None, **default
         if type(value) is not kind and (kind, type(value)) != (float, int):
             raise UsageError(f"config section {name!r}: {key} must be a {kind.__name__}, "
                              f"got {value!r}")
-    for key in extras:
-        extras[key] = section.pop(key, extras[key])
     try:
-        return cls(**section), extras
+        return cls(**section)
     except ValueError as exc:
         raise UsageError(f"config section {name!r}: {exc}") from None
 
@@ -396,11 +402,11 @@ def _train_alignments(config: dict):
 def cmd_train_preranker(config: dict, args) -> int:
     store = _load_store(config)
     alignments = _train_alignments(config)
-    train_config, _ = _section(
+    train_config = _section(
         config, "preranker", PrerankTrainConfig,
         seed=stream_seed(config["seed"], "negatives"), with_context=config["with_context"],
     )
-    encoder_config, _ = _section(config, "encoder", EncoderConfig)
+    encoder_config = _section(config, "encoder", EncoderConfig)
     out = _out_dir(config)
     params_path = out / "preranker.params"
 
@@ -428,7 +434,7 @@ def cmd_train_reranker(config: dict, args) -> int:
     store = _load_store(config)
     alignments = _train_alignments(config)
     encoder = _load_encoder(config)
-    train_config, _ = _section(
+    train_config = _section(
         config, "reranker", RerankTrainConfig,
         seed=stream_seed(config["seed"], "corruption"), with_context=config["with_context"],
     )
@@ -455,14 +461,9 @@ def cmd_train_ookg(config: dict, args) -> int:
         "build-benchmark",
     ))
     encoder = _load_encoder(config)
-    train_config, extras = _section(
-        config, "ookg", QkvTrainConfig,
-        extras={"grid_size": 200, "calibrate_thresholds": False,
-                "attention_threshold": OokgThresholds().attention},
-        seed=stream_seed(config["seed"], "calibration"),
+    train_config = _section(
+        config, "ookg", QkvTrainConfig, seed=stream_seed(config["seed"], "calibration")
     )
-    grid_size = extras["grid_size"]
-    attention = float(extras["attention_threshold"])
     out = _out_dir(config)
     indices = build_store_indices(encoder, store)
 
@@ -473,19 +474,16 @@ def cmd_train_ookg(config: dict, args) -> int:
     save_qkv_params(params, out / "qkv.params", header=artifact_header(config))
     write_jsonl(out / "qkv.trace.jsonl", trace, header=artifact_header(config))
 
-    if extras["calibrate_thresholds"]:
+    if train_config.calibrate_thresholds:
         thresholds, grid_meta = calibrate_all_thresholds(
-            alignments, indices, encoder, attention=attention, grid_size=grid_size,
-            with_context=config["with_context"],
+            alignments, indices, encoder, attention=train_config.attention_threshold,
+            grid_size=train_config.grid_size, with_context=config["with_context"],
         )
     else:
-        thresholds = OokgThresholds(attention=attention)
-        grid_meta = {"grid_size": grid_size, "calibrated": False}
-    write_jsonl(
-        out / "thresholds.jsonl",
-        [thresholds_record(thresholds, grid_meta)],
-        header=artifact_header(config),
-    )
+        thresholds = OokgThresholds(attention=train_config.attention_threshold)
+        grid_meta = {"grid_size": train_config.grid_size, "calibrated": False}
+    write_jsonl(out / "thresholds.jsonl", [thresholds_record(thresholds, grid_meta)],
+                header=artifact_header(config))
     print(f"final loss {trace[-1]['mean_loss']:.6f}")
     return 0
 
@@ -611,8 +609,9 @@ def cmd_detect(config: dict, args) -> int:
     thresholds_path = _path_value(config, "thresholds") or out / "thresholds.jsonl"
     if thresholds_path.exists():
         records = read_jsonl(thresholds_path)
-        if records:
-            thresholds = thresholds_from_record(records[0])
+        if not records:
+            raise DataError(f"{thresholds_path}: holds no thresholds record")
+        thresholds = thresholds_from_record(records[0], thresholds_path)
 
     name = args.detector or config["detector"]
     if name == "confidence":

@@ -12,7 +12,6 @@ from .errors import (
     EmptyTrainingSetError,
     MalformedRecordError,
     MissingContextError,
-    UnknownIdError,
 )
 from .io import iter_jsonl, write_jsonl
 from .kg import KgFact, KgStore, _validate_fact
@@ -267,7 +266,8 @@ def read_oie_file(path: str | Path) -> dict[str, list[OieTriple]]:
 
 def read_pairs_file(path: str | Path, store: KgStore) -> list[SentenceFactPair]:
     """Pair records {sentence_id, sentence, subject, predicate, object,
-    subject_mention?, object_mention?}; facts must resolve in the store."""
+    subject_mention?, object_mention?}; each fact's ids must name store
+    entries of their slot's kind."""
     pairs: list[SentenceFactPair] = []
     for line_number, record in iter_jsonl(path):
         for required in ("sentence_id", "sentence", "subject", "predicate", "object"):
@@ -280,11 +280,7 @@ def read_pairs_file(path: str | Path, store: KgStore) -> list[SentenceFactPair]:
             predicate_id=str(record["predicate"]),
             object_id=str(record["object"]),
         )
-        for entry_id in fact.ids:
-            if entry_id not in store:
-                raise UnknownIdError(
-                    f"line {line_number}: pair references unknown id {entry_id!r}"
-                )
+        _validate_fact(fact, store.entries, where=f"line {line_number}: pair ")
         pairs.append(
             SentenceFactPair(
                 sentence_id=str(record["sentence_id"]),

@@ -217,9 +217,11 @@ class _SegmentBatch:
         gathered = feature_table[self.positions] * self.weights[:, None]
         return np.add.reduceat(gathered, self.starts, axis=0)
 
-    def scatter_add(self, target: np.ndarray, d_segments: np.ndarray, scale: float = 1.0) -> None:
+    def scatter_add(self, target: np.ndarray, d_segments: np.ndarray,
+                    scale: float = 1.0) -> np.ndarray:
         # sort-based segment sum: much faster than np.add.at and still
-        # deterministic (stable sort fixes the accumulation order)
+        # deterministic (stable sort fixes the accumulation order); returns
+        # the sorted, distinct positions it added to
         contributions = d_segments[self.rows] * (self.weights * scale)[:, None]
         order = np.argsort(self.positions, kind="stable")
         sorted_positions = self.positions[order]
@@ -227,10 +229,9 @@ class _SegmentBatch:
             np.concatenate(([True], sorted_positions[1:] != sorted_positions[:-1]))
         )
         summed = np.add.reduceat(contributions[order], boundaries, axis=0)
-        target[sorted_positions[boundaries]] += summed
-
-    def touched(self) -> np.ndarray:
-        return np.unique(self.positions)
+        touched = sorted_positions[boundaries]
+        target[touched] += summed
+        return touched
 
 
 def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

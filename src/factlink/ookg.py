@@ -48,6 +48,8 @@ class OokgThresholds:
         max_entropy = float(np.log(TOP_SUPPORT))
         if not all(0.0 <= t <= max_entropy for t in self.entropy):
             raise ValueError(f"entropy thresholds must lie in [0, ln {TOP_SUPPORT}]")
+        if not 0.0 < self.attention < 1.0:
+            raise ValueError(f"the attention threshold must lie in (0, 1), got {self.attention!r}")
 
 
 def topk_softmax(sims: Sequence[float]) -> np.ndarray:
@@ -162,6 +164,10 @@ class QkvTrainConfig:
     subset_size: int = 64
     gold_drop_prob: float = 0.5
     seed: int = 0
+    # the thresholds file that train-ookg writes beside the head
+    calibrate_thresholds: bool = False
+    grid_size: int = 200
+    attention_threshold: float = DEFAULT_ATTENTION_THRESHOLD
 
     def __post_init__(self):
         if self.epochs < 1 or self.learning_rate <= 0 or self.subset_size < 1:
@@ -170,6 +176,9 @@ class QkvTrainConfig:
             raise ValueError("gold_drop_prob must be in [0, 1]")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+        if self.grid_size < 1:
+            raise ValueError(f"grid_size must be >= 1, got {self.grid_size!r}")
+        OokgThresholds(attention=self.attention_threshold)  # its range check
 
 
 def train_qkv(
@@ -277,16 +286,17 @@ def thresholds_record(thresholds: OokgThresholds, grid_metadata: dict | None = N
     }
 
 
-def thresholds_from_record(record: dict) -> OokgThresholds:
-    """Inverse of ``thresholds_record``; a missing key, a wrong count or an
-    out-of-range value is a MalformedRecordError."""
-    with reading_artifact("thresholds record"):
-        attention = record["attention"]
-        return OokgThresholds(
-            confidence=tuple(float(t) for t in record["confidence"]),
-            entropy=tuple(float(t) for t in record["entropy"]),
-            attention=float(attention[0] if isinstance(attention, list) else attention),
+def thresholds_from_record(record: dict, path="thresholds record") -> OokgThresholds:
+    """Inverse of ``thresholds_record``; a missing key, a wrong count, an
+    out-of-range value or unequal attention values is a MalformedRecordError
+    naming ``path``."""
+    with reading_artifact(path):
+        confidence, entropies, attention = (
+            tuple(float(t) for t in record[key]) for key in ("confidence", "entropy", "attention")
         )
+        if len(attention) != 3 or len(set(attention)) != 1:
+            raise ValueError(f"attention needs one value listed per slot, got {attention}")
+        return OokgThresholds(confidence=confidence, entropy=entropies, attention=attention[0])
 
 
 # ---------------------------------------------------------------------------
@@ -296,26 +306,27 @@ def thresholds_from_record(record: dict) -> OokgThresholds:
 def detection_accuracy(
     statistics: Sequence[float],
     is_out: Sequence[bool],
-    threshold: float,
+    threshold: float | np.ndarray,
     out_when: str,
-) -> float:
-    """Accuracy averaged over the two scenario classes; a statistic exactly
-    at the threshold decides in-KG."""
-    stats = np.asarray(statistics, dtype=np.float64)
-    labels = np.asarray(is_out, dtype=bool)
-    if out_when == "below":
-        decided_out = stats < threshold
-    elif out_when == "above":
-        decided_out = stats > threshold
-    else:
+) -> float | np.ndarray:
+    """Accuracy averaged over the two scenario classes, at one threshold or
+    at each of an array of them; a statistic exactly at a threshold decides
+    in-KG. Binary search over each class's sorted statistics counts it."""
+    if out_when not in ("below", "above"):
         raise ValueError("out_when must be 'below' or 'above'")
-    accuracies = []
+    sign = 1.0 if out_when == "below" else -1.0  # out iff sign * statistic < sign * threshold
+    stats = sign * np.asarray(statistics, dtype=np.float64)
+    labels = np.asarray(is_out, dtype=bool)
+    thresholds = sign * np.asarray(threshold, dtype=np.float64)
+    accuracy = 0.0
     for cls in (True, False):
-        mask = labels == cls
-        if not mask.any():
+        class_stats = np.sort(stats[labels == cls])
+        if not class_stats.size:
             raise DataError("calibration needs samples from both scenario classes")
-        accuracies.append(float((decided_out[mask] == cls).mean()))
-    return float(np.mean(accuracies))
+        decided_out = np.searchsorted(class_stats, thresholds)
+        hits = decided_out if cls else class_stats.size - decided_out
+        accuracy = accuracy + hits / class_stats.size
+    return accuracy / 2
 
 
 def calibrate_threshold(
@@ -333,14 +344,7 @@ def calibrate_threshold(
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     grid = np.linspace(stats.min(), stats.max(), grid_size)
-    best_threshold = float(grid[0])
-    best_accuracy = -1.0
-    for candidate in grid:
-        accuracy = detection_accuracy(stats, is_out, float(candidate), out_when)
-        if accuracy > best_accuracy:
-            best_accuracy = accuracy
-            best_threshold = float(candidate)
-    return best_threshold
+    return float(grid[np.argmax(detection_accuracy(stats, is_out, grid, out_when))])
 
 
 # ---------------------------------------------------------------------------

@@ -466,8 +466,7 @@ def train_preranker(
             # only when touched (the table is updated sparsely)
             params.slot_projection -= lr * (d_slot_projection + wd * params.slot_projection)
             params.entry_projection -= lr * (d_entry_projection + wd * params.entry_projection)
-            forward.batch.scatter_add(params.feature_table, d_segments, scale=-lr)
-            touched = forward.batch.touched()
+            touched = forward.batch.scatter_add(params.feature_table, d_segments, scale=-lr)
             params.feature_table[touched] *= 1.0 - lr * wd
             log_tau = max(log_tau - lr * d_log_tau, log_tau_min)
 

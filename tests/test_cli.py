@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from factlink.cli import main
-from factlink.io import load_arrays, read_jsonl, save_arrays
+from factlink.io import load_arrays, read_jsonl, save_arrays, write_jsonl
 from factlink.preranker import load_index
 from toyworld import build_toy_world, write_input_files
 
@@ -403,6 +403,33 @@ def _predicate_as_first_subject(out):
     path.write_text("\n".join((header, json.dumps(record), rest)), "utf-8")
 
 
+def _pair_with_predicate_as_subject(out):
+    """A train pairs file in out_dir whose one pair holds its fact's
+    predicate id as the subject."""
+    record = read_jsonl(out / "alignments.jsonl")[0]
+    write_jsonl(out / "train_pairs.jsonl", [{
+        "sentence_id": "s1", "sentence": "...", "subject": record["predicate_id"],
+        "predicate": record["predicate_id"], "object": record["object_id"],
+    }])
+
+
+def _thresholds_with(**fields):
+    """thresholds.jsonl keeps its header; its record takes ``fields``."""
+    def corrupt(out):
+        path = out / "thresholds.jsonl"
+        header, record = path.read_text("utf-8").splitlines()
+        path.write_text("\n".join((header, json.dumps({**json.loads(record), **fields}))) + "\n")
+    return corrupt
+
+
+def _header_only(name):
+    """``name`` in out_dir keeps its header line and loses every record."""
+    def corrupt(out):
+        path = out / name
+        path.write_text(path.read_text("utf-8").split("\n", 1)[0] + "\n", "utf-8")
+    return corrupt
+
+
 def _kg_entry_with(**fields):
     """A KG entries file in out_dir whose second line carries ``fields``."""
     def corrupt(out):
@@ -455,6 +482,17 @@ class TestFailureExitCodes:
             1, ["--set", "store_variant=bogus", "evaluate", "--facet", "transductive"], None
         ),
         "kg-min-count-string": (1, ["--set", 'kg_min_count="x"', "build-benchmark"], None),
+        "kg-min-count-negative": (1, ["--set", "kg_min_count=-1", "build-benchmark"], None),
+        "top-level-key-typo": (
+            1, ["--set", "store_varaint=large", "evaluate", "--facet", "transductive"], None
+        ),
+        "ookg-grid-size-zero": (
+            1, ["--set", "ookg.grid_size=0", "--set", "ookg.calibrate_thresholds=true",
+                "train-ookg"], None,
+        ),
+        "ookg-attention-out-of-range": (
+            1, ["--set", "ookg.attention_threshold=5", "train-ookg"], None
+        ),
         "seed-string": (1, ["--set", "seed=x", "train-preranker"], None),
         "seed-out-of-range": (1, ["--seed", str(2**64), "train-preranker"], None),
         "augment-not-bool": (1, ["--set", "augment=1", "build-benchmark"], None),
@@ -565,6 +603,22 @@ class TestFailureExitCodes:
         "thresholds-empty-record": (
             2, ["detect"], lambda out: (out / "thresholds.jsonl").write_text("{}\n")
         ),
+        "thresholds-attention-out-of-range": (
+            2, ["detect"], _thresholds_with(attention=[5, 5, 5])
+        ),
+        "thresholds-header-only": (2, ["detect"], _header_only("thresholds.jsonl")),
+        "config-file-missing": (2, ["--config", "{out}/missing.json", "index"], None),
+        "resume-without-params": (
+            2, ["train-preranker", "--resume"], lambda out: (out / "preranker.params").unlink()
+        ),
+        "evaluate-empty-facet": (
+            2, ["evaluate", "--facet", "transductive"], _header_only("split-transductive.jsonl")
+        ),
+        "detect-empty-facet": (2, ["detect"], _header_only("split-out-of-kg.jsonl")),
+        "pairs-predicate-as-subject": (
+            2, ["--set", "train_pairs={out}/train_pairs.jsonl", "build-benchmark"],
+            _pair_with_predicate_as_subject,
+        ),
         "params-header-missing-keys": (
             2, ["index"],
             lambda out: _replace_header(
@@ -593,4 +647,8 @@ class TestFailureExitCodes:
             assert "preranker.params" in err
         if case.startswith("kg-entry-"):
             assert "line 2: entry" in err
+        if case.startswith("pairs-"):
+            assert "line 1: pair" in err
+        if case.startswith(("thresholds-", "config-file")) and case != "thresholds-int":
+            assert str(out) in err
         assert {p.name: file_hash(p) for p in out.glob("*.params")} == before

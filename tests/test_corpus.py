@@ -19,7 +19,7 @@ from factlink.corpus import (
     remove_leakage,
     write_alignments,
 )
-from factlink.errors import MissingContextError, ReservedTokenError, UnknownIdError
+from factlink.errors import DanglingFactError, MissingContextError, ReservedTokenError
 from factlink.io import write_jsonl
 from factlink.kg import KgFact, build_store
 
@@ -323,7 +323,19 @@ class TestFileFormats:
                 }
             ],
         )
-        with pytest.raises(UnknownIdError, match="line 1"):
+        with pytest.raises(DanglingFactError,
+                           match="line 1: pair fact references unknown id 'Q404'"):
+            read_pairs_file(pairs_path, jordan_store)
+
+    @pytest.mark.parametrize("slot,entry_id", [
+        ("subject", "P54"), ("predicate", "Q18419"), ("object", "P19"),
+    ])
+    def test_pairs_entry_of_the_wrong_kind(self, tmp_path, jordan_store, slot, entry_id):
+        record = {"sentence_id": "s1", "sentence": "...",
+                  "subject": "Q41421", "predicate": "P54", "object": "Q128109"}
+        pairs_path = tmp_path / "pairs.jsonl"
+        write_jsonl(pairs_path, [record, {**record, slot: entry_id}])
+        with pytest.raises(DanglingFactError, match=f"line 2: pair fact uses {entry_id!r}"):
             read_pairs_file(pairs_path, jordan_store)
 
     def test_alignment_file_round_trip(self, tmp_path):

@@ -135,12 +135,30 @@ class TestHeuristicDetectors:
         {"confidence": [0.25, 1.5, 0.25]},
         {"entropy": [1.6, -0.1, 1.6]},
         {"attention": "high"},
+        {"attention": 0.3},  # a bare value: the record lists one per slot
+        {"attention": [0.3, 0.3]},
+        {"attention": [0.3, 0.4, 0.3]},
+        {"attention": [5, 5, 5]},
+        {"attention": [0.0, 0.0, 0.0]},
     ])
     def test_malformed_record_rejected(self, change):
         record = thresholds_record(OokgThresholds())
         assert thresholds_from_record(record) == OokgThresholds()
         with pytest.raises(MalformedRecordError):
             thresholds_from_record({**record, **change})
+
+    @pytest.mark.parametrize("attention", [0.0, 1.0, -0.2, 5.0, float("nan")])
+    def test_attention_outside_unit_interval_rejected(self, attention):
+        with pytest.raises(ValueError, match="attention"):
+            OokgThresholds(attention=attention)
+
+    @pytest.mark.parametrize("change", [
+        {"grid_size": 0}, {"attention_threshold": 5.0}, {"attention_threshold": 0.0},
+    ])
+    def test_train_config_rejects_threshold_settings(self, change):
+        assert QkvTrainConfig().attention_threshold == OokgThresholds().attention
+        with pytest.raises(ValueError):
+            QkvTrainConfig(**change)
 
 
 class TestQkvScore:
@@ -421,7 +439,45 @@ class TestTrainQkv:
         assert report.slot_accuracy[2] > 0.5
 
 
+def _loop_detection_accuracy(stats, labels, threshold, out_when):
+    """The reference: one threshold, one comparison per statistic."""
+    decided_out = stats < threshold if out_when == "below" else stats > threshold
+    return float(np.mean([float((decided_out[labels == cls] == cls).mean())
+                          for cls in (True, False)]))
+
+
+def _loop_calibrate_threshold(stats, labels, out_when, grid_size):
+    """The reference: score the grid one point at a time, keeping the
+    first best."""
+    grid = np.linspace(stats.min(), stats.max(), grid_size)
+    best_threshold, best_accuracy = float(grid[0]), -1.0
+    for candidate in grid:
+        accuracy = _loop_detection_accuracy(stats, labels, float(candidate), out_when)
+        if accuracy > best_accuracy:
+            best_accuracy, best_threshold = accuracy, float(candidate)
+    return best_threshold
+
+
 class TestCalibrateThreshold:
+    @pytest.mark.parametrize("out_when", ["below", "above"])
+    @pytest.mark.parametrize("grid_size", [1, 2, 7, 200])
+    def test_matches_the_per_point_loop(self, grid_size, out_when):
+        rng = np.random.default_rng(grid_size)
+        for case in range(40):
+            n = int(rng.integers(2, 300))
+            # few distinct values give ties among statistics and among grid scores
+            stats = rng.integers(0, 1 + case % 8, size=n) / 7 if case % 2 else rng.normal(size=n)
+            labels = rng.random(n) < rng.uniform(0.1, 0.9)
+            labels[:2] = (True, False)
+            expected = _loop_calibrate_threshold(stats, labels, out_when, grid_size)
+            got = calibrate_threshold(stats, labels, out_when, grid_size)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+            grid = np.linspace(stats.min(), stats.max(), grid_size)
+            scores = detection_accuracy(stats, labels, grid, out_when)
+            assert scores.tolist() == [
+                _loop_detection_accuracy(stats, labels, t, out_when) for t in grid
+            ]
+
     def test_perfectly_separable(self):
         stats = [0.1, 0.15, 0.2, 0.8, 0.85, 0.9]
         labels = [True, True, True, False, False, False]  # low stat = out
