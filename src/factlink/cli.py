@@ -134,6 +134,12 @@ def _deep_update(base: dict, extra: dict) -> dict:
     return base
 
 
+def _positive_int(value, name: str) -> int:
+    if type(value) is not int or value < 1:
+        raise UsageError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def load_config(
     path: str | None, overrides: list[str], out_dir: str | None = None, seed: int | None = None
 ) -> dict:
@@ -194,6 +200,9 @@ def load_config(
         raise UsageError(f"kg_min_count must be >= 0, got {config['kg_min_count']!r}")
     if not config["out_dir"]:
         raise UsageError("out_dir must not be empty")
+    for key in ("link_k", "rerank_k", "qkv_key_pool"):
+        if key in config:
+            _positive_int(config[key], key)
     return config
 
 
@@ -239,12 +248,6 @@ def _input_path(config: dict, key: str, default_name: str, what: str, producer: 
     return path
 
 
-def _positive_int(value, name: str) -> int:
-    if type(value) is not int or value < 1:
-        raise UsageError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
 def _out_dir(config: dict) -> Path:
     out = Path(config["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -275,15 +278,17 @@ def _benchmark_alignments(config: dict, store, portion: str):
     return alignments
 
 
-def _section(config: dict, name: str, cls, **defaults):
-    """``cls`` from config section ``name`` over ``defaults``. An unknown
-    key, a wrong type or a value ``cls`` rejects is a usage error."""
+def _section(config: dict, name: str, cls, **fixed):
+    """``cls`` from config section ``name`` and the values ``fixed`` that the
+    stage derives from the top level. A key among ``fixed``, an unknown key,
+    a wrong type or a value ``cls`` rejects is a usage error."""
     section = config[name]
     if not isinstance(section, dict):
         raise UsageError(f"config section {name!r} must be a JSON object")
-    section = {**defaults, **section}
     known = {f.name: f.default for f in dataclasses.fields(cls)}
     for key, value in section.items():
+        if key in fixed:
+            raise UsageError(f"config section {name!r}: {key} is set only at the top level")
         if key not in known:
             raise UsageError(f"config section {name!r}: unknown key {key!r}")
         kind = type(known[key])  # an int stands in for a float
@@ -291,7 +296,7 @@ def _section(config: dict, name: str, cls, **defaults):
             raise UsageError(f"config section {name!r}: {key} must be a {kind.__name__}, "
                              f"got {value!r}")
     try:
-        return cls(**section)
+        return cls(**section, **fixed)
     except ValueError as exc:
         raise UsageError(f"config section {name!r}: {exc}") from None
 
@@ -400,13 +405,12 @@ def _train_alignments(config: dict):
 
 
 def cmd_train_preranker(config: dict, args) -> int:
-    store = _load_store(config)
-    alignments = _train_alignments(config)
     train_config = _section(
-        config, "preranker", PrerankTrainConfig,
-        seed=stream_seed(config["seed"], "negatives"), with_context=config["with_context"],
+        config, "preranker", PrerankTrainConfig, seed=stream_seed(config["seed"], "negatives")
     )
     encoder_config = _section(config, "encoder", EncoderConfig)
+    store = _load_store(config)
+    alignments = _train_alignments(config)
     out = _out_dir(config)
     params_path = out / "preranker.params"
 
@@ -420,6 +424,7 @@ def cmd_train_preranker(config: dict, args) -> int:
         params, trace = train_preranker(
             alignments, store, train_config, encoder_config,
             initial_params=initial_params, initial_tau=initial_tau,
+            with_context=config["with_context"],
         )
     save_params(params, params_path, tau=trace[-1]["tau"], header=artifact_header(config))
     held = len(params.table_ids)
@@ -431,13 +436,12 @@ def cmd_train_preranker(config: dict, args) -> int:
 
 
 def cmd_train_reranker(config: dict, args) -> int:
+    train_config = _section(
+        config, "reranker", RerankTrainConfig, seed=stream_seed(config["seed"], "corruption")
+    )
     store = _load_store(config)
     alignments = _train_alignments(config)
     encoder = _load_encoder(config)
-    train_config = _section(
-        config, "reranker", RerankTrainConfig,
-        seed=stream_seed(config["seed"], "corruption"), with_context=config["with_context"],
-    )
     out = _out_dir(config)
 
     with np.errstate(**_RAISE_FLOAT_ERRORS):
@@ -445,7 +449,7 @@ def cmd_train_reranker(config: dict, args) -> int:
         neighbors = store_neighbor_lists(indices, train_config.hard_negative_pool)
         masked = build_store_indices(encoder, store, mask_description=True)
         params, trace = train_reranker(
-            alignments, encoder, indices, train_config, neighbors, masked
+            alignments, encoder, indices, train_config, neighbors, masked, config["with_context"]
         )
     save_cross_params(params, out / "reranker.params", header=artifact_header(config))
     write_jsonl(out / "reranker.trace.jsonl", trace, header=artifact_header(config))
@@ -455,15 +459,15 @@ def cmd_train_reranker(config: dict, args) -> int:
 
 
 def cmd_train_ookg(config: dict, args) -> int:
+    train_config = _section(
+        config, "ookg", QkvTrainConfig, seed=stream_seed(config["seed"], "calibration")
+    )
     store = _load_store(config)
     alignments = read_alignments(_input_path(
         config, "calibration_alignments", "alignments.jsonl", "calibration alignments",
         "build-benchmark",
     ))
     encoder = _load_encoder(config)
-    train_config = _section(
-        config, "ookg", QkvTrainConfig, seed=stream_seed(config["seed"], "calibration")
-    )
     out = _out_dir(config)
     indices = build_store_indices(encoder, store)
 
@@ -521,8 +525,8 @@ def cmd_link(config: dict, args) -> int:
     oies = read_oie_file(oie_path)
     out = _out_dir(config)
     entity_index, predicate_index = _store_indices(config, encoder, store)
-    k = _positive_int(args.k if args.k is not None else config["link_k"], "--k / link_k")
-    with_context = bool(config["with_context"] or args.with_context)
+    k = config["link_k"] if args.k is None else _positive_int(args.k, "--k")
+    with_context = config["with_context"]
 
     def records():
         for sentence_id in sorted(oies):
@@ -557,8 +561,7 @@ def cmd_evaluate(config: dict, args) -> int:
         raise DataError(f"facet {args.facet!r} is empty")
     train = _train_alignments(config)
     eval_store, store_tag = _store_variant(config, store, train + test)
-    with_context = bool(config["with_context"] or args.with_context)
-    rerank_k = args.rerank_k if args.rerank_k is not None else config.get("rerank_k")
+    with_context = config["with_context"]
 
     if args.linker == "frequency":
         linker = frequency_baseline(train)
@@ -568,7 +571,8 @@ def cmd_evaluate(config: dict, args) -> int:
         encoder = _load_encoder(config)
         indices = entity_index, predicate_index = _store_indices(config, encoder, eval_store)
         if args.use_reranker:
-            k = _positive_int(rerank_k, "--rerank-k / rerank_k")
+            k = (config["rerank_k"] if args.rerank_k is None
+                 else _positive_int(args.rerank_k, "--rerank-k"))
             scorer = load_cross_params(_input_path(
                 config, "reranker_params", "reranker.params", "reranker params", "train-reranker"
             ))
@@ -605,23 +609,22 @@ def cmd_detect(config: dict, args) -> int:
     encoder = _load_encoder(config)
     out = _out_dir(config)
 
+    name = args.detector or config["detector"]
     thresholds = OokgThresholds()
     thresholds_path = _path_value(config, "thresholds") or out / "thresholds.jsonl"
-    if thresholds_path.exists():
+    if name in ("confidence", "entropy", "qkv") and thresholds_path.exists():
         records = read_jsonl(thresholds_path)
         if not records:
             raise DataError(f"{thresholds_path}: holds no thresholds record")
         thresholds = thresholds_from_record(records[0], thresholds_path)
 
-    name = args.detector or config["detector"]
     if name == "confidence":
         detector = ConfidenceDetector(thresholds)
     elif name == "entropy":
         detector = EntropyDetector(thresholds)
     elif name == "qkv":
-        key_pool = _positive_int(config.get("qkv_key_pool", 64), "qkv_key_pool")
-        qkv_path = _input_path(config, "qkv_params", "qkv.params", "qkv params", "train-ookg")
-        detector = QkvDetector(load_qkv_params(qkv_path), thresholds, key_pool=key_pool)
+        path = _input_path(config, "qkv_params", "qkv.params", "qkv params", "train-ookg")
+        detector = QkvDetector(load_qkv_params(path), thresholds, config.get("qkv_key_pool", 64))
     elif name == "random":
         detector = RandomDetector(seed=stream_seed(config["seed"], "detector"))
     else:  # "always-in"; load_config and the parser admit only DETECTORS
@@ -629,8 +632,7 @@ def cmd_detect(config: dict, args) -> int:
 
     report = ookg_evaluate(
         detector, test, _store_indices(config, encoder, store), encoder,
-        with_context=bool(config["with_context"] or args.with_context),
-        collect_records=True,
+        with_context=config["with_context"], collect_records=True,
     )
     write_jsonl(out / f"detection-{name}.jsonl", report.records, header=artifact_header(config))
     slots = " ".join(
@@ -670,7 +672,6 @@ def build_parser() -> _Parser:
 
     link_cmd = sub.add_parser("link", help="per-slot retrieval for an OIE file")
     link_cmd.add_argument("--k", type=int, default=None)
-    link_cmd.add_argument("--with-context", action="store_true")
 
     evaluate = sub.add_parser("evaluate", help="score a facet and emit a report")
     evaluate.add_argument("--facet", choices=sorted(FACETS), required=True)
@@ -678,14 +679,12 @@ def build_parser() -> _Parser:
                           default="preranker")
     evaluate.add_argument("--use-reranker", action="store_true")
     evaluate.add_argument("--rerank-k", type=int, default=None)
-    evaluate.add_argument("--with-context", action="store_true")
 
     detect = sub.add_parser("detect", help="out-of-KG detection over a facet")
     detect.add_argument("--facet", choices=sorted(FACETS), default=None)
     detect.add_argument("--detector",
                         choices=DETECTORS,
                         default=None)
-    detect.add_argument("--with-context", action="store_true")
     return parser
 
 

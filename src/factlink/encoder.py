@@ -255,18 +255,28 @@ class Forward:
     entry_norms: np.ndarray
 
 
+def render_slots(triple: OieTriple, with_context: bool = False) -> tuple[str, str, str, str]:
+    """The texts ``encode_batch`` takes for ``triple``: its slots, then the triple text."""
+    return (*triple.slots, oie_text(triple, with_context))
+
+
+def render_entry(entry: KgEntry, mask_description: bool = False) -> tuple[str, str]:
+    """The label and description texts of ``entry``; a masked or missing description is ""."""
+    return entry.label, "" if mask_description or entry.description is None else entry.description
+
+
 def encode_batch(
     params: ReferenceEncoderParams,
     hasher: FeatureHasher,
     slot_texts: Sequence[tuple[str, str, str, str]],
     entry_texts: Sequence[tuple[str, str]],
 ) -> Forward:
-    """The reference encoder's forward pass over (subject, relation,
-    object, triple text) per OIE triple and (label, description or "") per
-    entry. Each text maps to the weighted mean of its feature-table rows;
-    a slot projects [its segment, its triple's], an entry [label segment,
-    description segment], normalized to unit length. With b triples,
-    ``slot_vectors`` holds the b subjects, then relations, then objects."""
+    """The reference encoder's forward pass over ``render_slots`` texts per
+    OIE triple and ``render_entry`` texts per entry. Each text maps to the
+    weighted mean of its feature-table rows; a slot projects [its segment,
+    its triple's], an entry [label segment, description segment], normalized
+    to unit length. With b triples, ``slot_vectors`` holds the b subjects,
+    then relations, then objects."""
     b, m = len(slot_texts), len(entry_texts)
     texts = [t[part] for part in range(4) for t in slot_texts] + [
         t[part] for part in range(2) for t in entry_texts
@@ -299,9 +309,8 @@ class ReferenceEncoder:
         key = (oie_uid(triple), with_context)
         embeddings = self._slot_cache.get(key)
         if embeddings is None:
-            texts = (*triple.slots, oie_text(triple, with_context))
-            forward = encode_batch(self.params, self.hasher, [texts], ())
-            embeddings = tuple(forward.slot_vectors)
+            texts = [render_slots(triple, with_context)]
+            embeddings = tuple(encode_batch(self.params, self.hasher, texts, ()).slot_vectors)
             self._slot_cache[key] = embeddings
         return embeddings
 
@@ -316,8 +325,7 @@ class ReferenceEncoder:
         self, entries: Sequence[KgEntry], mask_description: bool = False
     ) -> np.ndarray:
         """Stacked entry embeddings of one forward over ``entries``; no cache."""
-        texts = [(e.label, "" if mask_description or e.description is None else e.description)
-                 for e in entries]
+        texts = [render_entry(e, mask_description) for e in entries]
         return encode_batch(self.params, self.hasher, (), texts).entry_vectors
 
 

@@ -62,15 +62,6 @@ def topk_softmax(sims: Sequence[float]) -> np.ndarray:
     return exp / exp.sum()
 
 
-def confidence_detect(
-    probs: Sequence[float], slot_index: int, thresholds: OokgThresholds
-) -> Decision:
-    """Out-of-KG iff the top-1 confidence is strictly below the slot's
-    threshold; a statistic exactly at the threshold counts as in-KG."""
-    top1 = float(np.max(probs))
-    return Decision.OUT_OF_KG if top1 < thresholds.confidence[slot_index] else Decision.IN_KG
-
-
 def entropy(probs: Sequence[float]) -> float:
     """Shannon entropy in nats, with 0*log(0) = 0."""
     p = np.asarray(probs, dtype=np.float64)
@@ -78,9 +69,13 @@ def entropy(probs: Sequence[float]) -> float:
     return float(-(nonzero * np.log(nonzero)).sum())
 
 
-def entropy_detect(h: float, slot_index: int, thresholds: OokgThresholds) -> Decision:
-    """Out-of-KG iff the entropy is strictly above the slot's threshold."""
-    return Decision.OUT_OF_KG if h > thresholds.entropy[slot_index] else Decision.IN_KG
+# out-of-KG iff sign * statistic < sign * threshold; a statistic at the threshold is in-KG
+_OUT_SIGN = {"below": 1.0, "above": -1.0}
+
+
+def _threshold_decision(statistic: float, threshold: float, out_when: str) -> Decision:
+    sign = _OUT_SIGN[out_when]
+    return Decision.OUT_OF_KG if sign * statistic < sign * threshold else Decision.IN_KG
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +307,9 @@ def detection_accuracy(
     """Accuracy averaged over the two scenario classes, at one threshold or
     at each of an array of them; a statistic exactly at a threshold decides
     in-KG. Binary search over each class's sorted statistics counts it."""
-    if out_when not in ("below", "above"):
+    if out_when not in _OUT_SIGN:
         raise ValueError("out_when must be 'below' or 'above'")
-    sign = 1.0 if out_when == "below" else -1.0  # out iff sign * statistic < sign * threshold
+    sign = _OUT_SIGN[out_when]
     stats = sign * np.asarray(statistics, dtype=np.float64)
     labels = np.asarray(is_out, dtype=bool)
     thresholds = sign * np.asarray(threshold, dtype=np.float64)
@@ -377,7 +372,7 @@ class ConfidenceDetector:
 
     def decide(self, query, index, slot, gold_id):
         top1, _ = _support_statistics(query, index)
-        return confidence_detect((top1,), slot, self.thresholds), top1
+        return _threshold_decision(top1, self.thresholds.confidence[slot], "below"), top1
 
 
 class EntropyDetector:
@@ -388,7 +383,7 @@ class EntropyDetector:
         _, h = _support_statistics(query, index)
         if len(index) == 0:  # out-of-KG even at a threshold of ln TOP_SUPPORT
             return Decision.OUT_OF_KG, h
-        return entropy_detect(h, slot, self.thresholds), h
+        return _threshold_decision(h, self.thresholds.entropy[slot], "above"), h
 
 
 class QkvDetector:
@@ -410,8 +405,7 @@ class QkvDetector:
             return Decision.OUT_OF_KG, 0.0
         keys = index.vectors(i for i, _ in top)
         score = qkv_score(self.params, query, keys)
-        decision = Decision.OUT_OF_KG if score < self.thresholds.attention else Decision.IN_KG
-        return decision, score
+        return _threshold_decision(score, self.thresholds.attention, "below"), score
 
 
 class RandomDetector:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Alignment, OieTriple, check_training_set, oie_text
+from .corpus import Alignment, OieTriple, check_training_set
 from .encoder import (
     EncoderConfig,
     FeatureHasher,
@@ -24,6 +24,8 @@ from .encoder import (
     ReferenceEncoderParams,
     encode_batch,
     init_params,
+    render_entry,
+    render_slots,
 )
 from .errors import (
     DataError,
@@ -321,7 +323,6 @@ class PrerankTrainConfig:
     temperature_min: float = 0.01
     global_neg_entities: int = 128
     global_neg_predicates: int = 64
-    with_context: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -347,6 +348,7 @@ def train_preranker(
     encoder_config: EncoderConfig = EncoderConfig(),
     initial_params: ReferenceEncoderParams | None = None,
     initial_tau: float | None = None,
+    with_context: bool = False,
 ) -> tuple[ReferenceEncoderParams, list[dict]]:
     """Train the reference encoder with InfoNCE over per-slot positives.
 
@@ -370,14 +372,10 @@ def train_preranker(
     entity_ids = store.entity_ids()
     predicate_ids = store.predicate_ids()
 
-    # per-alignment slot texts and per-entry (label, description) texts are
-    # stable across epochs; the hasher memoizes their compiled features
-    slot_texts = [
-        (a.oie.subject, a.oie.relation, a.oie.object, oie_text(a.oie, config.with_context))
-        for a in alignments
-    ]
-    entries = map(store.entry, (*entity_ids, *predicate_ids))
-    entry_texts = {e.id: (e.label, e.description or "") for e in entries}
+    # per-alignment slot texts and per-entry texts are stable across epochs;
+    # the hasher memoizes their compiled features
+    slot_texts = [render_slots(a.oie, with_context) for a in alignments]
+    entry_texts = {i: render_entry(store.entry(i)) for i in (*entity_ids, *predicate_ids)}
 
     n = len(alignments)
     h = params.hidden

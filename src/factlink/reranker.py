@@ -219,7 +219,6 @@ class RerankTrainConfig:
     hard_negative_pool: int = 10
     description_mask_prob: float = 0.5
     negatives_per_positive: int = 3
-    with_context: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -240,6 +239,7 @@ def train_reranker(
     config: RerankTrainConfig,
     neighbor_lists: dict[str, tuple[str, ...]],
     masked_indices: tuple[EmbeddingIndex, EmbeddingIndex],
+    with_context: bool = False,
 ) -> tuple[CrossScorerParams, list[dict]]:
     """Binary cross-entropy training: gold pairs are positives, one-slot
     corruptions from top-k neighbor lists are negatives; each scored pair
@@ -270,7 +270,7 @@ def train_reranker(
                 sample_hard_negative(alignment.fact, neighbor_lists, rng) for _ in labels[1:]
             ]
             masked = rng.random(len(facts))[:, None] < config.description_mask_prob
-            slot_embeddings = encoder.slot_embed(alignment.oie, config.with_context)
+            slot_embeddings = encoder.slot_embed(alignment.oie, with_context)
             blocks = []
             for slot, ids in enumerate(zip(*(fact.ids for fact in facts))):
                 entries = np.where(masked, masked_indices[slot == 1].vectors(ids),

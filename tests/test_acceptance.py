@@ -258,16 +258,16 @@ def _seed_run(seed):
                 temperature_init=0.12, temperature_min=0.12)
     plain_params, _ = train_preranker(world.train, world.store, PrerankTrainConfig(**base))
     ctx_params, _ = train_preranker(
-        world.train, world.store, PrerankTrainConfig(**base, with_context=True)
+        world.train, world.store, PrerankTrainConfig(**base), with_context=True
     )
     plain = ReferenceEncoder(plain_params)
     ctx = ReferenceEncoder(ctx_params)
-    rerank_config = RerankTrainConfig(epochs=10, learning_rate=0.5, seed=seed, with_context=True)
+    rerank_config = RerankTrainConfig(epochs=10, learning_rate=0.5, seed=seed)
     ctx_indices = build_store_indices(ctx, world.store)
     scorer, _ = train_reranker(
         world.train, ctx, ctx_indices, rerank_config,
         store_neighbor_lists(ctx_indices, rerank_config.hard_negative_pool),
-        build_store_indices(ctx, world.store, mask_description=True),
+        build_store_indices(ctx, world.store, mask_description=True), with_context=True,
     )
 
     def linker(encoder, store, with_context=False, rerank_k=None):

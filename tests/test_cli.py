@@ -59,6 +59,11 @@ def file_hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def payload(path):
+    """The bytes of an artifact after its header line."""
+    return path.read_bytes().split(b"\n", 1)[1]
+
+
 class TestBuildBenchmark:
     def test_six_output_files(self, pipeline):
         directory, _ = pipeline
@@ -265,10 +270,54 @@ class TestDetect:
         stdout = capsys.readouterr().out
         assert "fact=" in stdout
 
+    def test_thresholdless_detectors_skip_the_thresholds_file(self, pipeline, tmp_path):
+        directory, config_path = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        for path in out.glob("detection-*.jsonl"):
+            path.unlink()
+        _thresholds_with(attention=[5, 5, 5])(out)
+        for detector in ("random", "always-in"):
+            assert run(config_path, "--out-dir", str(out), "detect", "--detector", detector) == 0
+            assert (out / f"detection-{detector}.jsonl").exists()
+
     def test_detection_record_schema(self, pipeline):
         directory, config_path = pipeline
         records = read_jsonl(directory / "out" / "detection-entropy.jsonl")
         assert set(records[0]) == {"alignment_id", "slot", "scenario", "decision", "statistic"}
+
+
+class TestWithContext:
+    """The top-level ``with_context`` reaches every trainer and serving stage."""
+
+    STAGES = (["train-preranker"], ["train-reranker"], ["train-ookg"], ["index"],
+              ["evaluate", "--facet", "polysemous", "--use-reranker"],
+              ["detect", "--detector", "qkv"])
+
+    def test_every_stage_reads_the_top_level_value(self, pipeline, tmp_path, capsys):
+        directory, config_path = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        plain = ("--out-dir", str(out))
+        context = (*plain, "--set", "with_context=true")
+
+        def moved(name):  # the header's config_hash differs either way
+            return payload(out / name) != payload(directory / "out" / name)
+
+        # over the plain pre-ranker, with_context alone moves the other two heads
+        for stage, name in (("train-reranker", "reranker.params"), ("train-ookg", "qkv.params")):
+            assert run(config_path, *context, stage) == 0
+            assert moved(name), name
+        for stage in self.STAGES:
+            assert run(config_path, *context, *stage) == 0, stage
+        assert all(map(moved, ("preranker.params", "reranker.params", "qkv.params")))
+        detections = payload(out / "detection-qkv.jsonl")
+        assert run(config_path, *plain, "detect", "--detector", "qkv") == 0
+        assert payload(out / "detection-qkv.jsonl") != detections
+        capsys.readouterr()
+        # the toy OIE file that link reads holds no provenance sentences
+        assert run(config_path, *context, "link") == 2
+        assert "no provenance sentence" in capsys.readouterr().err
 
 
 class TestCliContract:
@@ -511,6 +560,13 @@ class TestFailureExitCodes:
         "ookg-negative-weight-decay": (
             1, ["--set", "ookg.weight_decay=-0.1", "train-ookg"], None
         ),
+        "section-preranker-with-context": (
+            1, ["--set", "preranker.with_context=true", "train-preranker"], None
+        ),
+        "section-reranker-seed": (1, ["--set", "reranker.seed=3", "train-reranker"], None),
+        "section-ookg-seed": (1, ["--set", "ookg.seed=3", "train-ookg"], None),
+        "link-with-context-flag": (1, ["link", "--with-context"], None),
+        "link-k-zero-at-load": (1, ["--set", "link_k=0", "build-benchmark"], None),
         "link-k-zero": (1, ["link", "--k", "0"], None),
         "link-k-string": (1, ["--set", 'link_k="x"', "link"], None),
         "rerank-k-zero": (
@@ -649,6 +705,9 @@ class TestFailureExitCodes:
             assert "line 2: entry" in err
         if case.startswith("pairs-"):
             assert "line 1: pair" in err
+        if case.startswith("section-"):
+            section, key = argv[1].split("=")[0].split(".")
+            assert f"section {section!r}" in err and key in err
         if case.startswith(("thresholds-", "config-file")) and case != "thresholds-int":
             assert str(out) in err
         assert {p.name: file_hash(p) for p in out.glob("*.params")} == before

@@ -373,8 +373,7 @@ class TestOneForward:
     def test_trainer_forward_matches_serving(self, monkeypatch):
         store, alignments = forward_world(n_entities=40)
         config = preranker.PrerankTrainConfig(
-            epochs=1, batch_size=16, global_neg_entities=8, global_neg_predicates=1,
-            with_context=True, seed=2,
+            epochs=1, batch_size=16, global_neg_entities=8, global_neg_predicates=1, seed=2,
         )
         batches = []
 
@@ -385,7 +384,7 @@ class TestOneForward:
 
         encode_batch = preranker.encode_batch
         monkeypatch.setattr(preranker, "encode_batch", recording)
-        preranker.train_preranker(alignments, store, config, CONFIG)
+        preranker.train_preranker(alignments, store, config, CONFIG, with_context=True)
         # the first batch ran on the initial params
         slot_texts, entry_texts, forward = batches[0]
         served = ReferenceEncoder(init_params(CONFIG, config.seed))

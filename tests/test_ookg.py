@@ -21,11 +21,10 @@ from factlink.ookg import (
     TOP_SUPPORT,
     _qkv_backward,
     _qkv_forward,
+    _threshold_decision,
     calibrate_threshold,
-    confidence_detect,
     detection_accuracy,
     entropy,
-    entropy_detect,
     ookg_evaluate,
     qkv_score,
     thresholds_from_record,
@@ -76,23 +75,31 @@ class TestTopkSoftmax:
             topk_softmax([])
 
 
+def confidence_decision(probs, slot):
+    """The confidence detector's decision for a slot whose top support has
+    probabilities ``probs``, at the default thresholds."""
+    top1 = float(np.max(probs))
+    return _threshold_decision(top1, OokgThresholds().confidence[slot], "below")
+
+
+def entropy_decision(h, slot):
+    return _threshold_decision(h, OokgThresholds().entropy[slot], "above")
+
+
 class TestHeuristicDetectors:
     def test_confidence_uniform_is_out(self):
-        thresholds = OokgThresholds()
         probs = topk_softmax([0.5] * 5)  # top-1 = 0.2 < 0.235
-        assert confidence_detect(probs, 0, thresholds) is Decision.OUT_OF_KG
+        assert confidence_decision(probs, 0) is Decision.OUT_OF_KG
 
     def test_confidence_high_is_in(self):
-        thresholds = OokgThresholds()
-        assert confidence_detect([0.9, 0.05, 0.03, 0.01, 0.01], 0, thresholds) is Decision.IN_KG
+        assert confidence_decision([0.9, 0.05, 0.03, 0.01, 0.01], 0) is Decision.IN_KG
 
     def test_confidence_boundary_is_in(self):
-        thresholds = OokgThresholds()
         probs = [0.235, 0.22, 0.21, 0.18, 0.155]
-        assert confidence_detect(probs, 0, thresholds) is Decision.IN_KG
-        assert confidence_detect(probs, 2, thresholds) is Decision.IN_KG
+        assert confidence_decision(probs, 0) is Decision.IN_KG
+        assert confidence_decision(probs, 2) is Decision.IN_KG
         # relation threshold is 0.260, so the same probs are out-of-KG there
-        assert confidence_detect(probs, 1, thresholds) is Decision.OUT_OF_KG
+        assert confidence_decision(probs, 1) is Decision.OUT_OF_KG
 
     def test_entropy_uniform_is_ln5(self):
         h = entropy([0.2] * 5)
@@ -117,11 +124,26 @@ class TestHeuristicDetectors:
             assert entropy(np.full(n, 1.0 / n)) == pytest.approx(math.log(n), abs=1e-12)
 
     def test_entropy_detect_thresholds(self):
-        thresholds = OokgThresholds()
         uniform_h = entropy([0.2] * 5)  # ~1.6094 > 1.60
-        assert entropy_detect(uniform_h, 0, thresholds) is Decision.OUT_OF_KG
-        assert entropy_detect(0.0, 0, thresholds) is Decision.IN_KG
-        assert entropy_detect(1.60, 0, thresholds) is Decision.IN_KG  # boundary -> in
+        assert entropy_decision(uniform_h, 0) is Decision.OUT_OF_KG
+        assert entropy_decision(entropy([1.0, 0.0, 0.0, 0.0, 0.0]), 0) is Decision.IN_KG
+        assert entropy_decision(1.60, 0) is Decision.IN_KG  # boundary -> in
+        # relation threshold is 1.58, so the same entropy is out-of-KG there
+        assert entropy_decision(1.59, 1) is Decision.OUT_OF_KG
+        assert entropy_decision(1.59, 2) is Decision.IN_KG
+
+    @pytest.mark.parametrize("out_when", ["below", "above"])
+    def test_decisions_count_to_calibration_accuracy(self, out_when):
+        rng = np.random.default_rng(4)
+        stats = rng.integers(0, 6, size=300) / 5  # many statistics exactly at a threshold
+        labels = rng.random(300) < 0.4
+        labels[:2] = (True, False)
+        for threshold in [*np.unique(stats).tolist(), -0.1, 0.5, 1.1]:
+            out = np.array([_threshold_decision(s, threshold, out_when) is Decision.OUT_OF_KG
+                            for s in stats.tolist()])
+            hits_out, hits_in = int(out[labels].sum()), int((~out[~labels]).sum())
+            expected = (hits_out / labels.sum() + hits_in / (~labels).sum()) / 2
+            assert detection_accuracy(stats, labels, threshold, out_when) == expected
 
     def test_default_threshold_values(self):
         thresholds = OokgThresholds()

@@ -25,6 +25,7 @@ def parameter(fn, position):
     (encoder.FeatureHasher.compile, 1, "text"),
     (encoder.ReferenceEncoder.entry_embed, 1, "entry"),
     (encoder.ReferenceEncoder.entry_embed, 2, "mask_description"),
+    (encoder.ReferenceEncoder.slot_embed, 2, "with_context"),
     (evalkit.evaluate_linker, 1, "alignments"),
     (splits.build_split, 0, "spec"),
 ], ids=lambda value: getattr(value, "__qualname__", str(value)))
@@ -73,3 +74,19 @@ def test_loaded_params_expose_the_counted_arrays(tmp_path):
     loaded = encoder.load_params(tmp_path / "preranker.params")[0]
     for name in ("feature_table", "slot_projection", "entry_projection"):
         assert isinstance(getattr(loaded, name), np.ndarray)
+
+
+def test_link_check_embeds_a_linked_triple(tmp_path):
+    """perfbench's link check re-embeds a links.jsonl row: a keyword-built
+    OieTriple, an encoder over ``load_params(path)[0]`` and ``slot_embed``
+    with ``with_context`` as its second argument."""
+    params = init_params(EncoderConfig(dim=4, hidden=3, buckets=16), seed=0)
+    encoder.save_params(params, tmp_path / "preranker.params")
+    served = ReferenceEncoder(encoder.load_params(tmp_path / "preranker.params")[0])
+    triple = corpus.OieTriple(subject="Ann", relation="knows", object="Bob")
+    queries = served.slot_embed(triple, False)
+    assert [query.shape for query in queries] == [(4,)] * 3
+    with_sentence = corpus.OieTriple(subject="Ann", relation="knows", object="Bob",
+                                     sentence="Ann knows Bob.")
+    in_context = served.slot_embed(with_sentence, True)
+    assert not np.array_equal(in_context[0], queries[0])
