@@ -35,7 +35,7 @@ from .evalkit import (
     report_records,
 )
 from .io import canonical_json, read_jsonl, reading_artifact, write_jsonl
-from .kg import filter_by_frequency, load_kg, restrict_to_benchmark
+from .kg import load_kg, restrict_to_benchmark
 from .ookg import (
     ConfidenceDetector,
     ConstantDetector,
@@ -256,10 +256,7 @@ def _out_dir(config: dict) -> Path:
 
 def _load_store(config: dict):
     entries_path, facts_path = _require_paths(config, "kg_entries", "kg_facts")
-    store = load_kg(entries_path, facts_path, case_fold=config["case_fold"])
-    if config["kg_min_count"] > 1:
-        store = filter_by_frequency(store, config["kg_min_count"])
-    return store
+    return load_kg(entries_path, facts_path, config["case_fold"], config["kg_min_count"])
 
 
 def _store_variant(config: dict, store, alignments):
@@ -381,8 +378,8 @@ def cmd_split(config: dict, args) -> int:
     header = artifact_header(config)
     out = _out_dir(config)
     train_path, test_path = _require_paths(config, "train_alignments", "test_alignments")
-    train = read_alignments(train_path)
-    test = read_alignments(test_path)
+    train = read_alignments(train_path, store)
+    test = read_alignments(test_path, store)
     polysemy_store, _tag = _store_variant(config, store, train + test)
     kind = FACETS[args.facet]
     result = build_split(
@@ -398,10 +395,10 @@ def cmd_split(config: dict, args) -> int:
     return 0
 
 
-def _train_alignments(config: dict):
+def _train_alignments(config: dict, store):
     return read_alignments(_input_path(
         config, "train_alignments", "alignments.jsonl", "training alignments", "build-benchmark"
-    ))
+    ), store)
 
 
 def cmd_train_preranker(config: dict, args) -> int:
@@ -410,7 +407,7 @@ def cmd_train_preranker(config: dict, args) -> int:
     )
     encoder_config = _section(config, "encoder", EncoderConfig)
     store = _load_store(config)
-    alignments = _train_alignments(config)
+    alignments = _train_alignments(config, store)
     out = _out_dir(config)
     params_path = out / "preranker.params"
 
@@ -440,7 +437,7 @@ def cmd_train_reranker(config: dict, args) -> int:
         config, "reranker", RerankTrainConfig, seed=stream_seed(config["seed"], "corruption")
     )
     store = _load_store(config)
-    alignments = _train_alignments(config)
+    alignments = _train_alignments(config, store)
     encoder = _load_encoder(config)
     out = _out_dir(config)
 
@@ -466,7 +463,7 @@ def cmd_train_ookg(config: dict, args) -> int:
     alignments = read_alignments(_input_path(
         config, "calibration_alignments", "alignments.jsonl", "calibration alignments",
         "build-benchmark",
-    ))
+    ), store)
     encoder = _load_encoder(config)
     out = _out_dir(config)
     indices = build_store_indices(encoder, store)
@@ -497,11 +494,11 @@ def _index_store(config: dict, store):
     alignments and every split file present, or the whole KG under ``large``."""
     if config["store_variant"] == "large":
         return store
-    referenced = _train_alignments(config)
+    referenced = _train_alignments(config, store)
     for facet in FACETS:  # the benchmark covers the test facets too
         split_path = Path(config["out_dir"]) / f"split-{facet}.jsonl"
         if split_path.exists():
-            referenced = referenced + read_alignments(split_path)
+            referenced = referenced + read_alignments(split_path, store)
     return restrict_to_benchmark(store, referenced)
 
 
@@ -547,19 +544,19 @@ def cmd_link(config: dict, args) -> int:
     return 0
 
 
-def _facet_alignments(config: dict, facet: str):
+def _facet_alignments(config: dict, facet: str, store):
     return read_alignments(_input_path(
         config, "facet_alignments", f"split-{facet}.jsonl", "split file",
         "build-benchmark or split",
-    ))
+    ), store)
 
 
 def cmd_evaluate(config: dict, args) -> int:
     store = _load_store(config)
-    test = _facet_alignments(config, args.facet)
+    test = _facet_alignments(config, args.facet, store)
     if not test:
         raise DataError(f"facet {args.facet!r} is empty")
-    train = _train_alignments(config)
+    train = _train_alignments(config, store)
     eval_store, store_tag = _store_variant(config, store, train + test)
     with_context = config["with_context"]
 
@@ -603,7 +600,7 @@ def cmd_evaluate(config: dict, args) -> int:
 def cmd_detect(config: dict, args) -> int:
     store = _load_store(config)
     facet = args.facet or "out-of-kg"
-    test = _facet_alignments(config, facet)
+    test = _facet_alignments(config, facet, store)
     if not test:
         raise DataError(f"facet {facet!r} is empty")
     encoder = _load_encoder(config)

@@ -240,9 +240,29 @@ def check_training_set(alignments: Sequence[Alignment], store: KgStore, role: st
 # File formats
 
 
+def _oie_triple(record: dict, line_number: int) -> OieTriple:
+    """The triple of a record holding its three slots, an optional sentence
+    (a string or null) and an optional extractor tag."""
+    sentence = record.get("sentence")
+    if sentence is not None and not isinstance(sentence, str):
+        raise MalformedRecordError(
+            f"sentence must be a string or null, got {sentence!r}", line_number
+        )
+    try:
+        return OieTriple(
+            subject=str(record["subject"]),
+            relation=str(record["relation"]),
+            object=str(record["object"]),
+            sentence=sentence,
+            extractor=record.get("extractor"),
+        )
+    except ValueError as exc:
+        raise MalformedRecordError(str(exc), line_number) from exc
+
+
 def read_oie_file(path: str | Path) -> dict[str, list[OieTriple]]:
-    """OIE records {sentence_id, subject, relation, object, extractor?}
-    grouped by sentence id."""
+    """OIE records {sentence_id, subject, relation, object, sentence?,
+    extractor?} grouped by sentence id; a sentence is a string or null."""
     grouped: dict[str, list[OieTriple]] = {}
     for line_number, record in iter_jsonl(path):
         for required in ("sentence_id", "subject", "relation", "object"):
@@ -250,17 +270,7 @@ def read_oie_file(path: str | Path) -> dict[str, list[OieTriple]]:
                 raise MalformedRecordError(
                     f"OIE record missing field {required!r}", line_number
                 )
-        try:
-            triple = OieTriple(
-                subject=str(record["subject"]),
-                relation=str(record["relation"]),
-                object=str(record["object"]),
-                sentence=record.get("sentence"),
-                extractor=record.get("extractor"),
-            )
-        except ValueError as exc:
-            raise MalformedRecordError(str(exc), line_number) from exc
-        grouped.setdefault(str(record["sentence_id"]), []).append(triple)
+        grouped.setdefault(str(record["sentence_id"]), []).append(_oie_triple(record, line_number))
     return grouped
 
 
@@ -317,13 +327,7 @@ def alignment_from_record(record: dict, line_number: int = 0) -> Alignment:
                 f"alignment record missing field {required!r}", line_number
             )
     return Alignment(
-        oie=OieTriple(
-            subject=str(record["subject"]),
-            relation=str(record["relation"]),
-            object=str(record["object"]),
-            sentence=record.get("sentence"),
-            extractor=record.get("extractor"),
-        ),
+        oie=_oie_triple(record, line_number),
         fact=KgFact(
             subject_id=str(record["subject_id"]),
             predicate_id=str(record["predicate_id"]),
@@ -339,5 +343,12 @@ def write_alignments(
     write_jsonl(path, (alignment_record(a) for a in alignments), header=header)
 
 
-def read_alignments(path: str | Path) -> list[Alignment]:
-    return [alignment_from_record(r, n) for n, r in iter_jsonl(path)]
+def read_alignments(path: str | Path, store: KgStore) -> list[Alignment]:
+    """Alignment records; each fact's ids must name store entries of their
+    slot's kind."""
+    alignments = []
+    for line_number, record in iter_jsonl(path):
+        alignment = alignment_from_record(record, line_number)
+        _validate_fact(alignment.fact, store.entries, where=f"line {line_number}: alignment ")
+        alignments.append(alignment)
+    return alignments

@@ -1,12 +1,13 @@
-"""Reference knowledge graph: entries, facts, surface lookup and filtering.
-
-The store is immutable after construction and safe to share across
-concurrent readers.
+"""Reference knowledge graph: entries, fact validation, surface lookup and
+frequency filtering. The store is its entries: ``load_kg`` reads the facts
+only to validate them and to filter by frequency. The store is immutable
+after construction and safe to share across concurrent readers.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -74,10 +75,9 @@ class KgFact:
 
 @dataclass(frozen=True)
 class KgStore:
-    """Validated, immutable collection of entries and facts."""
+    """Validated, immutable collection of KG entries."""
 
     entries: Mapping[str, KgEntry]
-    facts: tuple[KgFact, ...]
     case_fold: bool = False
 
     @cached_property
@@ -118,22 +118,14 @@ def _validate_fact(fact: KgFact, entries: Mapping[str, KgEntry], where: str = ""
             )
 
 
-def build_store(
-    entries: Iterable[KgEntry],
-    facts: Iterable[KgFact],
-    case_fold: bool = False,
-) -> KgStore:
-    """Assemble and validate a store from already-parsed entries and facts."""
+def build_store(entries: Iterable[KgEntry], *, case_fold: bool = False) -> KgStore:
+    """Assemble a store from already-parsed entries with distinct ids."""
     entry_map: dict[str, KgEntry] = {}
     for entry in entries:
         if entry.id in entry_map:
             raise DuplicateIdError(f"duplicate entry id {entry.id!r}")
         entry_map[entry.id] = entry
-
-    unique_facts = tuple(dict.fromkeys(facts))
-    for fact in unique_facts:
-        _validate_fact(fact, entry_map)
-    return KgStore(entry_map, unique_facts, case_fold)
+    return KgStore(entry_map, case_fold)
 
 
 _KINDS = {kind.value: kind for kind in EntryKind}
@@ -178,14 +170,19 @@ def load_kg(
     entries_path: str | Path,
     facts_path: str | Path,
     case_fold: bool = False,
+    min_count: int = 0,
 ) -> KgStore:
     """Load a store from line-delimited entry and fact files.
 
     Entry records: {id, kind: "entity"|"predicate", label, description?,
     aliases?}, the description a string or null and the aliases a list of
-    strings. Fact records: {subject, predicate, object}. Errors name the
-    offending line.
+    strings. Fact records: {subject, predicate, object}, each id an entry of
+    its slot's kind. Errors name the offending line. ``min_count`` 0 keeps
+    every entry; n >= 1 drops the entries in fewer than n distinct facts,
+    to a fixpoint. The facts are read for these two uses only.
     """
+    if min_count < 0:
+        raise ValueError("min_count must be >= 0")
     entry_map: dict[str, KgEntry] = {}
     seen_ids: dict[str, int] = {}
     for line_number, record in iter_jsonl(entries_path):
@@ -198,60 +195,47 @@ def load_kg(
         seen_ids[entry.id] = line_number
         entry_map[entry.id] = entry
 
-    facts: list[KgFact] = []
+    facts: set[tuple[str, str, str]] = set()  # held only for the filter
     for line_number, record in iter_jsonl(facts_path):
         fact = _parse_fact(record, line_number)
         _validate_fact(fact, entry_map, where=f"line {line_number}: ")
-        facts.append(fact)
+        if min_count:
+            facts.add(fact.ids)
 
-    return KgStore(entry_map, tuple(dict.fromkeys(facts)), case_fold)
-
-
-def _fact_member_ids(fact: KgFact) -> set[str]:
-    return {fact.subject_id, fact.predicate_id, fact.object_id}
-
-
-def entry_frequencies(facts: Iterable[KgFact]) -> dict[str, int]:
-    """Number of facts each entry participates in (one per fact at most)."""
-    counts: dict[str, int] = {}
-    for fact in facts:
-        for entry_id in _fact_member_ids(fact):
-            counts[entry_id] = counts.get(entry_id, 0) + 1
-    return counts
+    if min_count:
+        entry_map = _frequent_entries(entry_map, facts, min_count)
+    return KgStore(entry_map, case_fold)
 
 
-def filter_by_frequency(store: KgStore, min_count: int) -> KgStore:
-    """Drop entries participating in fewer than ``min_count`` facts.
-
-    Removing an entry orphans its facts, which can push other entries below
-    the threshold, so removal iterates to a fixpoint.
-    """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
-    entries = dict(store.entries)
-    facts = list(store.facts)
+def _frequent_entries(
+    entries: dict[str, KgEntry], facts: set[tuple[str, str, str]], min_count: int
+) -> dict[str, KgEntry]:
+    """The entries in at least ``min_count`` distinct facts over kept
+    entries. An entry counts a fact once; removing an entry orphans its
+    facts, which can push others below the threshold, so removal iterates
+    to a fixpoint."""
+    members = [set(ids) for ids in facts]
+    keep = set(entries)
     while True:
-        counts = entry_frequencies(facts)
-        keep = {eid for eid in entries if counts.get(eid, 0) >= min_count}
-        if len(keep) == len(entries):
-            break
-        entries = {eid: e for eid, e in entries.items() if eid in keep}
-        facts = [f for f in facts if _fact_member_ids(f) <= keep]
-    return build_store(entries.values(), facts, case_fold=store.case_fold)
+        members = [ids for ids in members if ids <= keep]
+        counts = Counter(entry_id for ids in members for entry_id in ids)
+        frequent = {entry_id for entry_id in keep if counts[entry_id] >= min_count}
+        if len(frequent) == len(keep):
+            return {entry_id: e for entry_id, e in entries.items() if entry_id in keep}
+        keep = frequent
 
 
 def restrict_to_benchmark(store: KgStore, alignments: "list[Alignment]") -> KgStore:
-    """Benchmark-restricted store: entries referenced by at least one
-    alignment's fact, plus all store facts over those entries."""
+    """Benchmark-restricted store: the entries referenced by at least one
+    alignment's fact, in store order."""
     referenced: set[str] = set()
     for alignment in alignments:
         for entry_id in alignment.fact.ids:
             if entry_id not in store.entries:
                 raise UnknownIdError(f"alignment references unknown id {entry_id!r}")
             referenced.add(entry_id)
-    entries = [store.entries[eid] for eid in store.entries if eid in referenced]
-    facts = [f for f in store.facts if _fact_member_ids(f) <= referenced]
-    return build_store(entries, facts, case_fold=store.case_fold)
+    entries = {eid: e for eid, e in store.entries.items() if eid in referenced}
+    return KgStore(entries, store.case_fold)
 
 
 def lookup_surface(store: KgStore, surface: str) -> frozenset[str]:

@@ -1,7 +1,7 @@
 import pytest
 
 from factlink.corpus import Alignment, OieTriple
-from factlink.kg import EntryKind, KgEntry, KgFact, build_store
+from factlink.kg import EntryKind, KgEntry, build_store
 
 
 def entity(eid, label, description=None, aliases=()):
@@ -43,12 +43,7 @@ def jordan_store():
         predicate("P54", "member of sports team", "team the subject plays for"),
         predicate("P19", "place of birth", "most specific known birth location"),
     ]
-    facts = [
-        KgFact("Q41421", "P54", "Q128109"),
-        KgFact("Q41421", "P19", "Q18419"),
-        KgFact("Q3308205", "P19", "Q659400"),
-    ]
-    return build_store(entries, facts)
+    return build_store(entries)
 
 
 def make_alignment(subject, relation, obj, fact, sentence=None, augmented=False):

@@ -112,8 +112,7 @@ class TestCriterion1NumericOracles:
         zero_scorer = init_cross_params(dim=8)
         world = build_store(
             [entity("Q1", "Alpha", "first"), entity("Q2", "Beta", "second"),
-             predicate("P1", "rel")],
-            [KgFact("Q1", "P1", "Q2")],
+             predicate("P1", "rel")]
         )
         encoder = ReferenceEncoder(init_params(EncoderConfig(dim=8, hidden=4, buckets=256), 0))
         score = score_fact(
@@ -178,7 +177,7 @@ class TestCriterion3PipelineCounts:
             predicate("P1", "rel"),
         ]
         fact = KgFact("Q1", "P1", "Q2")
-        store = build_store(entries, [fact])
+        store = build_store(entries)
         original = make_alignment("Alpha", "rel", "Beta", fact)
         augmented = [a for a in augment_aliases([original], store) if a.augmented]
         expected = (1 + 3) * (1 + 2) - 1

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import shutil
 
 import numpy as np
@@ -201,6 +202,21 @@ class TestIndexAndLink:
         records = read_jsonl(directory / "out" / "links.jsonl")
         assert records
         assert all(len(r["subject_candidates"]) == 2 for r in records)
+
+    def test_kg_min_count_filters_the_large_store(self, pipeline, tmp_path, capsys):
+        """The toy KG's 24 distractor entries are in no fact: ``kg_min_count``
+        1 drops them, as 2 does; 0 keeps every entry."""
+        directory, config_path = pipeline
+        indexed = {}
+        for min_count in (0, 1, 2):
+            out = tmp_path / str(min_count)
+            out.mkdir()
+            shutil.copy(directory / "out" / "preranker.params", out)
+            capsys.readouterr()
+            assert run(config_path, "--out-dir", str(out), "--set", "store_variant=large",
+                       "--set", f"kg_min_count={min_count}", "index") == 0
+            indexed[min_count] = sum(map(int, re.findall(r"\d+", capsys.readouterr().out)))
+        assert indexed[0] - indexed[1] == indexed[0] - indexed[2] == 24
 
 
 class TestStoreIndices:
@@ -443,13 +459,26 @@ def _widen_hidden(header, arrays):
     header["hidden"] += 1
 
 
-def _predicate_as_first_subject(out):
-    """The first training alignment's subject slot holds its predicate id."""
-    path = out / "alignments.jsonl"
-    header, first, rest = path.read_text("utf-8").split("\n", 2)
-    record = json.loads(first)
-    record["subject_id"] = record["predicate_id"]
-    path.write_text("\n".join((header, json.dumps(record), rest)), "utf-8")
+def _first_alignment(name, **fields):
+    """``name`` in out_dir, whose first alignment record takes ``fields``,
+    each a function of the record."""
+    def corrupt(out):
+        path = out / name
+        header, first, rest = path.read_text("utf-8").split("\n", 2)
+        record = json.loads(first)
+        record.update({key: value(record) for key, value in fields.items()})
+        path.write_text("\n".join((header, json.dumps(record), rest)), "utf-8")
+    return corrupt
+
+
+def _predicate_as_subject(record):
+    return record["predicate_id"]
+
+
+def _link_oie_with_int_sentence(out):
+    """An OIE file in out_dir whose one triple's sentence is a number."""
+    write_jsonl(out / "link_oie.jsonl", [{"sentence_id": "s1", "subject": "Ann",
+                                         "relation": "knows", "object": "Bob", "sentence": 5}])
 
 
 def _pair_with_predicate_as_subject(out):
@@ -587,7 +616,26 @@ class TestFailureExitCodes:
             3, ["--set", "reranker.learning_rate=1e9", "train-reranker"], None
         ),
         "qkv-diverges": (3, ["--set", "ookg.learning_rate=1e12", "train-ookg"], None),
-        "alignment-slot-kind": (2, ["train-preranker"], _predicate_as_first_subject),
+        "alignment-slot-kind": (
+            2, ["train-preranker"],
+            _first_alignment("alignments.jsonl", subject_id=_predicate_as_subject),
+        ),
+        "alignment-evaluate-slot-kind": (
+            2, ["evaluate", "--facet", "transductive"],
+            _first_alignment("split-transductive.jsonl", subject_id=_predicate_as_subject),
+        ),
+        "alignment-evaluate-unknown-id": (
+            2, ["--set", "store_variant=large", "evaluate", "--facet", "transductive"],
+            _first_alignment("split-transductive.jsonl", subject_id=lambda record: "Q404"),
+        ),
+        "oie-sentence-int": (
+            2, ["--set", "link_oie={out}/link_oie.jsonl", "--set", "store_variant=large", "link"],
+            _link_oie_with_int_sentence,
+        ),
+        "oie-subject-blank-in-split": (
+            2, ["evaluate", "--facet", "transductive"],
+            _first_alignment("split-transductive.jsonl", subject=lambda record: "  "),
+        ),
         "qkv-garbage-header": (
             2, ["detect", "--detector", "qkv"],
             lambda out: _replace_header(out / "qkv.params", b"garbage"),
@@ -705,6 +753,10 @@ class TestFailureExitCodes:
             assert "line 2: entry" in err
         if case.startswith("pairs-"):
             assert "line 1: pair" in err
+        if case.startswith("alignment-"):
+            assert "line 2: alignment" in err
+        if case.startswith("oie-"):
+            assert re.search(r"line \d: (sentence must be a string or null|OIE subject)", err)
         if case.startswith("section-"):
             section, key = argv[1].split("=")[0].split(".")
             assert f"section {section!r}" in err and key in err

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -19,7 +20,12 @@ from factlink.corpus import (
     remove_leakage,
     write_alignments,
 )
-from factlink.errors import DanglingFactError, MissingContextError, ReservedTokenError
+from factlink.errors import (
+    DanglingFactError,
+    MalformedRecordError,
+    MissingContextError,
+    ReservedTokenError,
+)
 from factlink.io import write_jsonl
 from factlink.kg import KgFact, build_store
 
@@ -114,7 +120,7 @@ class TestAlign:
         entries = [entity(f"e{i}", f"uniquename{i}") for i in range(8)]
         entries.append(predicate("P1", "rel"))
         facts = [KgFact(f"e{i}", "P1", f"e{i+1}") for i in range(7)]
-        store = build_store(entries, facts)
+        store = build_store(entries)
         oies = {}
         pairs = []
         for i, fact in enumerate(facts):
@@ -157,7 +163,7 @@ class TestAugmentAliases:
             entity("Q128109", "Chicago Bulls", aliases=("The Bulls",)),
             predicate("P54", "member of sports team"),
         ]
-        store = build_store(entries, [PLAYED_FOR_FACT])
+        store = build_store(entries)
         original = make_alignment(
             "Michael Jordan", "played for", "Chicago Bulls", PLAYED_FOR_FACT
         )
@@ -178,7 +184,7 @@ class TestAugmentAliases:
             predicate("P1", "rel"),
         ]
         fact = KgFact("Q1", "P1", "Q2")
-        store = build_store(entries, [fact])
+        store = build_store(entries)
         result = augment_aliases([make_alignment("Alpha", "r", "Beta", fact)], store)
         assert len(result) == 1
 
@@ -189,7 +195,7 @@ class TestAugmentAliases:
             predicate("P1", "rel"),
         ]
         fact = KgFact("Q1", "P1", "Q2")
-        store = build_store(entries, [fact])
+        store = build_store(entries)
         result = augment_aliases([make_alignment("Alpha", "r", "Beta", fact)], store)
         assert len([a for a in result if a.augmented]) == 2 * 1 - 1 == 1
 
@@ -201,7 +207,7 @@ class TestAugmentAliases:
                 predicate("P1", "rel"),
             ]
             fact = KgFact("Q1", "P1", "Q2")
-            store = build_store(entries, [fact])
+            store = build_store(entries)
             result = augment_aliases([make_alignment("Alpha", "r", "Beta", fact)], store)
             expected = (1 + n_subject) * (1 + n_object) - 1
             assert len([a for a in result if a.augmented]) == expected
@@ -338,14 +344,49 @@ class TestFileFormats:
         with pytest.raises(DanglingFactError, match=f"line 2: pair fact uses {entry_id!r}"):
             read_pairs_file(pairs_path, jordan_store)
 
-    def test_alignment_file_round_trip(self, tmp_path):
+    def test_alignment_file_round_trip(self, tmp_path, jordan_store):
         alignments = [
-            make_alignment("A", "r", "B", KgFact("Q1", "P1", "Q2"), sentence="A r B."),
-            make_alignment("A.", "r", "B", KgFact("Q1", "P1", "Q2"), augmented=True),
+            make_alignment("A", "r", "B", PLAYED_FOR_FACT, sentence="A r B."),
+            make_alignment("A.", "r", "B", PLAYED_FOR_FACT, augmented=True),
         ]
         path = tmp_path / "alignments.jsonl"
         write_alignments(path, alignments)
-        assert read_alignments(path) == alignments
+        assert read_alignments(path, jordan_store) == alignments
+
+    @pytest.mark.parametrize("slot,entry_id,message", [
+        ("subject_id", "P54", "uses 'P54' as entity but it is a predicate"),
+        ("predicate_id", "Q18419", "uses 'Q18419' as predicate but it is a entity"),
+        ("object_id", "Q404", "references unknown id 'Q404'"),
+    ])
+    def test_alignment_fact_checked_against_the_store(
+        self, tmp_path, jordan_store, slot, entry_id, message
+    ):
+        record = alignment_record(make_alignment("A", "r", "B", PLAYED_FOR_FACT))
+        path = tmp_path / "alignments.jsonl"
+        write_jsonl(path, [record, {**record, slot: entry_id}], header={"tool_version": "x"})
+        with pytest.raises(DanglingFactError, match=f"line 3: alignment fact {message}"):
+            read_alignments(path, jordan_store)
+
+    @pytest.mark.parametrize("sentence", [5, ["A r B."], {"text": "A r B."}])
+    def test_sentence_must_be_a_string_or_null(self, tmp_path, jordan_store, sentence):
+        oie = {"sentence_id": "s1", "subject": "A", "relation": "r", "object": "B"}
+        oie_path = tmp_path / "oie.jsonl"
+        write_jsonl(oie_path, [{**oie, "sentence": None}, {**oie, "sentence": sentence}])
+        expected = re.escape(f"line 2: sentence must be a string or null, got {sentence!r}")
+        with pytest.raises(MalformedRecordError, match=expected):
+            read_oie_file(oie_path)
+        record = alignment_record(make_alignment("A", "r", "B", PLAYED_FOR_FACT))
+        alignments_path = tmp_path / "alignments.jsonl"
+        write_jsonl(alignments_path, [record, {**record, "sentence": sentence}])
+        with pytest.raises(MalformedRecordError, match=expected):
+            read_alignments(alignments_path, jordan_store)
+
+    def test_blank_alignment_slot_names_line(self, tmp_path, jordan_store):
+        record = alignment_record(make_alignment("A", "r", "B", PLAYED_FOR_FACT))
+        path = tmp_path / "alignments.jsonl"
+        write_jsonl(path, [record, {**record, "subject": "  "}])
+        with pytest.raises(MalformedRecordError, match="line 2: OIE subject must be non-empty"):
+            read_alignments(path, jordan_store)
 
     def test_record_round_trip_preserves_fields(self):
         a = Alignment(

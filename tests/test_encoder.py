@@ -225,7 +225,7 @@ def forward_world(n_entities=150):
         predicate("P2", "lives near"),
     ]
     facts = [KgFact(f"Q{i}", f"P{1 + i % 2}", f"Q{i + 1}") for i in range(n_entities - 1)]
-    store = build_store(entries, facts)
+    store = build_store(entries)
     alignments = [
         make_alignment(f"Person {i} Harbor", ("works with", "lives near")[i % 2],
                        f"Person {i + 1} Harbor", fact, sentence=f"Sentence number {i}.")

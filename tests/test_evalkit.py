@@ -115,8 +115,7 @@ def baseline_world(predicate_counts, n_entities=40, seed=0):
                     f"surface {s}", "rel", f"surface {o}", fact(f"Q{s}", f"P{j}", f"Q{o}")
                 )
             )
-    facts = dict.fromkeys(a.fact for a in alignments)
-    store = build_store(entries, facts)
+    store = build_store(entries)
     return store, alignments
 
 
@@ -155,7 +154,7 @@ class TestFrequencyBaseline:
 class TestRandomBaseline:
     def test_single_entry_store_always_correct(self):
         entries = [entity("Q1", "only entity"), predicate("P1", "only predicate")]
-        store = build_store(entries, [fact("Q1", "P1", "Q1")])
+        store = build_store(entries)
         test = [make_alignment("only entity", "only predicate", "only entity", fact("Q1", "P1", "Q1"))]
         report = evaluate_linker(random_baseline(store, seed=0), test)
         assert report.accuracy == {m: 1.0 for m in METRICS}

@@ -16,8 +16,6 @@ from factlink.kg import (
     EntryKind,
     KgFact,
     build_store,
-    entry_frequencies,
-    filter_by_frequency,
     load_kg,
     lookup_surface,
     restrict_to_benchmark,
@@ -25,11 +23,34 @@ from factlink.kg import (
 
 
 def write_kg_files(tmp_path, entries, facts):
+    tmp_path.mkdir(parents=True, exist_ok=True)
     entries_path = tmp_path / "entries.jsonl"
     facts_path = tmp_path / "facts.jsonl"
     write_jsonl(entries_path, entries)
     write_jsonl(facts_path, facts)
     return entries_path, facts_path
+
+
+def load_filtered(tmp_path, entries, facts, min_count):
+    """``load_kg`` at ``min_count`` over files holding the KgEntry and
+    KgFact objects given."""
+    paths = write_kg_files(
+        tmp_path,
+        [{"id": e.id, "kind": e.kind.value, "label": e.label, "description": e.description,
+          "aliases": list(e.aliases)} for e in entries],
+        [{"subject": f.subject_id, "predicate": f.predicate_id, "object": f.object_id}
+         for f in facts],
+    )
+    return load_kg(*paths, min_count=min_count)
+
+
+def frequencies(store, facts):
+    """How many distinct facts over the store's entries each entry is in."""
+    counts = {}
+    for ids in {f.ids for f in facts if set(f.ids) <= set(store.entries)}:
+        for entry_id in set(ids):
+            counts[entry_id] = counts.get(entry_id, 0) + 1
+    return counts
 
 
 JORDAN_ENTRY = {
@@ -55,13 +76,18 @@ class TestLoadKg:
         assert entry.label == "Michael Jordan"
         assert entry.kind is EntryKind.ENTITY
         assert entry.aliases == ("Air Jordan", "M.J.", "His Airness")
-        assert KgFact("Q41421", "P54", "Q128109") in store.facts
+        assert list(store.entries) == ["Q41421", "Q128109", "P54"]
+        assert not hasattr(store, "facts")
 
     def test_empty_facts_stream(self, tmp_path):
         entries_path, facts_path = write_kg_files(tmp_path, [JORDAN_ENTRY], [])
-        store = load_kg(entries_path, facts_path)
-        assert store.facts == ()
-        assert entry_frequencies(store.facts) == {}
+        assert list(load_kg(entries_path, facts_path).entries) == ["Q41421"]
+        assert load_kg(entries_path, facts_path, min_count=1).entries == {}
+
+    def test_negative_min_count_rejected(self, tmp_path):
+        entries_path, facts_path = write_kg_files(tmp_path, [JORDAN_ENTRY], [])
+        with pytest.raises(ValueError, match="min_count"):
+            load_kg(entries_path, facts_path, min_count=-1)
 
     def test_each_fact_validated_once(self, tmp_path, monkeypatch):
         fact = {"subject": "Q41421", "predicate": "P54", "object": "Q128109"}
@@ -78,9 +104,11 @@ class TestLoadKg:
         monkeypatch.setattr(kg, "_validate_fact", counting)
         store = load_kg(entries_path, facts_path)
         assert validated == [KgFact("Q41421", "P54", "Q128109")] * 2  # one per line
-        assert store.facts == (KgFact("Q41421", "P54", "Q128109"),)
-        rebuilt = build_store(store.entries.values(), store.facts)
+        rebuilt = build_store(store.entries.values())
         assert store.surface_index == rebuilt.surface_index
+        # the repeated line is one fact: each entry is in one distinct fact
+        assert len(load_kg(entries_path, facts_path, min_count=1).entries) == 3
+        assert load_kg(entries_path, facts_path, min_count=2).entries == {}
 
     def test_dangling_fact_reference_names_line(self, tmp_path):
         entries_path, facts_path = write_kg_files(
@@ -141,9 +169,10 @@ class TestEntryInvariants:
             entity("Q1", "Bulls <DESC> team")
 
 
-def clique_store(extra_entities=()):
-    """Complete graph over six core entities (each participates in exactly
-    5 facts) plus optional extras wired to a few core members."""
+def clique_world(extra_entities=()):
+    """Entries and facts of a complete graph over six core entities (each
+    participates in exactly 5 facts) plus optional extras wired to a few
+    core members."""
     core = [f"e{i}" for i in range(6)]
     entries = [entity(eid, f"Core {eid}") for eid in core]
     entries.append(predicate("P1", "linked to"))
@@ -155,26 +184,33 @@ def clique_store(extra_entities=()):
     for eid, degree in extra_entities:
         entries.append(entity(eid, f"Extra {eid}"))
         facts.extend(KgFact(core[i], "P1", eid) for i in range(degree))
-    return build_store(entries, facts)
+    return entries, facts
 
 
 class TestFilterByFrequency:
-    def test_below_threshold_removed(self):
-        store = clique_store(extra_entities=[("y", 4)])
-        filtered = filter_by_frequency(store, 5)
+    """``load_kg``'s ``min_count`` filter over written files."""
+
+    def test_below_threshold_removed(self, tmp_path):
+        filtered = load_filtered(tmp_path, *clique_world(extra_entities=[("y", 4)]), 5)
         assert "y" not in filtered.entries
 
-    def test_at_threshold_retained(self):
-        filtered = filter_by_frequency(clique_store(), 5)
+    def test_at_threshold_retained(self, tmp_path):
+        filtered = load_filtered(tmp_path, *clique_world(), 5)
         assert set(filtered.entries) == {"e0", "e1", "e2", "e3", "e4", "e5", "P1"}
 
-    def test_min_count_one_keeps_fact_covered_store(self):
-        store = clique_store(extra_entities=[("y", 2)])
-        filtered = filter_by_frequency(store, 1)
-        assert set(filtered.entries) == set(store.entries)
-        assert set(filtered.facts) == set(store.facts)
+    def test_min_count_one_keeps_fact_covered_store(self, tmp_path):
+        entries, facts = clique_world(extra_entities=[("y", 2)])
+        filtered = load_filtered(tmp_path, entries, facts, 1)
+        assert list(filtered.entries) == [e.id for e in entries]
 
-    def test_cascading_removal_reaches_fixpoint(self):
+    def test_min_count_one_drops_entries_in_no_fact(self, tmp_path):
+        entries, facts = clique_world()
+        entries += [entity("lone", "Lone"), predicate("P2", "unused")]
+        assert len(load_filtered(tmp_path / "off", entries, facts, 0).entries) == 9
+        filtered = load_filtered(tmp_path / "on", entries, facts, 1)
+        assert set(filtered.entries) == {"e0", "e1", "e2", "e3", "e4", "e5", "P1"}
+
+    def test_cascading_removal_reaches_fixpoint(self, tmp_path):
         # chain: removing the tail entity orphans the only fact keeping the
         # middle entity alive, and so on.
         entries = [
@@ -186,13 +222,11 @@ class TestFilterByFrequency:
         facts = [KgFact("a", "P1", "b"), KgFact("b", "P1", "c"), KgFact("c", "P1", "a")]
         # every entry has frequency 2, P1 has 3; min_count 3 keeps only P1's
         # count but P1 loses all facts once entities go, so the store empties
-        filtered = filter_by_frequency(build_store(entries, facts), 3)
-        assert filtered.entries == {}
-        assert filtered.facts == ()
+        assert load_filtered(tmp_path, entries, facts, 3).entries == {}
 
-    def test_fixpoint_property_random_stores(self):
+    def test_fixpoint_property_random_stores(self, tmp_path):
         rng = random.Random(7)
-        for _ in range(25):
+        for store_number in range(25):
             n_entities = rng.randint(2, 12)
             entries = [entity(f"e{i}", f"Entity {i}") for i in range(n_entities)]
             entries.append(predicate("P1", "rel"))
@@ -201,15 +235,23 @@ class TestFilterByFrequency:
                 s = rng.randrange(n_entities)
                 o = rng.randrange(n_entities)
                 facts.append(KgFact(f"e{s}", "P1", f"e{o}"))
-            store = build_store(entries, facts)
             min_count = rng.randint(1, 4)
-            filtered = filter_by_frequency(store, min_count)
-            counts = entry_frequencies(filtered.facts)
+            directory = tmp_path / str(store_number)
+            filtered = load_filtered(directory / "all", entries, facts, min_count)
+            counts = frequencies(filtered, facts)
             assert all(counts.get(eid, 0) >= min_count for eid in filtered.entries)
             # idempotent at the fixpoint
-            again = filter_by_frequency(filtered, min_count)
-            assert set(again.entries) == set(filtered.entries)
-            assert set(again.facts) == set(filtered.facts)
+            kept = [e for e in entries if e.id in filtered.entries]
+            kept_facts = [f for f in facts if set(f.ids) <= set(filtered.entries)]
+            again = load_filtered(directory / "kept", kept, kept_facts, min_count)
+            assert list(again.entries) == list(filtered.entries)
+
+
+JORDAN_FACTS = [
+    KgFact("Q41421", "P54", "Q128109"),
+    KgFact("Q41421", "P19", "Q18419"),
+    KgFact("Q3308205", "P19", "Q659400"),
+]
 
 
 class TestRestrictToBenchmark:
@@ -228,15 +270,13 @@ class TestRestrictToBenchmark:
     def test_empty_alignments(self, jordan_store):
         brkg = restrict_to_benchmark(jordan_store, [])
         assert brkg.entries == {}
-        assert brkg.facts == ()
 
     def test_full_coverage_identity(self, jordan_store):
         alignments = [
-            make_alignment("s", "r", "o", fact) for fact in jordan_store.facts
+            make_alignment("s", "r", "o", fact) for fact in reversed(JORDAN_FACTS)
         ]
         brkg = restrict_to_benchmark(jordan_store, alignments)
-        assert set(brkg.entries) == set(jordan_store.entries)
-        assert set(brkg.facts) == set(jordan_store.facts)
+        assert list(brkg.entries) == list(jordan_store.entries)  # in store order
 
     def test_unknown_id_raises(self, jordan_store):
         alignments = [make_alignment("s", "r", "o", KgFact("Q1", "P54", "Q128109"))]
@@ -261,33 +301,40 @@ class TestLookupSurface:
             assert eid in lookup_surface(jordan_store, entry.label)
 
     def test_case_folding_flag(self):
-        store = build_store([entity("Q1", "Bulls")], [], case_fold=True)
+        store = build_store([entity("Q1", "Bulls")], case_fold=True)
         assert lookup_surface(store, "BULLS") == {"Q1"}
-        strict = build_store([entity("Q1", "Bulls")], [])
+        strict = build_store([entity("Q1", "Bulls")])
         assert lookup_surface(strict, "BULLS") == frozenset()
+        with pytest.raises(TypeError):  # case_fold is keyword-only
+            build_store([entity("Q1", "Bulls")], [])
 
     def test_nfc_normalization(self):
         # decomposed e + combining acute equals the precomposed form
-        store = build_store([entity("Q1", "Hétu")], [])
+        store = build_store([entity("Q1", "Hétu")])
         assert lookup_surface(store, "Hétu") == {"Q1"}
 
 
 class TestStoreInvariants:
-    def test_every_fact_resolves(self):
+    def test_every_fact_resolves(self, tmp_path):
+        """A KG loads exactly when each fact's ids are entries, whether or
+        not the frequency filter applies."""
         rng = random.Random(11)
-        for _ in range(20):
+        for store_number in range(20):
             n = rng.randint(1, 8)
             entries = [entity(f"e{i}", f"Entity {i}") for i in range(n)]
             entries.append(predicate("P1", "rel"))
-            facts = [
-                KgFact(f"e{rng.randrange(n)}", "P1", f"e{rng.randrange(n)}")
+            facts = [  # e{n} is no entry
+                KgFact(f"e{rng.randrange(n + 1)}", "P1", f"e{rng.randrange(n)}")
                 for _ in range(rng.randint(0, 10))
             ]
-            store = build_store(entries, facts)
-            for fact in store.facts:
-                assert fact.subject_id in store.entries
-                assert fact.predicate_id in store.entries
-                assert fact.object_id in store.entries
+            resolves = all(fact.subject_id != f"e{n}" for fact in facts)
+            directory = tmp_path / str(store_number)
+            for min_count in (0, 2):
+                if resolves:
+                    load_filtered(directory / str(min_count), entries, facts, min_count)
+                else:
+                    with pytest.raises(DanglingFactError, match=f"e{n}"):
+                        load_filtered(directory / str(min_count), entries, facts, min_count)
 
     def test_surface_index_covers_exactly_labels_and_aliases(self, jordan_store):
         expected = set()

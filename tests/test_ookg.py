@@ -293,7 +293,7 @@ def calibration_world(n_entities=30, n_predicates=6, n_alignments=60, seed=0):
         s, o = rng.choice(n_entities, size=2, replace=False)
         facts.append(KgFact(f"Q{s}", f"P{rng.integers(n_predicates)}", f"Q{o}"))
     facts = list(dict.fromkeys(facts))
-    store = build_store(entries, facts)
+    store = build_store(entries)
     alignments = [
         make_alignment(
             store.entry(f.subject_id).label,

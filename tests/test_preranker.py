@@ -272,7 +272,7 @@ def tiny_world():
         KgFact("Q5", "P1", "Q1"),
         KgFact("Q1", "P2", "Q4"),
     ]
-    store = build_store(entries, facts)
+    store = build_store(entries)
     relation_surface = {"P1": "works with", "P2": "lives near"}
     alignments = [
         make_alignment(

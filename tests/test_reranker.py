@@ -97,7 +97,7 @@ def mini_world(n_entities=24, n_facts=48, seed=0):
         fact = KgFact(f"Q{s}", f"P{1 + int(rng.integers(2))}", f"Q{o}")
         if fact not in facts:
             facts.append(fact)
-    store = build_store(entries, facts)
+    store = build_store(entries)
     relation_surface = {"P1": "works with", "P2": "lives near"}
     alignments = [
         make_alignment(

@@ -48,7 +48,7 @@ def fifty_fact_world(seed=3):
     test_facts.append(KgFact("t0", "p1", "e5"))  # polysemous subject
     test_facts.append(KgFact("e3", "p1", "t1"))  # polysemous object
 
-    store = build_store(entries, dict.fromkeys(train_facts + test_facts))
+    store = build_store(entries)
 
     def oie_for(fact):
         return (

@@ -90,3 +90,42 @@ def test_link_check_embeds_a_linked_triple(tmp_path):
                                      sentence="Ann knows Bob.")
     in_context = served.slot_embed(with_sentence, True)
     assert not np.array_equal(in_context[0], queries[0])
+
+
+def test_load_kg_result_exposes_its_entries(tmp_path):
+    """The ``kg.load_kg`` hook counts ``len(result.entries)``."""
+    (tmp_path / "entries.jsonl").write_text('{"id": "Q1", "kind": "entity", "label": "Ann"}\n')
+    (tmp_path / "facts.jsonl").write_text("")
+    store = kg.load_kg(tmp_path / "entries.jsonl", tmp_path / "facts.jsonl")
+    assert len(store.entries) == 1
+
+
+def test_split_hook_reads_the_kind_value_and_sample_count():
+    """The ``splits.build_split`` hook keys on ``spec.kind.value`` and counts
+    ``result.stats.samples``."""
+    fact = kg.KgFact("Q1", "P1", "Q2")
+    alignment = corpus.Alignment(corpus.OieTriple("Ann", "knows", "Bob"), fact)
+    spec = splits.SplitSpec(splits.SplitKind.TRANSDUCTIVE)
+    result = splits.build_split(spec, [alignment], [], kg.build_store([]))
+    assert isinstance(spec.kind.value, str)
+    assert isinstance(result.stats.samples, int)
+
+
+def test_rerank_and_evaluate_hooks_compare_facts():
+    """The rerank hook collects ``CandidateFact.to_fact()``; the evaluate
+    hook looks each ``Alignment.fact`` up among them."""
+    candidate = reranker.CandidateFact("Q1", "P1", "Q2", 0, 0, 0)
+    alignment = corpus.Alignment(corpus.OieTriple("Ann", "knows", "Bob"),
+                                 kg.KgFact("Q1", "P1", "Q2"))
+    assert alignment.fact in {candidate.to_fact()}
+
+
+@pytest.mark.parametrize("config,name", [
+    (preranker.PrerankTrainConfig(), "epochs"),
+    (reranker.RerankTrainConfig(), "epochs"),
+    (ookg.QkvTrainConfig(), "epochs"),
+    (reranker.RerankTrainConfig(), "negatives_per_positive"),
+], ids=lambda value: type(value).__name__ if not isinstance(value, str) else value)
+def test_trainer_configs_expose_the_counted_fields(config, name):
+    """The trainer hooks count examples from these config fields."""
+    assert isinstance(getattr(config, name), int)

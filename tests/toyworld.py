@@ -322,7 +322,7 @@ def build_toy_world(seed: int = 0) -> ToyWorld:
         emitted += emit("test", ookg_ids[u], pid, ookg_ids[v])
 
     store_facts = sorted(KgFact(*key) for key in facts_seen)
-    store = build_store(entries, store_facts)
+    store = build_store(entries)
 
     files = {
         "kg_entries": [
