@@ -552,6 +552,12 @@ def _facet_alignments(config: dict, facet: str, store):
 
 
 def cmd_evaluate(config: dict, args) -> int:
+    if args.rerank_k is not None:
+        _positive_int(args.rerank_k, "--rerank-k")
+        if not args.use_reranker:
+            raise UsageError("--rerank-k needs --use-reranker")
+    if args.use_reranker and args.linker != "preranker":
+        raise UsageError(f"--use-reranker needs the preranker linker, not {args.linker!r}")
     store = _load_store(config)
     test = _facet_alignments(config, args.facet, store)
     if not test:
@@ -568,8 +574,7 @@ def cmd_evaluate(config: dict, args) -> int:
         encoder = _load_encoder(config)
         indices = entity_index, predicate_index = _store_indices(config, encoder, eval_store)
         if args.use_reranker:
-            k = (config["rerank_k"] if args.rerank_k is None
-                 else _positive_int(args.rerank_k, "--rerank-k"))
+            k = config["rerank_k"] if args.rerank_k is None else args.rerank_k
             scorer = load_cross_params(_input_path(
                 config, "reranker_params", "reranker.params", "reranker params", "train-reranker"
             ))

@@ -276,14 +276,20 @@ def read_oie_file(path: str | Path) -> dict[str, list[OieTriple]]:
 
 def read_pairs_file(path: str | Path, store: KgStore) -> list[SentenceFactPair]:
     """Pair records {sentence_id, sentence, subject, predicate, object,
-    subject_mention?, object_mention?}; each fact's ids must name store
-    entries of their slot's kind."""
+    subject_mention?, object_mention?}; a mention is a string or null, and
+    each fact's ids must name store entries of their slot's kind."""
     pairs: list[SentenceFactPair] = []
     for line_number, record in iter_jsonl(path):
         for required in ("sentence_id", "sentence", "subject", "predicate", "object"):
             if required not in record:
                 raise MalformedRecordError(
                     f"pair record missing field {required!r}", line_number
+                )
+        for key in ("subject_mention", "object_mention"):
+            mention = record.get(key)
+            if mention is not None and not isinstance(mention, str):
+                raise MalformedRecordError(
+                    f"pair {key} must be a string or null, got {mention!r}", line_number
                 )
         fact = KgFact(
             subject_id=str(record["subject"]),

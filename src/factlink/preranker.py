@@ -49,7 +49,8 @@ class IndexKind(enum.Enum):
 
 @dataclass
 class EmbeddingIndex:
-    """Ordered ids plus a row-unit-norm float32 matrix."""
+    """Ordered distinct ids plus a row-unit-norm float32 matrix; a repeated
+    id is a DuplicateIdError."""
 
     ids: tuple[str, ...]
     matrix: np.ndarray
@@ -61,6 +62,10 @@ class EmbeddingIndex:
         # each row's position in ascending id order: the tie key of _top_rows
         self._id_rank = np.argsort(sorted(range(len(self.ids)), key=self.ids.__getitem__))
         self._row_index = {entry_id: row for row, entry_id in enumerate(self.ids)}
+        if len(self._row_index) < len(self.ids):
+            repeated = next(entry_id for row, entry_id in enumerate(self.ids)
+                            if self._row_index[entry_id] != row)
+            raise DuplicateIdError(f"duplicate id {repeated!r} in index")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -99,16 +104,6 @@ class EmbeddingIndex:
         return rows[order[:k]]
 
 
-def _unique_ids(ids: Iterable[str]) -> tuple[str, ...]:
-    ids = tuple(ids)
-    seen = set()
-    for entry_id in ids:
-        if entry_id in seen:
-            raise DuplicateIdError(f"duplicate id {entry_id!r} in index")
-        seen.add(entry_id)
-    return ids
-
-
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     """float32 of the float64 rows renormalized; rows normalize independently."""
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -122,7 +117,7 @@ def build_index(
 ) -> EmbeddingIndex:
     """Stack (id, vector) pairs in input order; rows are renormalized and
     stored as float32."""
-    ids = _unique_ids(entry_id for entry_id, _ in embeddings)
+    ids = tuple(entry_id for entry_id, _ in embeddings)
     if not embeddings:
         matrix = np.zeros((0, 0), dtype=np.float32)
     else:
@@ -182,7 +177,7 @@ def embed_index(
     64-entry chunk (one forward over a whole store would allocate hundreds
     of MB of temporaries). Each chunk's float32 rows go straight into the
     index matrix, so no float64 copy of the store is held."""
-    ids = _unique_ids(e.id for e in entries)
+    ids = tuple(e.id for e in entries)
     if not entries:
         return EmbeddingIndex(ids=ids, matrix=np.zeros((0, 0), dtype=np.float32), kind=kind)
     matrix = np.empty((len(entries), encoder.dim), dtype=np.float32)
@@ -245,7 +240,10 @@ def load_index(path: str | Path) -> EmbeddingIndex:
                 f"{path}: {left - count * dim * 4} bytes after the index payload; run index"
             )
         matrix = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
-        return EmbeddingIndex(ids=tuple(ids), matrix=matrix, kind=IndexKind(kind_value))
+        try:
+            return EmbeddingIndex(ids=tuple(ids), matrix=matrix, kind=IndexKind(kind_value))
+        except DuplicateIdError as exc:
+            raise MalformedRecordError(f"{path}: {exc}; run index") from None
 
 
 # ---------------------------------------------------------------------------
@@ -275,30 +273,6 @@ def _rowwise_infonce(
     pos_sims = sims[rows, positives]
     d_tau = float(((pos_sims - (weights * sims).sum(axis=1)) / (tau * tau)).sum())
     return d_sims, loss, d_tau
-
-
-def _one_row_infonce(
-    pos_sim: float, neg_sims: Sequence[float], tau: float
-) -> tuple[np.ndarray, float, float]:
-    """``_rowwise_infonce`` over the single row [pos_sim, *neg_sims]."""
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    sims = np.concatenate(([pos_sim], np.asarray(neg_sims, dtype=np.float64)))
-    return _rowwise_infonce(sims[None, :], np.zeros(1, dtype=np.int64), tau)
-
-
-def infonce_loss(pos_sim: float, neg_sims: Sequence[float], tau: float) -> float:
-    """Temperature-scaled InfoNCE for one positive against its negatives,
-    computed in log-sum-exp form."""
-    return _one_row_infonce(pos_sim, neg_sims, tau)[1]
-
-
-def infonce_grad(
-    pos_sim: float, neg_sims: Sequence[float], tau: float
-) -> tuple[float, np.ndarray, float]:
-    """Analytic gradient of infonce_loss w.r.t. (pos_sim, neg_sims, tau)."""
-    d_sims, _, d_tau = _one_row_infonce(pos_sim, neg_sims, tau)
-    return float(d_sims[0, 0]), d_sims[0, 1:], d_tau
 
 
 def sample_negatives(ids: Sequence[str], count: int, rng: np.random.Generator) -> list[str]:

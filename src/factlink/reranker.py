@@ -82,41 +82,11 @@ def _slot_features(slot_embedding: np.ndarray, entries: np.ndarray) -> np.ndarra
     )
 
 
-def cross_features(
-    encoder: ReferenceEncoder,
-    indices: tuple[EmbeddingIndex, EmbeddingIndex],
-    triple: OieTriple,
-    fact: KgFact | CandidateFact,
-    with_context: bool = False,
-) -> np.ndarray:
-    """The subject, relation and object blocks of one OIE/fact pair, with
-    entries read from the (entity, predicate) ``indices``: reading a
-    label-only pair masks the descriptions."""
-    slot_embeddings = encoder.slot_embed(triple, with_context)
-    return np.concatenate([
-        _slot_features(slot_embedding, indices[slot == 1].vectors([entry_id]))[0]
-        for slot, (slot_embedding, entry_id) in enumerate(zip(slot_embeddings, fact.ids))
-    ])
-
-
 def _sigmoid(z):
     """Logistic function of a float or, elementwise, of an array, without
     overflow: the numerator ``e ** (z < 0)`` is exactly 1 where z >= 0, else e."""
     e = np.exp(-abs(z))
     return e ** (z < 0) / (1.0 + e)
-
-
-def score_fact(
-    params: CrossScorerParams,
-    encoder: ReferenceEncoder,
-    indices: tuple[EmbeddingIndex, EmbeddingIndex],
-    triple: OieTriple,
-    fact: KgFact | CandidateFact,
-    with_context: bool = False,
-) -> float:
-    """Sigmoid-normalized similarity of a whole OIE/fact pair, in (0, 1)."""
-    features = cross_features(encoder, indices, triple, fact, with_context)
-    return _sigmoid(float(params.weights @ features) + params.bias)
 
 
 def bce_loss(logit: float, label: float) -> float:

@@ -31,13 +31,12 @@ from factlink.preranker import (
     PrerankTrainConfig,
     build_index,
     build_store_indices,
-    infonce_grad,
-    infonce_loss,
     link,
     load_index,
     save_index,
     topk,
     train_preranker,
+    _rowwise_infonce,
 )
 from factlink.reranker import (
     RerankTrainConfig,
@@ -47,7 +46,6 @@ from factlink.reranker import (
     enumerate_candidates,
     init_cross_params,
     rerank,
-    score_fact,
     store_neighbor_lists,
     train_reranker,
 )
@@ -78,25 +76,26 @@ class TestCriterion1NumericOracles:
         rng = np.random.default_rng(20)
         step = 1e-6
         worst = 0.0
-        for _ in range(20):
-            pos = float(rng.uniform(-1, 1))
-            negs = rng.uniform(-1, 1, size=int(rng.integers(1, 8)))
+        for case in range(20):
+            # one row, then pools of up to 4 rows: the trainer's batched
+            # form, with positives anywhere in the pool
+            rows, cols = 1 + case % 4, int(rng.integers(1, 9))
+            sims = rng.uniform(-1, 1, size=(rows, cols))
+            positives = rng.integers(cols, size=rows)
             tau = float(rng.uniform(0.03, 1.5))
-            d_pos, d_negs, d_tau = infonce_grad(pos, negs, tau)
-            for analytic, plus, minus in (
-                (d_pos, infonce_loss(pos + step, negs, tau), infonce_loss(pos - step, negs, tau)),
-                (d_tau, infonce_loss(pos, negs, tau + step), infonce_loss(pos, negs, tau - step)),
-            ):
+            d_sims, _, d_tau = _rowwise_infonce(sims, positives, tau)
+
+            def loss(s, t=tau):
+                return _rowwise_infonce(s, positives, t)[1]
+
+            pairs = [(d_tau, loss(sims, tau + step), loss(sims, tau - step))]
+            for cell in np.ndindex(sims.shape):
+                bump = np.zeros_like(sims)
+                bump[cell] = step
+                pairs.append((d_sims[cell], loss(sims + bump), loss(sims - bump)))
+            for analytic, plus, minus in pairs:
                 fd = (plus - minus) / (2 * step)
                 worst = max(worst, abs(analytic - fd) / max(abs(fd), 1e-9))
-            for j in range(len(negs)):
-                shifted = negs.copy()
-                shifted[j] += step
-                up = infonce_loss(pos, shifted, tau)
-                shifted[j] -= 2 * step
-                down = infonce_loss(pos, shifted, tau)
-                fd = (up - down) / (2 * step)
-                worst = max(worst, abs(d_negs[j] - fd) / max(abs(fd), 1e-9))
         for _ in range(20):
             logit = float(rng.uniform(-4, 4))
             label = float(rng.integers(0, 2))
@@ -115,12 +114,12 @@ class TestCriterion1NumericOracles:
              predicate("P1", "rel")]
         )
         encoder = ReferenceEncoder(init_params(EncoderConfig(dim=8, hidden=4, buckets=256), 0))
-        score = score_fact(
-            zero_scorer, encoder, build_store_indices(encoder, world),
-            make_alignment("Alpha", "rel", "Beta", KgFact("Q1", "P1", "Q2")).oie,
-            KgFact("Q1", "P1", "Q2"),
-        )
-        check("criterion 1c", score == 0.5, f"zero cross scorer outputs exactly {score}")
+        indices = build_store_indices(encoder, world)
+        oie = make_alignment("Alpha", "rel", "Beta", KgFact("Q1", "P1", "Q2")).oie
+        candidates = enumerate_candidates(link(encoder, *indices, oie, k=2))
+        _, scores = rerank(zero_scorer, encoder, indices, oie, candidates)
+        check("criterion 1c", set(scores) == {0.5},
+              f"zero cross scorer's rerank scores {len(scores)} candidates exactly {set(scores)}")
 
         elapsed = time.perf_counter() - start
         check("criterion 1 runtime", elapsed < 1.0, f"{elapsed:.3f}s < 1s")

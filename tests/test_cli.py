@@ -3,6 +3,7 @@ import io
 import json
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -481,14 +482,17 @@ def _link_oie_with_int_sentence(out):
                                          "relation": "knows", "object": "Bob", "sentence": 5}])
 
 
-def _pair_with_predicate_as_subject(out):
-    """A train pairs file in out_dir whose one pair holds its fact's
-    predicate id as the subject."""
-    record = read_jsonl(out / "alignments.jsonl")[0]
-    write_jsonl(out / "train_pairs.jsonl", [{
-        "sentence_id": "s1", "sentence": "...", "subject": record["predicate_id"],
-        "predicate": record["predicate_id"], "object": record["object_id"],
-    }])
+def _one_pair(**fields):
+    """A train pairs file in out_dir whose one pair holds the first
+    alignment's fact and takes ``fields``, each a function of that
+    alignment record."""
+    def corrupt(out):
+        record = read_jsonl(out / "alignments.jsonl")[0]
+        pair = {"sentence_id": "s1", "sentence": "...", "subject": record["subject_id"],
+                "predicate": record["predicate_id"], "object": record["object_id"]}
+        pair.update({key: value(record) for key, value in fields.items()})
+        write_jsonl(out / "train_pairs.jsonl", [pair])
+    return corrupt
 
 
 def _thresholds_with(**fields):
@@ -524,6 +528,22 @@ def _set_flix_kind(out):
     data = bytearray(path.read_bytes())
     data[8] = 1
     path.write_bytes(bytes(data))
+
+
+def _repeat_flix_id(out):
+    """entities.flix holds its first id again in place of its second: the
+    ids follow the 21-byte header, each with a u32 length."""
+    path = out / "entities.flix"
+    data = path.read_bytes()
+    (count,) = struct.unpack_from("<Q", data, 9)
+    ids, offset = [], 21
+    for _ in range(count):
+        (length,) = struct.unpack_from("<I", data, offset)
+        ids.append(data[offset + 4 : offset + 4 + length])
+        offset += 4 + length
+    ids[1] = ids[0]
+    path.write_bytes(data[:21] + b"".join(struct.pack("<I", len(raw)) + raw for raw in ids)
+                     + data[offset:])
 
 
 def _negative_seed(header, arrays):
@@ -606,6 +626,20 @@ class TestFailureExitCodes:
             1, ["--set", 'rerank_k="x"', "evaluate", "--facet", "polysemous", "--use-reranker"],
             None,
         ),
+        "evaluate-rerank-k-zero-unused": (
+            1, ["evaluate", "--facet", "transductive", "--rerank-k", "0"], None
+        ),
+        "evaluate-rerank-k-negative-random": (
+            1, ["evaluate", "--facet", "transductive", "--linker", "random", "--rerank-k", "-5"],
+            None,
+        ),
+        "evaluate-rerank-k-without-reranker": (
+            1, ["evaluate", "--facet", "polysemous", "--rerank-k", "2"], None
+        ),
+        "evaluate-reranker-with-frequency": (
+            1, ["evaluate", "--facet", "polysemous", "--linker", "frequency", "--use-reranker"],
+            None,
+        ),
         "qkv-key-pool-zero": (
             1, ["--set", "qkv_key_pool=0", "detect", "--detector", "qkv"], None
         ),
@@ -652,6 +686,7 @@ class TestFailureExitCodes:
             ),
         ),
         "flix-kind-byte": (2, ["evaluate", "--facet", "transductive"], _set_flix_kind),
+        "flix-repeated-id": (2, ["link"], _repeat_flix_id),
         "kg-entry-aliases-int": (
             2, ["--set", "kg_entries={out}/kg_entries.jsonl", "build-benchmark"],
             _kg_entry_with(aliases=5),
@@ -721,7 +756,11 @@ class TestFailureExitCodes:
         "detect-empty-facet": (2, ["detect"], _header_only("split-out-of-kg.jsonl")),
         "pairs-predicate-as-subject": (
             2, ["--set", "train_pairs={out}/train_pairs.jsonl", "build-benchmark"],
-            _pair_with_predicate_as_subject,
+            _one_pair(subject=_predicate_as_subject),
+        ),
+        "pairs-mention-int": (
+            2, ["--set", "train_pairs={out}/train_pairs.jsonl", "build-benchmark"],
+            _one_pair(subject_mention=lambda record: 5),
         ),
         "params-header-missing-keys": (
             2, ["index"],
@@ -753,6 +792,8 @@ class TestFailureExitCodes:
             assert "line 2: entry" in err
         if case.startswith("pairs-"):
             assert "line 1: pair" in err
+        if case.startswith("flix-"):
+            assert "entities.flix" in err
         if case.startswith("alignment-"):
             assert "line 2: alignment" in err
         if case.startswith("oie-"):

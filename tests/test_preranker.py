@@ -18,8 +18,6 @@ from factlink.preranker import (
     PrerankTrainConfig,
     build_index,
     build_store_indices,
-    infonce_grad,
-    infonce_loss,
     link,
     load_index,
     sample_negatives,
@@ -50,18 +48,25 @@ def tied_case(rng, n):
     return signs[rng.integers(8, size=n)], signs[8]
 
 
+def row_infonce(sims, positive, tau):
+    """``_rowwise_infonce`` over the one row ``sims`` whose positive is
+    column ``positive``: (d_loss/d_sims row, loss, d_loss/d_tau)."""
+    d_sims, loss, d_tau = _rowwise_infonce(np.array([sims], dtype=float), np.array([positive]), tau)
+    return d_sims[0], loss, d_tau
+
+
 class TestInfonceLoss:
     def test_zero_negatives_is_zero(self):
-        assert infonce_loss(0.73, [], tau=0.07) == 0.0
+        assert row_infonce([0.73], 0, tau=0.07)[1] == 0.0
 
     def test_single_equal_negative_is_ln2(self):
         for tau in (0.01, 0.07, 1.0, 5.0):
-            assert infonce_loss(0.4, [0.4], tau) == pytest.approx(math.log(2), rel=1e-12)
+            assert row_infonce([0.4, 0.4], 0, tau)[1] == pytest.approx(math.log(2), rel=1e-12)
 
     def test_derived_oracle_value(self):
         # frozen from a 50-digit evaluation of the direct formula
         expected = 0.000011029831322790957176
-        got = infonce_loss(0.9, [0.1, -0.2], tau=0.07)
+        got = row_infonce([0.1, 0.9, -0.2], 1, tau=0.07)[1]
         assert got == pytest.approx(expected, rel=1e-10)
         # independent oracle: direct formula without the log-sum-exp trick
         import mpmath as mp
@@ -73,19 +78,24 @@ class TestInfonceLoss:
         assert got == pytest.approx(float(-mp.log(num / den)), rel=1e-10)
 
     def test_permutation_invariance(self):
+        # the positive moves with its column
         rng = np.random.default_rng(0)
-        negs = list(rng.uniform(-1, 1, size=9))
-        base = infonce_loss(0.5, negs, 0.07)
+        sims = np.concatenate(([0.5], rng.uniform(-1, 1, size=9)))
+        base = row_infonce(sims, 0, 0.07)[1]
         for _ in range(5):
-            rng.shuffle(negs)
-            assert infonce_loss(0.5, negs, 0.07) == pytest.approx(base, rel=1e-12)
+            order = rng.permutation(len(sims))
+            got = row_infonce(sims[order], list(order).index(0), 0.07)[1]
+            assert got == pytest.approx(base, rel=1e-12)
 
     def test_large_logits_stable(self):
-        assert np.isfinite(infonce_loss(1.0, [0.999], tau=1e-4))
+        assert np.isfinite(row_infonce([1.0, 0.999], 0, tau=1e-4)[1])
 
     def test_invalid_temperature(self):
-        with pytest.raises(ValueError):
-            infonce_loss(0.5, [0.1], 0.0)
+        # training takes its temperature from the config, which rejects <= 0
+        for field in ("temperature_init", "temperature_min"):
+            for tau in (0.0, -0.07):
+                with pytest.raises(ValueError, match="temperature"):
+                    PrerankTrainConfig(**{field: tau})
 
 
 class TestInfonceGrad:
@@ -93,24 +103,22 @@ class TestInfonceGrad:
         rng = np.random.default_rng(42)
         step = 1e-6
         for _ in range(20):
-            pos = float(rng.uniform(-1, 1))
-            negs = rng.uniform(-1, 1, size=rng.integers(1, 8))
+            sims = rng.uniform(-1, 1, size=rng.integers(2, 9))
+            positive = int(rng.integers(len(sims)))
             tau = float(rng.uniform(0.03, 1.5))
-            d_pos, d_negs, d_tau = infonce_grad(pos, negs, tau)
+            d_sims, _, d_tau = row_infonce(sims, positive, tau)
 
             def fd(f, x):
                 return (f(x + step) - f(x - step)) / (2 * step)
 
-            fd_pos = fd(lambda x: infonce_loss(x, negs, tau), pos)
-            assert d_pos == pytest.approx(fd_pos, rel=1e-4, abs=1e-9)
-            for j in range(len(negs)):
-                def loss_neg(x, j=j):
-                    shifted = negs.copy()
+            for j in range(len(sims)):
+                def loss_at(x, j=j):
+                    shifted = sims.copy()
                     shifted[j] = x
-                    return infonce_loss(pos, shifted, tau)
+                    return row_infonce(shifted, positive, tau)[1]
 
-                assert d_negs[j] == pytest.approx(fd(loss_neg, negs[j]), rel=1e-4, abs=1e-9)
-            fd_tau = fd(lambda x: infonce_loss(pos, negs, x), tau)
+                assert d_sims[j] == pytest.approx(fd(loss_at, sims[j]), rel=1e-4, abs=1e-9)
+            fd_tau = fd(lambda x: row_infonce(sims, positive, x)[1], tau)
             assert d_tau == pytest.approx(fd_tau, rel=1e-4, abs=1e-9)
 
     def test_rowwise_matches_central_finite_differences(self):
@@ -378,9 +386,9 @@ class TestTrainPreranker:
             train_preranker([], store, PrerankTrainConfig(), SMALL_ENCODER)
 
     def test_batch_loss_matches_scalar_infonce(self):
-        # one batch of the whole set: recompute the loss from embeddings and
-        # the scalar infonce_loss as an independent check of the trainer's
-        # vectorized path
+        # one batch of the whole set: recompute the loss from embeddings,
+        # one example's row at a time, as an independent check of the
+        # trainer's batched path
         store, alignments = tiny_world()
         config = PrerankTrainConfig(
             epochs=1, learning_rate=1e-9, weight_decay=0.0, batch_size=len(alignments),
@@ -402,13 +410,8 @@ class TestTrainPreranker:
             pool = list(dict.fromkeys(slot_of(a.fact) for a in batch))
             for a in batch:
                 query = encoder.slot_embed(a.oie)[slot_index]
-                pos = float(query @ encoder.entry_embed(store.entry(slot_of(a.fact))))
-                negs = [
-                    float(query @ encoder.entry_embed(store.entry(eid)))
-                    for eid in pool
-                    if eid != slot_of(a.fact)
-                ]
-                losses.append(infonce_loss(pos, negs, tau))
+                sims = [float(query @ encoder.entry_embed(store.entry(eid))) for eid in pool]
+                losses.append(row_infonce(sims, pool.index(slot_of(a.fact)), tau)[1])
         assert trace[0]["mean_loss"] == pytest.approx(float(np.mean(losses)), rel=1e-9)
 
     def test_whole_model_gradient_matches_central_finite_differences(self):

@@ -21,12 +21,12 @@ from factlink.preranker import (
     train_preranker,
 )
 from factlink.reranker import (
+    CandidateFact,
     CrossScorerParams,
     RerankTrainConfig,
     bce_grad,
     bce_loss,
     build_neighbor_lists,
-    cross_features,
     enumerate_candidates,
     init_cross_params,
     load_cross_params,
@@ -34,9 +34,10 @@ from factlink.reranker import (
     sample_hard_negative,
     save_cross_params,
     store_neighbor_lists,
-    score_fact,
     train_reranker,
     write_neighbor_lists,
+    _sigmoid,
+    _slot_features,
 )
 
 SMALL_ENCODER = EncoderConfig(dim=16, hidden=8, buckets=1024)
@@ -122,13 +123,41 @@ def mini_encoder():
     return ReferenceEncoder(params)
 
 
+def fact_features(encoder, indices, triple, fact):
+    """Reference whole-fact features: the subject, relation and object
+    ``_slot_features`` blocks of one OIE/fact pair, entries read from the
+    (entity, predicate) ``indices``."""
+    slot_embeddings = encoder.slot_embed(triple)
+    return np.concatenate([
+        _slot_features(slot_embedding, indices[slot == 1].vectors([entry_id]))[0]
+        for slot, (slot_embedding, entry_id) in enumerate(zip(slot_embeddings, fact.ids))
+    ])
+
+
+def fact_score(params, encoder, indices, triple, fact):
+    """Reference whole-fact score: the sigmoid of the logistic model over
+    ``fact_features``, one fact at a time."""
+    features = fact_features(encoder, indices, triple, fact)
+    return _sigmoid(float(params.weights @ features) + params.bias)
+
+
+def rerank_scores(params, encoder, indices, triple, facts):
+    """``rerank``'s score of each fact, in order."""
+    candidates = [CandidateFact(*fact.ids, 0, 0, 0) for fact in facts]
+    return rerank(params, encoder, indices, triple, candidates)[1]
+
+
 class TestScoreFact:
+    """Whole-fact scores as ``rerank`` gives them, and the features they
+    sum over."""
+
     def test_zero_params_score_exactly_half(self, mini_encoder):
         store, alignments = mini_world()
         indices = build_store_indices(mini_encoder, store)
         params = init_cross_params(SMALL_ENCODER.dim)
+        facts = [a.fact for a in alignments]
         for a in alignments:
-            assert score_fact(params, mini_encoder, indices, a.oie, a.fact) == 0.5
+            assert set(rerank_scores(params, mini_encoder, indices, a.oie, facts)) == {0.5}
 
     def test_score_in_open_unit_interval(self, mini_encoder):
         store, alignments = mini_world()
@@ -137,9 +166,10 @@ class TestScoreFact:
         params = CrossScorerParams(
             weights=rng.standard_normal(6 * SMALL_ENCODER.dim + 9) * 5, bias=0.3
         )
+        facts = [a.fact for a in alignments]
         for a in alignments:
-            s = score_fact(params, mini_encoder, indices, a.oie, a.fact)
-            assert 0.0 < s < 1.0
+            scores = rerank_scores(params, mini_encoder, indices, a.oie, facts)
+            assert all(0.0 < s < 1.0 for s in scores)
 
     def test_deterministic(self, mini_encoder):
         store, alignments = mini_world()
@@ -147,26 +177,28 @@ class TestScoreFact:
         params = init_cross_params(SMALL_ENCODER.dim)
         params.weights[:] = 0.01
         a = alignments[0]
-        assert score_fact(params, mini_encoder, indices, a.oie, a.fact) == score_fact(
-            params, mini_encoder, indices, a.oie, a.fact
+        facts = [a.fact for a in alignments]
+        assert rerank_scores(params, mini_encoder, indices, a.oie, facts) == rerank_scores(
+            params, mini_encoder, indices, a.oie, facts
         )
 
     def test_feature_vector_length(self, mini_encoder):
         store, alignments = mini_world()
         a = alignments[0]
-        features = cross_features(
+        features = fact_features(
             mini_encoder, build_store_indices(mini_encoder, store), a.oie, a.fact
         )
         assert features.shape == (6 * SMALL_ENCODER.dim + 9,)
+        assert features.shape == init_cross_params(SMALL_ENCODER.dim).weights.shape
 
     def test_masking_changes_features(self, mini_encoder):
         store, alignments = mini_world()
         a = alignments[0]
-        plain = cross_features(
+        plain = fact_features(
             mini_encoder, build_store_indices(mini_encoder, store, mask_description=False),
             a.oie, a.fact,
         )
-        masked = cross_features(
+        masked = fact_features(
             mini_encoder, build_store_indices(mini_encoder, store, mask_description=True),
             a.oie, a.fact,
         )
@@ -305,13 +337,13 @@ def first_argmax(scores):
 
 class TestRerankPerSlot:
     """``rerank`` scores each slot's entries once; it must pick what scoring
-    every candidate with ``score_fact`` picks."""
+    every candidate whole with ``fact_score`` picks."""
 
     ENCODER = ReferenceEncoder(init_params(SMALL_ENCODER, seed=2))
 
     def check(self, params, indices, triple, candidates):
         best, scores = rerank(params, self.ENCODER, indices, triple, candidates)
-        brute = [score_fact(params, self.ENCODER, indices, triple, c) for c in candidates]
+        brute = [fact_score(params, self.ENCODER, indices, triple, c) for c in candidates]
         np.testing.assert_allclose(scores, brute, rtol=0, atol=1e-12)
         assert best == candidates[first_argmax(brute)]
         return best, scores
@@ -400,11 +432,12 @@ class TestTrainReranker:
         rng = np.random.default_rng(2)
         wins = total = 0
         for a in held_out:
-            gold_score = score_fact(params, mini_encoder, indices, a.oie, a.fact)
-            for _ in range(10):
-                corrupted = sample_hard_negative(a.fact, neighbors, rng)
-                wins += gold_score > score_fact(params, mini_encoder, indices, a.oie, corrupted)
-                total += 1
+            corrupted = [sample_hard_negative(a.fact, neighbors, rng) for _ in range(10)]
+            gold_score, *scores = rerank_scores(
+                params, mini_encoder, indices, a.oie, [a.fact, *corrupted]
+            )
+            wins += sum(gold_score > score for score in scores)
+            total += len(scores)
         assert wins / total >= 0.9
 
     def test_positives_only_collapses_to_one(self, mini_encoder):
@@ -417,7 +450,7 @@ class TestTrainReranker:
         params, _ = train_with_neighbors(train, mini_encoder, store, config)
         indices = build_store_indices(mini_encoder, store)
         scores = [
-            score_fact(params, mini_encoder, indices, a.oie, a.fact) for a in held_out
+            rerank_scores(params, mini_encoder, indices, a.oie, [a.fact])[0] for a in held_out
         ]
         assert float(np.mean(scores)) > 0.9
 
