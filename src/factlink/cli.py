@@ -3,7 +3,8 @@ linking, evaluation and out-of-KG detection.
 
 Configuration lives in one JSON document (``--config`` or the
 FACTLINK_CONFIG environment variable); any key is overridable with
-``--set section.key=value``, flags win over the file. Every artifact file
+``--set section.key=value``, flags win over the file, and a command's
+flag sets its config key (``link --k`` is ``link_k``). Every artifact file
 carries a {tool_version, config_hash, seed} header; re-running a stage
 with an identical resolved config reproduces identical bytes.
 
@@ -203,6 +204,18 @@ def load_config(
     for key in ("link_k", "rerank_k", "qkv_key_pool"):
         if key in config:
             _positive_int(config[key], key)
+    return config
+
+
+def _fold_flags(config: dict, args) -> dict:
+    """``config`` with the command's flags in their config keys, so that an
+    artifact header hashes the values its stage ran with."""
+    if getattr(args, "k", None) is not None:
+        config["link_k"] = _positive_int(args.k, "--k")
+    if getattr(args, "rerank_k", None) is not None:
+        config["rerank_k"] = _positive_int(args.rerank_k, "--rerank-k")
+    if getattr(args, "detector", None) is not None:
+        config["detector"] = args.detector
     return config
 
 
@@ -522,7 +535,7 @@ def cmd_link(config: dict, args) -> int:
     oies = read_oie_file(oie_path)
     out = _out_dir(config)
     entity_index, predicate_index = _store_indices(config, encoder, store)
-    k = config["link_k"] if args.k is None else _positive_int(args.k, "--k")
+    k = config["link_k"]
     with_context = config["with_context"]
 
     def records():
@@ -552,10 +565,8 @@ def _facet_alignments(config: dict, facet: str, store):
 
 
 def cmd_evaluate(config: dict, args) -> int:
-    if args.rerank_k is not None:
-        _positive_int(args.rerank_k, "--rerank-k")
-        if not args.use_reranker:
-            raise UsageError("--rerank-k needs --use-reranker")
+    if args.rerank_k is not None and not args.use_reranker:
+        raise UsageError("--rerank-k needs --use-reranker")
     if args.use_reranker and args.linker != "preranker":
         raise UsageError(f"--use-reranker needs the preranker linker, not {args.linker!r}")
     store = _load_store(config)
@@ -574,10 +585,10 @@ def cmd_evaluate(config: dict, args) -> int:
         encoder = _load_encoder(config)
         indices = entity_index, predicate_index = _store_indices(config, encoder, eval_store)
         if args.use_reranker:
-            k = config["rerank_k"] if args.rerank_k is None else args.rerank_k
+            k = config["rerank_k"]
             scorer = load_cross_params(_input_path(
                 config, "reranker_params", "reranker.params", "reranker params", "train-reranker"
-            ))
+            ), encoder.dim)
             log.info("reranking %d candidates per OIE", k**3)
 
             def linker(triple):
@@ -611,7 +622,7 @@ def cmd_detect(config: dict, args) -> int:
     encoder = _load_encoder(config)
     out = _out_dir(config)
 
-    name = args.detector or config["detector"]
+    name = config["detector"]
     thresholds = OokgThresholds()
     thresholds_path = _path_value(config, "thresholds") or out / "thresholds.jsonl"
     if name in ("confidence", "entropy", "qkv") and thresholds_path.exists():
@@ -626,7 +637,8 @@ def cmd_detect(config: dict, args) -> int:
         detector = EntropyDetector(thresholds)
     elif name == "qkv":
         path = _input_path(config, "qkv_params", "qkv.params", "qkv params", "train-ookg")
-        detector = QkvDetector(load_qkv_params(path), thresholds, config.get("qkv_key_pool", 64))
+        params = load_qkv_params(path, encoder.dim)
+        detector = QkvDetector(params, thresholds, config.get("qkv_key_pool", 64))
     elif name == "random":
         detector = RandomDetector(seed=stream_seed(config["seed"], "detector"))
     else:  # "always-in"; load_config and the parser admit only DETECTORS
@@ -711,7 +723,7 @@ def main(argv: list[str] | None = None) -> int:
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        config = load_config(args.config, args.set, args.out_dir, args.seed)
+        config = _fold_flags(load_config(args.config, args.set, args.out_dir, args.seed), args)
         return COMMANDS[args.command](config, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

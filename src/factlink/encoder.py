@@ -192,48 +192,6 @@ def init_params(config: EncoderConfig, seed: int) -> ReferenceEncoderParams:
     )
 
 
-class _SegmentBatch:
-    """Compiled feature arrays for a list of texts, supporting one forward
-    weighted-mean over feature-table rows and one scatter-add backward,
-    both through the texts' row positions in the params' table.
-
-    Empty feature sets are encoded as a single zero-weight feature so that
-    segment boundaries stay non-empty and no gradient leaks.
-    """
-
-    def __init__(self, params: ReferenceEncoderParams, hasher: FeatureHasher,
-                 texts: Sequence[str]):
-        empty = (np.zeros(1, dtype=np.int64), np.zeros(1))
-        compiled = [hasher.compile(t) for t in texts]
-        compiled = [(i, w) if len(i) else empty for i, w in compiled]
-        counts = np.array([len(i) for i, _ in compiled], dtype=np.int64)
-        # positions rise with bucket ids, so sums run in bucket-id order
-        self.positions = params.rows_of(np.concatenate([i for i, _ in compiled]))
-        self.weights = np.concatenate([w for _, w in compiled])
-        self.starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
-        self.rows = np.repeat(np.arange(len(compiled)), counts)
-
-    def forward(self, feature_table: np.ndarray) -> np.ndarray:
-        gathered = feature_table[self.positions] * self.weights[:, None]
-        return np.add.reduceat(gathered, self.starts, axis=0)
-
-    def scatter_add(self, target: np.ndarray, d_segments: np.ndarray,
-                    scale: float = 1.0) -> np.ndarray:
-        # sort-based segment sum: much faster than np.add.at and still
-        # deterministic (stable sort fixes the accumulation order); returns
-        # the sorted, distinct positions it added to
-        contributions = d_segments[self.rows] * (self.weights * scale)[:, None]
-        order = np.argsort(self.positions, kind="stable")
-        sorted_positions = self.positions[order]
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], sorted_positions[1:] != sorted_positions[:-1]))
-        )
-        summed = np.add.reduceat(contributions[order], boundaries, axis=0)
-        touched = sorted_positions[boundaries]
-        target[touched] += summed
-        return touched
-
-
 def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     if not np.all(np.isfinite(norms) & (norms > 0)):
@@ -244,9 +202,13 @@ def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class Forward:
     """Unit slot and entry vectors of one ``encode_batch``, plus what the
-    trainer's backward reads: projection inputs and pre-normalization norms."""
+    trainer's backward reads: the dense (texts, rows) mean ``weights`` over
+    the sorted feature-table positions ``rows`` the batch touched, whose
+    product with those rows is the texts' segments; projection inputs;
+    pre-normalization norms."""
 
-    batch: _SegmentBatch
+    rows: np.ndarray
+    weights: np.ndarray
     slot_inputs: np.ndarray
     slot_vectors: np.ndarray
     slot_norms: np.ndarray
@@ -281,14 +243,21 @@ def encode_batch(
     texts = [t[part] for part in range(4) for t in slot_texts] + [
         t[part] for part in range(2) for t in entry_texts
     ]
-    batch = _SegmentBatch(params, hasher, texts)
-    segments = batch.forward(params.feature_table)
+    compiled = [hasher.compile(t) for t in texts]
+    # a text's compiled bucket ids are distinct, so one assignment fills its
+    # row of weights; a featureless text is a zero row
+    positions = params.rows_of(np.concatenate([i for i, _ in compiled]))
+    rows, columns = np.unique(positions, return_inverse=True)
+    weights = np.zeros((len(texts), len(rows)))
+    texts_of = np.repeat(np.arange(len(texts)), [len(i) for i, _ in compiled])
+    weights[texts_of, columns] = np.concatenate([w for _, w in compiled])
+    segments = weights @ params.feature_table[rows]
     slots, triples, labels, descriptions = np.split(segments, [3 * b, 4 * b, 4 * b + m])
     u = np.concatenate([slots, np.tile(triples, (3, 1))], axis=1)
     o_hat, o_norms = _normalize_rows(u @ params.slot_projection)
     v = np.concatenate([labels, descriptions], axis=1)
     k_hat, k_norms = _normalize_rows(v @ params.entry_projection)
-    return Forward(batch, u, o_hat, o_norms, v, k_hat, k_norms)
+    return Forward(rows, weights, u, o_hat, o_norms, v, k_hat, k_norms)
 
 
 class ReferenceEncoder:

@@ -259,7 +259,7 @@ def save_qkv_params(params: QkvParams, path, header: dict | None = None) -> None
     )
 
 
-def load_qkv_params(path) -> QkvParams:
+def load_qkv_params(path, dim: int) -> QkvParams:
     header, arrays = load_arrays(path, "qkv-attention", dict.fromkeys(_QKV_ARRAYS, "<f8"))
     q, k, v = arrays.values()
     with reading_artifact(path):
@@ -267,6 +267,8 @@ def load_qkv_params(path) -> QkvParams:
             raise MalformedRecordError(
                 f"{path}: need three d x d blocks, got {q.shape}, {k.shape}, {v.shape}"
             )
+        if len(q) != dim:
+            raise DataError(f"{path}: trained at encoder dim {len(q)}, not {dim}; run train-ookg")
         return QkvParams(**arrays, scale=float(header["scale"]), bias=float(header["bias"]))
 
 

@@ -438,8 +438,9 @@ def train_preranker(
             # only when touched (the table is updated sparsely)
             params.slot_projection -= lr * (d_slot_projection + wd * params.slot_projection)
             params.entry_projection -= lr * (d_entry_projection + wd * params.entry_projection)
-            touched = forward.batch.scatter_add(params.feature_table, d_segments, scale=-lr)
-            params.feature_table[touched] *= 1.0 - lr * wd
+            params.feature_table[forward.rows] -= lr * (forward.weights.T @ d_segments)
+            params.feature_table[forward.rows] *= 1.0 - lr * wd
+            del forward  # else its dense weights live on while the next batch builds its own
             log_tau = max(log_tau - lr * d_log_tau, log_tau_min)
 
         mean_loss = require_finite(epoch_loss / max(epoch_terms, 1), f"epoch {epoch} mean loss")

@@ -274,7 +274,7 @@ def save_cross_params(
     )
 
 
-def load_cross_params(path: str | Path) -> CrossScorerParams:
+def load_cross_params(path: str | Path, dim: int) -> CrossScorerParams:
     header, arrays = load_arrays(path, "cross-scorer", {"weights": "<f4", "bias": "<f4"})
     weights, bias = arrays.values()
     with reading_artifact(path):
@@ -284,6 +284,9 @@ def load_cross_params(path: str | Path) -> CrossScorerParams:
                 f"{path}: need 6*dim+{3 * N_SLOT_EXTRAS} weights and one bias, got shapes "
                 f"{weights.shape} and {bias.shape}"
             )
+        if n != 6 * dim:
+            raise DataError(f"{path}: trained at encoder dim {n // 6}, not {dim}; "
+                            "run train-reranker")
         return CrossScorerParams(
             weights=weights.astype(np.float64), bias=float(bias[0]), seed=int(header["rng_seed"])
         )

@@ -365,6 +365,24 @@ class TestCliContract:
         _, config_path = pipeline
         assert run(config_path, "--set", "nonsense", "build-benchmark") == 1
 
+    @pytest.mark.parametrize("flag,setting,name", [
+        (["link", "--k", "3"], ["--set", "link_k=3", "link"], "links.jsonl"),
+        (["evaluate", "--facet", "polysemous", "--use-reranker", "--rerank-k", "1"],
+         ["--set", "rerank_k=1", "evaluate", "--facet", "polysemous", "--use-reranker"],
+         "report-polysemous-brkg.jsonl"),
+        (["detect", "--detector", "confidence"], ["--set", "detector=confidence", "detect"],
+         "detection-confidence.jsonl"),
+    ], ids=["link-k", "rerank-k", "detector"])
+    def test_flag_writes_what_its_config_key_writes(self, flag, setting, name, pipeline, tmp_path):
+        """A command flag is its config key: the artifact header hashes it."""
+        directory, config_path = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        assert run(config_path, "--out-dir", str(out), *setting) == 0
+        written = (out / name).read_bytes()
+        assert run(config_path, "--out-dir", str(out), *flag) == 0
+        assert (out / name).read_bytes() == written
+
 
 class TestDeterminism:
     def test_stage_rerun_hashes_identical(self, tmp_path):
@@ -409,6 +427,22 @@ def _claim_huge_first_record(path):
         record, {"descr": "<f8", "fortran_order": False, "shape": (10**6, 10**6)}
     )
     path.write_bytes(header_line + b"\n" + record.getvalue() + bytes(64))
+
+
+def _widen(name, kind):
+    """Rewrite a re-ranker or QKV params file as if trained against an
+    encoder one dim wider: well formed, but for another encoder."""
+    def corrupt(out):
+        path = out / name
+        if kind == "cross-scorer":
+            header, arrays = load_arrays(path, kind, {"weights": "<f4", "bias": "<f4"})
+            arrays["weights"] = np.zeros(len(arrays["weights"]) + 6, dtype=np.float32)
+        else:
+            layout = dict.fromkeys(("q_proj", "k_proj", "v_proj"), "<f8")
+            header, arrays = load_arrays(path, kind, layout)
+            arrays = {key: np.eye(len(block) + 1) for key, block in arrays.items()}
+        save_arrays(path, header, arrays)
+    return corrupt
 
 
 PARAMS_LAYOUT = {
@@ -712,6 +746,11 @@ class TestFailureExitCodes:
             2, ["evaluate", "--facet", "polysemous", "--use-reranker"],
             lambda out: _truncate(out / "reranker.params", -3),
         ),
+        "dim-reranker": (
+            2, ["evaluate", "--facet", "polysemous", "--use-reranker"],
+            _widen("reranker.params", "cross-scorer"),
+        ),
+        "dim-qkv": (2, ["detect", "--detector", "qkv"], _widen("qkv.params", "qkv-attention")),
         "qkv-huge-shape": (
             2, ["detect", "--detector", "qkv"],
             lambda out: _claim_huge_first_record(out / "qkv.params"),
@@ -794,6 +833,10 @@ class TestFailureExitCodes:
             assert "line 1: pair" in err
         if case.startswith("flix-"):
             assert "entities.flix" in err
+        if case.startswith("dim-"):
+            name, producer = {"dim-reranker": ("reranker.params", "train-reranker"),
+                              "dim-qkv": ("qkv.params", "train-ookg")}[case]
+            assert name in err and err.strip().endswith(f"run {producer}")
         if case.startswith("alignment-"):
             assert "line 2: alignment" in err
         if case.startswith("oie-"):

@@ -12,6 +12,7 @@ from factlink.encoder import (
     ReferenceEncoder,
     _hash_feature,
     _N_RESERVED,
+    encode_batch,
     featurize,
     init_params,
 )
@@ -400,3 +401,59 @@ class TestOneForward:
         entries = {(e.label, e.description or ""): e for e in store.entries.values()}
         trained = np.stack([served.entry_embed(entries[texts]) for texts in entry_texts])
         np.testing.assert_allclose(forward.entry_vectors, trained, rtol=0, atol=FORWARD_TOL)
+
+
+class TestSegmentSums:
+    """``encode_batch``'s per-text weighted sums and their backward against
+    an ``np.add.at`` oracle over each text's compiled (position, weight)
+    pairs."""
+
+    SLOT_TEXTS = [
+        ("Alice Harbor", "works with", "Harbor Town", "Alice Harbor works with Harbor Town"),
+        ("Harbor Town", "lies near", "Alice Harbor", "Harbor Town lies near Alice Harbor"),
+    ]
+    # the first entry's description is featureless
+    ENTRY_TEXTS = [("Alice Harbor", ""), ("Harbor Town", "a town by the harbor")]
+
+    def oracle(self):
+        params, hasher = init_params(CONFIG, 3), FeatureHasher(CONFIG.buckets)
+        params.rows_of(np.arange(CONFIG.buckets))  # hold rows no text touches, such as <SUBJ>'s
+        forward = encode_batch(params, hasher, self.SLOT_TEXTS, self.ENTRY_TEXTS)
+        texts = [t[part] for part in range(4) for t in self.SLOT_TEXTS] + [
+            t[part] for part in range(2) for t in self.ENTRY_TEXTS
+        ]
+        compiled = [hasher.compile(text) for text in texts]
+        # every row is held, so rows_of draws nothing
+        positions = params.rows_of(np.concatenate([ids for ids, _ in compiled]))
+        weights = np.concatenate([w for _, w in compiled])
+        texts_of = np.repeat(np.arange(len(texts)), [len(ids) for ids, _ in compiled])
+        assert len(np.unique(positions)) < len(positions)  # buckets repeat across texts
+        return params, forward, texts, positions, weights, texts_of
+
+    def test_forward_matches_add_at(self):
+        params, forward, texts, positions, weights, texts_of = self.oracle()
+        segments = np.zeros((len(texts), CONFIG.hidden))
+        np.add.at(segments, texts_of, weights[:, None] * params.feature_table[positions])
+        b, m = len(self.SLOT_TEXTS), len(self.ENTRY_TEXTS)
+        assert not forward.entry_inputs[0, CONFIG.hidden :].any()  # the featureless description
+        slots, triples, labels, descriptions = np.split(segments, [3 * b, 4 * b, 4 * b + m])
+        np.testing.assert_allclose(
+            forward.slot_inputs, np.hstack([slots, np.tile(triples, (3, 1))]),
+            rtol=0, atol=FORWARD_TOL,
+        )
+        np.testing.assert_allclose(
+            forward.entry_inputs, np.hstack([labels, descriptions]), rtol=0, atol=FORWARD_TOL
+        )
+
+    def test_backward_matches_add_at(self):
+        params, forward, texts, positions, weights, texts_of = self.oracle()
+        assert np.array_equal(forward.rows, np.unique(positions))
+        featureless = texts.index("")
+        assert not forward.weights[featureless].any()
+        d_segments = np.random.default_rng(0).standard_normal((len(texts), CONFIG.hidden))
+        d_segments[featureless] = 1e6  # a featureless text reaches no row
+        d_table = np.zeros_like(params.feature_table)
+        np.add.at(d_table, positions, weights[:, None] * d_segments[texts_of])
+        np.testing.assert_allclose(
+            forward.weights.T @ d_segments, d_table[forward.rows], rtol=0, atol=FORWARD_TOL
+        )

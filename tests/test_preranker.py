@@ -1,8 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import factlink.preranker as preranker
 from conftest import entity, make_alignment, predicate
 from factlink.encoder import (
     EncoderConfig,
@@ -329,6 +331,25 @@ class TestLink:
 
 
 class TestTrainPreranker:
+    def test_each_forward_is_released_before_the_next_is_built(self, monkeypatch):
+        """Two batches' dense weights are never alive at once."""
+        store, alignments = tiny_world()
+        config = PrerankTrainConfig(
+            epochs=2, batch_size=2, seed=0, global_neg_entities=4, global_neg_predicates=2
+        )
+        built, alive_at_build = [], []
+
+        def tracking(*args):
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            forward = encode_batch(*args)
+            built.append(weakref.ref(forward))
+            return forward
+
+        encode_batch = preranker.encode_batch
+        monkeypatch.setattr(preranker, "encode_batch", tracking)
+        train_preranker(alignments, store, config, SMALL_ENCODER)
+        assert len(alive_at_build) == 6 and not any(alive_at_build)
+
     def test_loss_decreases(self):
         store, alignments = tiny_world()
         config = PrerankTrainConfig(

@@ -507,7 +507,7 @@ def reranker_case():
         return (params.weights,), {"seed": params.seed, "bias": params.bias}
 
     return (lambda path: save_cross_params(params, path, header=PROVENANCE),
-            lambda path: state(load_cross_params(path)), state(params))
+            lambda path: state(load_cross_params(path, 16)), state(params))
 
 
 def qkv_case():
@@ -518,7 +518,7 @@ def qkv_case():
             "scale": params.scale, "bias": params.bias}
 
     return (lambda path: save_qkv_params(params, path, header=PROVENANCE),
-            lambda path: state(load_qkv_params(path)), state(params))
+            lambda path: state(load_qkv_params(path, 5)), state(params))
 
 
 class TestPersistence:
