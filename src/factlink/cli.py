@@ -536,23 +536,23 @@ def cmd_link(config: dict, args) -> int:
     out = _out_dir(config)
     entity_index, predicate_index = _store_indices(config, encoder, store)
     k = config["link_k"]
-    with_context = config["with_context"]
-
-    def records():
-        for sentence_id in sorted(oies):
-            for triple in oies[sentence_id]:
-                result = link(encoder, entity_index, predicate_index, triple, k, with_context)
-                yield {
-                    "sentence_id": sentence_id,
-                    "subject": triple.subject,
-                    "relation": triple.relation,
-                    "object": triple.object,
-                    "subject_candidates": [[i, s] for i, s in result.subject],
-                    "relation_candidates": [[i, s] for i, s in result.relation],
-                    "object_candidates": [[i, s] for i, s in result.object],
-                }
-
-    write_jsonl(out / "links.jsonl", records(), header=artifact_header(config))
+    triples = [(sentence_id, triple)
+               for sentence_id in sorted(oies) for triple in oies[sentence_id]]
+    results = link(encoder, entity_index, predicate_index, [triple for _, triple in triples], k,
+                   config["with_context"])
+    records = (
+        {
+            "sentence_id": sentence_id,
+            "subject": triple.subject,
+            "relation": triple.relation,
+            "object": triple.object,
+            "subject_candidates": [[i, s] for i, s in result.subject],
+            "relation_candidates": [[i, s] for i, s in result.relation],
+            "object_candidates": [[i, s] for i, s in result.object],
+        }
+        for (sentence_id, triple), result in zip(triples, results)
+    )
+    write_jsonl(out / "links.jsonl", records, header=artifact_header(config))
     print(f"linked {sum(len(v) for v in oies.values())} OIE triples at k={k}")
     return 0
 
@@ -583,27 +583,27 @@ def cmd_evaluate(config: dict, args) -> int:
         linker = random_baseline(eval_store, seed=stream_seed(config["seed"], "baseline"))
     else:
         encoder = _load_encoder(config)
-        indices = entity_index, predicate_index = _store_indices(config, encoder, eval_store)
+        indices = _store_indices(config, encoder, eval_store)
+        k = 1
         if args.use_reranker:
             k = config["rerank_k"]
             scorer = load_cross_params(_input_path(
                 config, "reranker_params", "reranker.params", "reranker params", "train-reranker"
             ), encoder.dim)
             log.info("reranking %d candidates per OIE", k**3)
+        triples = [alignment.oie for alignment in test]
+        results = dict(zip(triples, link(encoder, *indices, triples, k, with_context)))
+        if args.use_reranker:
 
             def linker(triple):
-                result = link(encoder, entity_index, predicate_index, triple, k, with_context)
-                best, _scores = rerank(
-                    scorer, encoder, indices, triple, enumerate_candidates(result), with_context
-                )
+                best, _scores = rerank(scorer, encoder, indices, triple,
+                                       enumerate_candidates(results[triple]), with_context)
                 return best.to_fact()
 
         else:
 
             def linker(triple):
-                return link(
-                    encoder, entity_index, predicate_index, triple, 1, with_context
-                ).linked_fact
+                return results[triple].linked_fact
 
     report = evaluate_linker(linker, test, split=args.facet, store=store_tag)
     out = _out_dir(config)

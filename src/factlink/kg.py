@@ -107,8 +107,11 @@ class KgStore:
         return entry_id in self.entries
 
 
+_FACT_KINDS = (EntryKind.ENTITY, EntryKind.PREDICATE, EntryKind.ENTITY)
+
+
 def _validate_fact(fact: KgFact, entries: Mapping[str, KgEntry], where: str = "") -> None:
-    for entry_id, want in zip(fact.ids, (EntryKind.ENTITY, EntryKind.PREDICATE, EntryKind.ENTITY)):
+    for entry_id, want in zip(fact.ids, _FACT_KINDS):
         entry = entries.get(entry_id)
         if entry is None:
             raise DanglingFactError(f"{where}fact references unknown id {entry_id!r}")
@@ -196,11 +199,19 @@ def load_kg(
         entry_map[entry.id] = entry
 
     facts: set[tuple[str, str, str]] = set()  # held only for the filter
+    kind_of = {entry_id: entry.kind for entry_id, entry in entry_map.items()}
     for line_number, record in iter_jsonl(facts_path):
-        fact = _parse_fact(record, line_number)
-        _validate_fact(fact, entry_map, where=f"line {line_number}: ")
+        try:  # the common valid line, checked without building a KgFact
+            ids = (record["subject"], record["predicate"], record["object"])
+            valid = tuple(map(kind_of.get, ids)) == _FACT_KINDS
+        except (KeyError, TypeError):  # a missing field or an unhashable id
+            valid = False
+        if not valid:  # raises, or accepts ids that only str() makes valid
+            fact = _parse_fact(record, line_number)
+            _validate_fact(fact, entry_map, where=f"line {line_number}: ")
+            ids = fact.ids
         if min_count:
-            facts.add(fact.ids)
+            facts.add(ids)
 
     if min_count:
         entry_map = _frequent_entries(entry_map, facts, min_count)

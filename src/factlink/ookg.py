@@ -16,7 +16,7 @@ from .errors import (
     DataError, EmptyKeySetError, EmptyTrainingSetError, MalformedRecordError, require_finite,
 )
 from .io import load_arrays, reading_artifact, save_arrays
-from .preranker import EmbeddingIndex, topk
+from .preranker import EmbeddingIndex
 from .reranker import _sigmoid, bce_grad, bce_loss
 
 TOP_SUPPORT = 5  # fixed support for the confidence and entropy heuristics
@@ -349,41 +349,49 @@ def calibrate_threshold(
 
 
 class OokgDetector(Protocol):
-    """Per-slot decision given the slot's query embedding and the index of
-    the matching kind. ``gold_id`` identifies the slot's reference entry so
-    oracle-style instrumentation is expressible; real detectors ignore it."""
+    """Per-slot decision given the slot's query embedding, the index of the
+    matching kind and the scenario's ranked (id, score) list over it: its
+    ``depth`` best rows, or None when ``depth`` is None (no scoring at
+    all). ``gold_id`` identifies the slot's reference entry so oracle-style
+    instrumentation is expressible; real detectors ignore it."""
+
+    depth: int | None
 
     def decide(
-        self, query: np.ndarray, index: EmbeddingIndex, slot: int, gold_id: str
+        self, query: np.ndarray, index: EmbeddingIndex, ranked: list[tuple[str, float]] | None,
+        slot: int, gold_id: str,
     ) -> tuple[Decision, float]: ...
 
 
-def _support_statistics(query: np.ndarray, index: EmbeddingIndex) -> tuple[float, float]:
-    """(top-1 probability, entropy) of the softmax over the top ``TOP_SUPPORT``
-    similarities; an empty store variant gets the most out-of-KG pair."""
-    sims = [score for _, score in topk(index, query, TOP_SUPPORT)]
-    if not sims:
+def _support_statistics(ranked: list[tuple[str, float]]) -> tuple[float, float]:
+    """(top-1 probability, entropy) of the softmax over the ``TOP_SUPPORT``
+    ranked similarities; an empty store variant gets the most out-of-KG pair."""
+    if not ranked:
         return 0.0, float(np.log(TOP_SUPPORT))
-    probs = topk_softmax(sims)
+    probs = topk_softmax([score for _, score in ranked])
     return float(probs.max()), entropy(probs)
 
 
 class ConfidenceDetector:
+    depth = TOP_SUPPORT
+
     def __init__(self, thresholds: OokgThresholds | None = None):
         self.thresholds = thresholds or OokgThresholds()
 
-    def decide(self, query, index, slot, gold_id):
-        top1, _ = _support_statistics(query, index)
+    def decide(self, query, index, ranked, slot, gold_id):
+        top1, _ = _support_statistics(ranked)
         return _threshold_decision(top1, self.thresholds.confidence[slot], "below"), top1
 
 
 class EntropyDetector:
+    depth = TOP_SUPPORT
+
     def __init__(self, thresholds: OokgThresholds | None = None):
         self.thresholds = thresholds or OokgThresholds()
 
-    def decide(self, query, index, slot, gold_id):
-        _, h = _support_statistics(query, index)
-        if len(index) == 0:  # out-of-KG even at a threshold of ln TOP_SUPPORT
+    def decide(self, query, index, ranked, slot, gold_id):
+        _, h = _support_statistics(ranked)
+        if not ranked:  # out-of-KG even at a threshold of ln TOP_SUPPORT
             return Decision.OUT_OF_KG, h
         return _threshold_decision(h, self.thresholds.entropy[slot], "above"), h
 
@@ -401,11 +409,14 @@ class QkvDetector:
         self.thresholds = thresholds or OokgThresholds()
         self.key_pool = key_pool
 
-    def decide(self, query, index, slot, gold_id):
-        top = topk(index, query, self.key_pool)
-        if not top:  # an empty store variant cannot contain the referent
+    @property
+    def depth(self) -> int:
+        return self.key_pool
+
+    def decide(self, query, index, ranked, slot, gold_id):
+        if not ranked:  # an empty store variant cannot contain the referent
             return Decision.OUT_OF_KG, 0.0
-        keys = index.vectors(i for i, _ in top)
+        keys = index.vectors(i for i, _ in ranked)
         score = qkv_score(self.params, query, keys)
         return _threshold_decision(score, self.thresholds.attention, "below"), score
 
@@ -413,19 +424,23 @@ class QkvDetector:
 class RandomDetector:
     """Fair coin per slot decision."""
 
+    depth = None
+
     def __init__(self, seed: int = 0):
         self.rng = np.random.default_rng(seed)
 
-    def decide(self, query, index, slot, gold_id):
+    def decide(self, query, index, ranked, slot, gold_id):
         out = bool(self.rng.integers(2))
         return (Decision.OUT_OF_KG if out else Decision.IN_KG), 0.5
 
 
 class ConstantDetector:
+    depth = None
+
     def __init__(self, decision: Decision):
         self.decision = decision
 
-    def decide(self, query, index, slot, gold_id):
+    def decide(self, query, index, ranked, slot, gold_id):
         return self.decision, 1.0 if self.decision is Decision.IN_KG else 0.0
 
 
@@ -439,6 +454,45 @@ class OokgReport:
     records: list[dict] = field(default_factory=list, repr=False)
 
 
+_SCENARIOS = ("imputed", "removed")  # a hit is an in-KG, then an out-of-KG decision
+
+
+def _scenario_rankings(
+    alignments: Sequence[Alignment],
+    indices: tuple[EmbeddingIndex, EmbeddingIndex],
+    encoder: ReferenceEncoder,
+    with_context: bool,
+    depth: int | None,
+) -> tuple[list, dict[str, list[list]]]:
+    """The alignments' slot queries, and per scenario, slot and alignment
+    the slot's top-``depth`` (id, score) list (None when ``depth`` is None).
+
+    Each query is scored once against the whole index of its slot kind
+    (subjects and objects in one ``score_rows`` pass). "imputed" ranks every
+    row; "removed" ranks the same scores over the rows that are no
+    alignment's gold entry, as the index's row subset would. A gold id
+    missing from its slot kind's index is an UnknownIdError.
+    """
+    if not alignments:
+        raise DataError("no alignments to evaluate")
+    for alignment in alignments:  # each slot against its own kind's index
+        for slot, entry_id in enumerate(alignment.fact.ids):
+            indices[slot == 1].row(entry_id)
+    gold = {entry_id for alignment in alignments for entry_id in alignment.fact.ids}
+    queries = [encoder.slot_embed(alignment.oie, with_context) for alignment in alignments]
+    n = len(alignments)
+    ranked = {scenario: [[None] * n for _ in range(3)] for scenario in _SCENARIOS}
+    if depth is not None:
+        for index, slots in ((indices[0], (0, 2)), (indices[1], (1,))):
+            keep = np.flatnonzero([entry_id not in gold for entry_id in index.ids])
+            targets = [(slot, i) for slot in slots for i in range(n)]
+            rows = index.score_rows([queries[i][slot] for slot, i in targets])
+            for (slot, i), scores in zip(targets, rows):
+                ranked["imputed"][slot][i] = index.ranked(scores, depth)
+                ranked["removed"][slot][i] = index.ranked(scores, depth, keep)
+    return queries, ranked
+
+
 def ookg_evaluate(
     detector: OokgDetector,
     alignments: Sequence[Alignment],
@@ -449,37 +503,27 @@ def ookg_evaluate(
 ) -> OokgReport:
     """Run the paired imputed/removed protocol.
 
-    Two variants of the store's (entity, predicate) ``indices`` serve the
-    batch: as given, with its gold entries present (a hit is an in-KG
-    decision), and their row subsets with all of them absent (a hit is an
-    out-of-KG decision). Slot accuracy averages the two scenario trial sets;
-    fact accuracy requires all three slot decisions correct within a trial.
-    A gold id missing from its slot kind's index is an UnknownIdError.
+    The store's (entity, predicate) ``indices`` serve two scenarios: with
+    the batch's gold entries present (a hit is an in-KG decision) and with
+    all of them absent (a hit is an out-of-KG decision); the detector gets
+    each scenario's ranked list (``_scenario_rankings``). Slot accuracy
+    averages the two scenario trial sets; fact accuracy requires all three
+    slot decisions correct within a trial. A gold id missing from its slot
+    kind's index is an UnknownIdError.
     """
-    if not alignments:
-        raise DataError("no alignments to evaluate")
-    for alignment in alignments:  # each slot against its own kind's index
-        for slot, entry_id in enumerate(alignment.fact.ids):
-            indices[slot == 1].row(entry_id)
-    gold = {entry_id for alignment in alignments for entry_id in alignment.fact.ids}
-    variants = {
-        "imputed": indices,
-        "removed": tuple(index.subset([i not in gold for i in index.ids]) for index in indices),
-    }
-
+    queries, ranked = _scenario_rankings(alignments, indices, encoder, with_context, detector.depth)
     slot_hits = np.zeros(3)
     fact_hits = 0.0
     records: list[dict] = []
-    for scenario, (entity_index, predicate_index) in variants.items():
+    for scenario in _SCENARIOS:
         expect_out = scenario == "removed"
-        for alignment in alignments:
-            queries = encoder.slot_embed(alignment.oie, with_context)
+        for i, alignment in enumerate(alignments):
             gold_ids = alignment.fact.ids
             all_correct = True
             for slot in range(3):
-                index = predicate_index if slot == 1 else entity_index
                 decision, statistic = detector.decide(
-                    queries[slot], index, slot, gold_ids[slot]
+                    queries[i][slot], indices[slot == 1], ranked[scenario][slot][i], slot,
+                    gold_ids[slot],
                 )
                 correct = (decision is Decision.OUT_OF_KG) == expect_out
                 slot_hits[slot] += correct
@@ -514,22 +558,17 @@ def calibrate_all_thresholds(
     with_context: bool = False,
 ) -> tuple[OokgThresholds, dict]:
     """Grid-calibrate per-slot confidence and entropy thresholds on a
-    hold-out set, from the statistics of one paired imputed/removed
-    protocol run; returns thresholds plus grid metadata."""
-    samples: list[list[tuple[float, float, bool]]] = [[], [], []]
-
-    class _Collector:
-        def decide(self, query, index, slot, gold_id):
-            top1, h = _support_statistics(query, index)
-            samples[slot].append((top1, h, gold_id not in index))
-            return Decision.IN_KG, top1
-
-    ookg_evaluate(_Collector(), alignments, indices, encoder, with_context)
+    hold-out set, from the support statistics of both scenarios of the
+    imputed/removed protocol, each sample labelled out-of-KG by its
+    scenario; returns thresholds plus grid metadata."""
+    _, ranked = _scenario_rankings(alignments, indices, encoder, with_context, TOP_SUPPORT)
     confidence = []
     entropy_thresholds = []
     ranges: dict = {"grid_size": grid_size, "statistic_ranges": {}}
-    for slot, slot_samples in enumerate(samples):
-        top1, h, is_out = (np.array(column) for column in zip(*slot_samples))
+    for slot in range(3):
+        samples = [(*_support_statistics(top), scenario == "removed")
+                   for scenario in _SCENARIOS for top in ranked[scenario][slot]]
+        top1, h, is_out = (np.array(column) for column in zip(*samples))
         confidence.append(calibrate_threshold(top1, is_out, "below", grid_size))
         entropy_thresholds.append(
             min(calibrate_threshold(h, is_out, "above", grid_size), float(np.log(TOP_SUPPORT)))

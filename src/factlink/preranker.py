@@ -12,7 +12,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .kg import KgEntry, KgFact, KgStore
 
 _FLIX_MAGIC = b"FLIX"
 _FLIX_VERSION = 1
-_EMBED_CHUNK = 64  # entries per forward pass when a store is embedded
+_EMBED_CHUNK = 64  # entries per forward pass when a store is embedded; queries per scoring product
 
 
 class IndexKind(enum.Enum):
@@ -94,14 +94,41 @@ class EmbeddingIndex:
         ids = tuple(entry_id for entry_id, kept in zip(self.ids, keep) if kept)
         return EmbeddingIndex(ids=ids, matrix=self.matrix[keep], kind=self.kind)
 
-    def _top_rows(self, scores: np.ndarray, k: int) -> np.ndarray:
-        """Rows of the min(k, n) highest ``scores``, best first; ties by ascending id."""
-        n = len(scores)
+    def score_rows(self, queries: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+        """The float32 scores of each of the n ``queries`` (dim-vectors, or
+        the rows of an (n, dim) array) against every index row: one
+        ``float32(queries[i:i+64]) @ matrix.T`` product per chunk of 64 (a
+        one-query product is the matvec ``matrix @ query``). Every chunk is
+        written into one reused block, so a row is valid only until the
+        next one is drawn: one block is alive, not two."""
+        block = np.empty((min(len(queries), _EMBED_CHUNK), len(self)), dtype=np.float32)
+        for start in range(0, len(queries), _EMBED_CHUNK):
+            chunk = np.asarray(queries[start : start + _EMBED_CHUNK], dtype=np.float32)
+            yield from np.matmul(chunk, self.matrix.T, out=block[: len(chunk)])
+
+    def ranked(
+        self, scores: np.ndarray, k: int, keep: np.ndarray | None = None
+    ) -> list[tuple[str, float]]:
+        """(id, score) of ``_top_rows(scores, k, keep)``, best first."""
+        return [(self.ids[i], float(scores[i])) for i in self._top_rows(scores, k, keep)]
+
+    def _top_rows(
+        self, scores: np.ndarray, k: int, keep: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Rows of the min(k, n) highest ``scores`` among the n sorted row
+        positions ``keep`` (every row when None), best first; ties by
+        ascending id. That is how ``subset`` over ``keep`` ranks them."""
+        candidates = scores if keep is None else scores[keep]
+        n = len(candidates)
         k = min(k, n)
+        if k == 0:
+            return np.zeros(0, dtype=np.intp)
         # every row scoring at least the k-th score: a tie group cut at k is ordered by id
-        rows = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
-        order = np.lexsort((self._id_rank[rows], -scores[rows]))
-        return rows[order[:k]]
+        top = np.flatnonzero(candidates >= np.partition(candidates, n - k)[n - k])
+        if keep is not None:
+            top = keep[top]
+        order = np.lexsort((self._id_rank[top], -scores[top]))
+        return top[order[:k]]
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -125,15 +152,17 @@ def build_index(
     return EmbeddingIndex(ids=ids, matrix=matrix, kind=kind)
 
 
-def topk(index: EmbeddingIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """Exact top-k by dot product; ties broken by ascending id; returns
-    min(k, len(index)) pairs."""
+def topk(
+    index: EmbeddingIndex, queries: Sequence[np.ndarray], k: int
+) -> list[list[tuple[str, float]]]:
+    """Exact top-k by dot product of each of the ``queries`` (as in
+    ``score_rows``); ties broken by ascending id; min(k, len(index)) pairs
+    per query."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(index) == 0:
-        return []
-    scores = index.matrix @ np.asarray(query, dtype=np.float32)
-    return [(index.ids[i], float(scores[i])) for i in index._top_rows(scores, k)]
+        return [[] for _ in queries]
+    return [index.ranked(scores, k) for scores in index.score_rows(queries)]
 
 
 @dataclass(frozen=True)
@@ -153,18 +182,23 @@ def link(
     encoder: ReferenceEncoder,
     entity_index: EmbeddingIndex,
     predicate_index: EmbeddingIndex,
-    triple: OieTriple,
+    triples: Sequence[OieTriple],
     k: int = 1,
     with_context: bool = False,
-) -> SlotLinkResult:
-    """Retrieve top-k entries per OIE slot: subject and object against the
-    entity index, relation against the predicate index."""
-    subject_emb, relation_emb, object_emb = encoder.slot_embed(triple, with_context)
-    return SlotLinkResult(
-        subject=tuple(topk(entity_index, subject_emb, k)),
-        relation=tuple(topk(predicate_index, relation_emb, k)),
-        object=tuple(topk(entity_index, object_emb, k)),
-    )
+) -> list[SlotLinkResult]:
+    """Retrieve top-k entries per OIE slot of each triple: subjects and
+    objects against the entity index in one ``topk``, relations against the
+    predicate index."""
+    if not triples:
+        return []
+    subjects, relations, objects = zip(*(encoder.slot_embed(t, with_context) for t in triples))
+    n = len(triples)
+    entities = topk(entity_index, subjects + objects, k)
+    predicates = topk(predicate_index, relations, k)
+    return [
+        SlotLinkResult(tuple(entities[i]), tuple(predicates[i]), tuple(entities[n + i]))
+        for i in range(n)
+    ]
 
 
 def embed_index(

@@ -116,7 +116,7 @@ class TestCriterion1NumericOracles:
         encoder = ReferenceEncoder(init_params(EncoderConfig(dim=8, hidden=4, buckets=256), 0))
         indices = build_store_indices(encoder, world)
         oie = make_alignment("Alpha", "rel", "Beta", KgFact("Q1", "P1", "Q2")).oie
-        candidates = enumerate_candidates(link(encoder, *indices, oie, k=2))
+        candidates = enumerate_candidates(link(encoder, *indices, [oie], k=2)[0])
         _, scores = rerank(zero_scorer, encoder, indices, oie, candidates)
         check("criterion 1c", set(scores) == {0.5},
               f"zero cross scorer's rerank scores {len(scores)} candidates exactly {set(scores)}")
@@ -146,7 +146,7 @@ class TestCriterion2RetrievalExactness:
             scores = index.matrix @ query.astype(np.float32)
             oracle = sorted(zip(index.ids, scores.tolist()), key=lambda p: (-p[1], p[0]))
             for k in (1, 5, 50):
-                if topk(index, query, k) != oracle[:k]:
+                if topk(index, query[None], k)[0] != oracle[:k]:
                     mismatches += 1
         check("criterion 2a", mismatches == 0,
               f"topk vs brute-force argsort oracle, {mismatches} mismatches in 300 queries")
@@ -273,13 +273,13 @@ def _seed_run(seed):
 
         def fn(triple):
             if rerank_k:
-                result = link(encoder, entity_index, predicate_index, triple,
-                              rerank_k, with_context)
+                (result,) = link(encoder, entity_index, predicate_index, [triple],
+                                 rerank_k, with_context)
                 best, _ = rerank(scorer, encoder, indices, triple,
                                  enumerate_candidates(result), with_context)
                 return best.to_fact()
-            return link(encoder, entity_index, predicate_index, triple,
-                        1, with_context).linked_fact
+            return link(encoder, entity_index, predicate_index, [triple],
+                        1, with_context)[0].linked_fact
 
         return fn
 

@@ -1,9 +1,11 @@
 import hashlib
+import importlib
 import io
 import json
 import re
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +205,19 @@ class TestIndexAndLink:
         records = read_jsonl(directory / "out" / "links.jsonl")
         assert records
         assert all(len(r["subject_candidates"]) == 2 for r in records)
+
+    def test_links_pass_the_benchmark_link_check(self, pipeline, tmp_path, monkeypatch):
+        """perfbench's output check accepts what ``link --k 3`` writes: the
+        candidate counts and a brute-force top-k over the FLIX matrices."""
+        directory, config_path = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        assert run(config_path, "--out-dir", str(out), "link", "--k", "3") == 0
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        bench = importlib.import_module("bench")
+        ledger = bench.Ledger()
+        bench.check_links(out, 3, json.loads(config_path.read_text()), 7, ledger)
+        assert (ledger.attempted, ledger.failures) == (2, [])
 
     def test_kg_min_count_filters_the_large_store(self, pipeline, tmp_path, capsys):
         """The toy KG's 24 distractor entries are in no fact: ``kg_min_count``

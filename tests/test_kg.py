@@ -103,12 +103,48 @@ class TestLoadKg:
 
         monkeypatch.setattr(kg, "_validate_fact", counting)
         store = load_kg(entries_path, facts_path)
-        assert validated == [KgFact("Q41421", "P54", "Q128109")] * 2  # one per line
+        assert validated == []  # a valid line is checked by id kind, building no KgFact
         rebuilt = build_store(store.entries.values())
         assert store.surface_index == rebuilt.surface_index
         # the repeated line is one fact: each entry is in one distinct fact
         assert len(load_kg(entries_path, facts_path, min_count=1).entries) == 3
         assert load_kg(entries_path, facts_path, min_count=2).entries == {}
+        # a line that check rejects goes through _validate_fact, once
+        write_jsonl(facts_path, [fact, {**fact, "object": "Q999999"}, fact])
+        with pytest.raises(DanglingFactError, match="line 2"):
+            load_kg(entries_path, facts_path)
+        assert validated == [KgFact("Q41421", "P54", "Q999999")]
+
+    @pytest.mark.parametrize("record", [
+        {"subject": "Q41421", "predicate": "P54", "object": "Q128109"},
+        {"subject": 7, "predicate": "P54", "object": "Q128109"},  # str() makes it an id
+        {"subject": "Q41421", "predicate": "P54", "object": "Q999999"},
+        {"subject": "Q41421", "predicate": "Q128109", "object": "P54"},
+        {"subject": "Q41421", "predicate": "P54"},
+        {"predicate": "P54"},
+        {"subject": ["Q41421"], "predicate": "P54", "object": "Q128109"},
+        {"subject": {"id": 1}, "predicate": "P54", "object": "Q128109"},
+        {"subject": None, "predicate": "P54", "object": "Q128109"},
+    ], ids=["valid", "int-id", "unknown", "kinds", "no-object", "two-missing", "list-id",
+            "dict-id", "null-id"])
+    def test_fact_line_outcome_matches_the_parse_and_validate_path(self, tmp_path, record):
+        """The id-kind check accepts exactly the lines that ``_parse_fact``
+        and ``_validate_fact`` accept, with the same error and facts."""
+        entries = [JORDAN_ENTRY, TEAM_ENTRY, PLAYS_FOR, {"id": "7", "kind": "entity", "label": "7"}]
+        entries_path, facts_path = write_kg_files(tmp_path, entries, [record, record])
+        try:
+            fact = kg._parse_fact(record, 1)
+            kg._validate_fact(fact, {e["id"]: kg._parse_entry(e, 0) for e in entries}, "line 1: ")
+            expected = None
+        except (MalformedRecordError, DanglingFactError) as exc:
+            expected = (type(exc), str(exc))
+        if expected is None:
+            kept = load_kg(entries_path, facts_path, min_count=1).entries
+            assert set(kept) == set(fact.ids)
+        else:
+            with pytest.raises(expected[0]) as raised:
+                load_kg(entries_path, facts_path, min_count=1)
+            assert str(raised.value) == expected[1]
 
     def test_dangling_fact_reference_names_line(self, tmp_path):
         entries_path, facts_path = write_kg_files(

@@ -8,7 +8,7 @@ import pytest
 from conftest import entity, make_alignment, predicate
 from factlink.encoder import EncoderConfig, ReferenceEncoder
 from factlink.errors import DataError, EmptyKeySetError, MalformedRecordError, UnknownIdError
-from factlink.kg import KgFact, build_store
+from factlink.kg import KgFact, build_store, restrict_to_benchmark
 from factlink.ookg import (
     ConfidenceDetector,
     ConstantDetector,
@@ -17,11 +17,13 @@ from factlink.ookg import (
     OokgThresholds,
     QkvParams,
     QkvTrainConfig,
+    QkvDetector,
     RandomDetector,
     TOP_SUPPORT,
     _qkv_backward,
     _qkv_forward,
     _threshold_decision,
+    calibrate_all_thresholds,
     calibrate_threshold,
     detection_accuracy,
     entropy,
@@ -33,7 +35,7 @@ from factlink.ookg import (
     train_qkv,
 )
 from factlink.preranker import (
-    IndexKind, PrerankTrainConfig, build_index, build_store_indices, train_preranker,
+    IndexKind, PrerankTrainConfig, build_index, build_store_indices, topk, train_preranker,
 )
 from factlink.reranker import bce_grad, bce_loss
 
@@ -549,8 +551,10 @@ class TestEvaluateProtocol:
         store, alignments, encoder = calibration_setup
 
         class OracleDetector:
-            def decide(self, query, index, slot, gold_id):
-                present = gold_id in index
+            depth = 10**6  # every row the scenario ranks
+
+            def decide(self, query, index, ranked, slot, gold_id):
+                present = gold_id in {entry_id for entry_id, _ in ranked}
                 return (Decision.IN_KG if present else Decision.OUT_OF_KG), float(present)
 
         report = ookg_evaluate(
@@ -611,10 +615,10 @@ class TestEvaluateProtocol:
         thresholds = OokgThresholds(entropy=(max_entropy,) * 3)
         empty = build_index([], IndexKind.ENTITIES)
         query = np.ones(4) / 2
-        assert ConfidenceDetector(thresholds).decide(query, empty, 0, "Q1") == (
+        assert ConfidenceDetector(thresholds).decide(query, empty, [], 0, "Q1") == (
             Decision.OUT_OF_KG, 0.0
         )
-        assert EntropyDetector(thresholds).decide(query, empty, 0, "Q1") == (
+        assert EntropyDetector(thresholds).decide(query, empty, [], 0, "Q1") == (
             Decision.OUT_OF_KG, max_entropy
         )
 
@@ -625,3 +629,99 @@ class TestEvaluateProtocol:
                 detector, alignments[:10], build_store_indices(encoder, store), encoder
             )
             assert 0.0 <= report.fact_accuracy <= 1.0
+
+
+def subset_variants(alignments, indices):
+    """The store variants of the protocol as row-subset copies: the indices
+    as given, and each one's ``subset`` without the batch's gold rows."""
+    gold = {entry_id for alignment in alignments for entry_id in alignment.fact.ids}
+    removed = tuple(index.subset([i not in gold for i in index.ids]) for index in indices)
+    return {"imputed": indices, "removed": removed}
+
+
+def reference_decisions(detector, alignments, indices, encoder):
+    """(scenario, slot, decision, statistic) per trial, each slot's ranked
+    list a one-query ``topk`` over its scenario's row-subset variant."""
+    trials = []
+    for scenario, variant in subset_variants(alignments, indices).items():
+        for alignment in alignments:
+            queries = encoder.slot_embed(alignment.oie)
+            for slot in range(3):
+                index = variant[slot == 1]
+                ranked = (None if detector.depth is None
+                          else topk(index, queries[slot][None], detector.depth)[0])
+                decision, statistic = detector.decide(
+                    queries[slot], index, ranked, slot, alignment.fact.ids[slot]
+                )
+                trials.append((scenario, slot, decision.value, statistic))
+    return trials
+
+
+def reference_calibration(alignments, indices, encoder, grid_size):
+    """Thresholds and ranges from support statistics over the row-subset
+    variants, each labelled out-of-KG when its gold id is not in the variant."""
+    samples = [[], [], []]
+    for variant in subset_variants(alignments, indices).values():
+        for alignment in alignments:
+            queries = encoder.slot_embed(alignment.oie)
+            for slot, gold_id in enumerate(alignment.fact.ids):
+                index = variant[slot == 1]
+                sims = [score for _, score in topk(index, queries[slot][None], TOP_SUPPORT)[0]]
+                top1, h = 0.0, math.log(TOP_SUPPORT)
+                if sims:
+                    probs = topk_softmax(sims)
+                    top1, h = probs.max(), entropy(probs)
+                samples[slot].append((top1, h, gold_id not in index))
+    confidence, entropies, ranges = [], [], {}
+    for slot, slot_samples in enumerate(samples):
+        top1, h, is_out = (np.array(column) for column in zip(*slot_samples))
+        confidence.append(calibrate_threshold(top1, is_out, "below", grid_size))
+        entropies.append(
+            min(calibrate_threshold(h, is_out, "above", grid_size), math.log(TOP_SUPPORT))
+        )
+        ranges[f"confidence[{slot}]"] = [top1.min(), top1.max()]
+        ranges[f"entropy[{slot}]"] = [h.min(), h.max()]
+    return np.clip(confidence, 1e-9, 1 - 1e-9), entropies, ranges
+
+
+class TestRankedScenarios:
+    """One score row per query, masked for the removed scenario, decides
+    and calibrates as the row-subset copies did."""
+
+    @pytest.fixture(scope="class", params=["partial", "all-gold"])
+    def world(self, request, calibration_setup):
+        store, alignments, encoder = calibration_setup
+        batch = alignments[:8]
+        if request.param == "all-gold":  # every row is gold: the removed variants are empty
+            store = restrict_to_benchmark(store, batch)
+        indices = build_store_indices(encoder, store)
+        removed = subset_variants(batch, indices)["removed"]
+        assert (len(removed[0]) == 0) == (request.param == "all-gold")
+        return batch, indices, encoder
+
+    @pytest.mark.parametrize("make", [
+        lambda dim: ConfidenceDetector(),
+        lambda dim: EntropyDetector(),
+        lambda dim: QkvDetector(QkvParams.identity(dim), OokgThresholds(attention=0.6), 6),
+        lambda dim: RandomDetector(seed=3),
+        lambda dim: ConstantDetector(Decision.IN_KG),
+    ], ids=["confidence", "entropy", "qkv", "random", "always-in"])
+    def test_decisions_match_the_row_subset_protocol(self, world, make):
+        batch, indices, encoder = world
+        report = ookg_evaluate(make(encoder.dim), batch, indices, encoder, collect_records=True)
+        expected = reference_decisions(make(encoder.dim), batch, indices, encoder)
+        got = [(r["scenario"], ("subject", "relation", "object").index(r["slot"]),
+                r["decision"], r["statistic"]) for r in report.records]
+        assert [trial[:3] for trial in got] == [trial[:3] for trial in expected]
+        np.testing.assert_allclose([trial[3] for trial in got],
+                                   [trial[3] for trial in expected], rtol=0, atol=1e-6)
+
+    def test_calibration_matches_the_row_subset_protocol(self, world):
+        batch, indices, encoder = world
+        thresholds, meta = calibrate_all_thresholds(batch, indices, encoder, grid_size=50)
+        confidence, entropies, ranges = reference_calibration(batch, indices, encoder, 50)
+        np.testing.assert_allclose(thresholds.confidence, confidence, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(thresholds.entropy, entropies, rtol=0, atol=1e-6)
+        assert set(meta["statistic_ranges"]) == set(ranges)
+        for key, bounds in ranges.items():
+            np.testing.assert_allclose(meta["statistic_ranges"][key], bounds, rtol=0, atol=1e-6)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -168,13 +169,13 @@ class TestIndex:
 
     def test_empty_index_queries(self):
         index = build_index([], IndexKind.PREDICATES)
-        assert topk(index, np.zeros(4), k=5) == []
+        assert topk(index, np.zeros((2, 4)), k=5) == [[], []]
 
     def test_identity_query_scores_one(self):
         rng = np.random.default_rng(3)
         embeddings = [(f"Q{i}", random_unit(rng, 16)) for i in range(10)]
         index = build_index(embeddings, IndexKind.ENTITIES)
-        top_id, score = topk(index, embeddings[4][1], k=1)[0]
+        top_id, score = topk(index, embeddings[4][1][None], k=1)[0][0]
         assert top_id == "Q4"
         assert score == pytest.approx(1.0, abs=1e-6)
 
@@ -184,14 +185,14 @@ class TestIndex:
         index = build_index(basis, IndexKind.ENTITIES)
         query = np.zeros(dim)
         query[7] = 1.0
-        results = topk(index, query, k=4)
+        (results,) = topk(index, query[None], k=4)
         assert [r[0] for r in results] == ["Q0", "Q1", "Q2", "Q3"]
         assert all(abs(score) < 1e-6 for _, score in results)
 
     def test_k_larger_than_index(self):
         rng = np.random.default_rng(4)
         index = build_index([(f"Q{i}", random_unit(rng, 8)) for i in range(3)], IndexKind.ENTITIES)
-        assert len(topk(index, random_unit(rng, 8), k=50)) == 3
+        assert len(topk(index, random_unit(rng, 8)[None], k=50)[0]) == 3
 
     @pytest.mark.parametrize("draw", [distinct_case, tied_case], ids=["distinct", "tied"])
     def test_row_subset_is_build_index_of_the_subset(self, draw):
@@ -214,10 +215,10 @@ class TestIndex:
                 assert subset.matrix.dtype == np.float32
                 assert np.array_equal(subset.matrix, built.matrix)
                 for k in (1, 3, n + 1):
-                    assert topk(subset, query, k) == topk(built, query, k)
+                    assert topk(subset, query[None], k) == topk(built, query[None], k)
             empty = full.subset(np.zeros(n, bool))
             assert empty.ids == () and len(empty) == 0
-            assert topk(empty, query, 5) == []
+            assert topk(empty, query[None], 5) == [[]]
 
     @pytest.mark.parametrize("draw", [distinct_case, tied_case], ids=["distinct", "tied"])
     def test_matches_brute_force_oracle(self, draw):
@@ -231,8 +232,98 @@ class TestIndex:
             scores = index.matrix @ query.astype(np.float32)
             oracle = sorted(zip(index.ids, scores.tolist()), key=lambda p: (-p[1], p[0]))
             for k in (1, 5, 50, n, n + 1):
-                got = topk(index, query, k)
+                (got,) = topk(index, query[None], k)
                 assert got == oracle[: min(k, n)]
+
+
+def dyadic_case(rng, n, m):
+    """n unit rows with 16 entries of +-1/4 among 24, rows 0-2 repeated
+    under other ids, and m queries of multiples of 1/64: every score is
+    computed exactly in float32, so exact ties are planted and any product
+    order gives the oracle's scores."""
+    matrix = np.zeros((n, 24))
+    for row in matrix:
+        row[rng.choice(24, size=16, replace=False)] = rng.choice((-1.0, 1.0), size=16)
+    matrix[n - min(3, n - 1):] = matrix[: min(3, n - 1)]  # repeated vectors tie exactly
+    queries = rng.integers(-64, 65, size=(m, 24)) / 64
+    queries[m // 2 :: 7] = queries[0]  # repeated queries rank alike
+    return matrix, queries
+
+
+class TestBatchedTopk:
+    @pytest.mark.parametrize("n,m", [(1, 3), (7, 65), (120, 150), (1000, 64)])
+    def test_each_row_matches_brute_force(self, n, m):
+        rng = np.random.default_rng(n + m)
+        ids = [f"Q{i:04d}" for i in range(n)]
+        rng.shuffle(ids)
+        matrix, queries = dyadic_case(rng, n, m)
+        index = build_index(list(zip(ids, matrix)), IndexKind.ENTITIES)
+        scores = queries @ index.matrix.T.astype(np.float64)  # exact: dyadic values
+        for k in (1, 5, 50, n, n + 1):
+            got = topk(index, queries, k)
+            assert len(got) == m
+            for row, ranked in zip(scores, got):
+                oracle = sorted(zip(index.ids, row.tolist()), key=lambda p: (-p[1], p[0]))
+                assert ranked == oracle[: min(k, n)]
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_keep_ranks_as_the_row_subset(self, n):
+        rng = np.random.default_rng(n)
+        ids = [f"Q{i:03d}" for i in range(n)]
+        rng.shuffle(ids)
+        matrix, queries = dyadic_case(rng, n, 5)
+        full = build_index(list(zip(ids, matrix)), IndexKind.PREDICATES)
+        for mask in (rng.random(n) < 0.5, np.ones(n, bool), np.zeros(n, bool),
+                     np.arange(n) == n - 1):
+            keep = np.flatnonzero(mask)
+            subset = full.subset(mask)
+            for k in (1, 3, len(keep), len(keep) + 1, n + 5):
+                if k < 1:
+                    continue
+                want = topk(subset, queries, k)
+                got = [full.ranked(scores, k, keep) for scores in full.score_rows(queries)]
+                assert got == want
+                assert all(len(ranked) == min(k, len(keep)) for ranked in got)
+        empty = build_index([], IndexKind.PREDICATES)
+        assert empty.ranked(np.zeros(0, np.float32), 3, np.zeros(0, np.intp)) == []
+        assert empty._top_rows(np.zeros(0, np.float32), 3).size == 0
+
+    def test_one_row_is_bitwise_the_matvec(self):
+        rng = np.random.default_rng(9)
+        for n, dim in ((1000, 16), (176, 200), (5, 3)):
+            ids = [f"Q{i:04d}" for i in range(n)]
+            index = build_index(list(zip(ids, rng.standard_normal((n, dim)))),
+                                IndexKind.ENTITIES)
+            query = random_unit(rng, dim)
+            matvec = index.matrix @ query.astype(np.float32)
+            (scores,) = index.score_rows(query[None])
+            assert scores.tobytes() == matvec.tobytes()
+            (ranked,) = topk(index, query[None], 10)
+            assert [score for _, score in ranked] == [
+                float(matvec[index.row(entry_id)]) for entry_id, _ in ranked
+            ]
+
+    def test_one_score_block_is_alive_at_a_time(self):
+        rng = np.random.default_rng(10)
+        n = 20_000
+        index = build_index([(f"Q{i}", row) for i, row in enumerate(rng.standard_normal((n, 8)))],
+                            IndexKind.ENTITIES)
+        queries = rng.standard_normal((300, 8))
+        block_bytes = 64 * n * 4
+        tracemalloc.start()
+        try:
+            topk(index, queries, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block_bytes < peak < 1.5 * block_bytes
+
+    def test_k_below_one_rejected(self):
+        index = build_index([("Q1", np.ones(4))], IndexKind.ENTITIES)
+        with pytest.raises(ValueError, match="k must be"):
+            topk(index, np.ones((2, 4)), 0)
+        with pytest.raises(ValueError, match="k must be"):
+            topk(build_index([], IndexKind.ENTITIES), np.ones((2, 4)), 0)
 
 
 class TestSampleNegatives:
@@ -306,18 +397,17 @@ class TestLink:
         params, trace = train_preranker(alignments, store, config, SMALL_ENCODER)
         encoder = ReferenceEncoder(params)
         entity_index, predicate_index = build_store_indices(encoder, store)
-        hits = 0
-        for a in alignments:
-            result = link(encoder, entity_index, predicate_index, a.oie, k=2)
+        results = link(encoder, entity_index, predicate_index, [a.oie for a in alignments], k=2)
+        assert len(results) == len(alignments)
+        for a, result in zip(alignments, results):
             assert len(result.subject) == len(result.relation) == len(result.object) == 2
-            hits += result.linked_fact == a.fact
-        assert hits == len(alignments)
+            assert result.linked_fact == a.fact
 
     def test_k_truncated_to_index_size(self):
         store, alignments = tiny_world()
         encoder = ReferenceEncoder(init_params(SMALL_ENCODER, 0))
         entity_index, predicate_index = build_store_indices(encoder, store)
-        result = link(encoder, entity_index, predicate_index, alignments[0].oie, k=99)
+        (result,) = link(encoder, entity_index, predicate_index, [alignments[0].oie], k=99)
         assert len(result.subject) == 5
         assert len(result.relation) == 2
 
@@ -325,8 +415,9 @@ class TestLink:
         store, alignments = tiny_world()
         encoder = ReferenceEncoder(init_params(SMALL_ENCODER, 1))
         entity_index, predicate_index = build_store_indices(encoder, store)
-        a = link(encoder, entity_index, predicate_index, alignments[0].oie, k=3)
-        b = link(encoder, entity_index, predicate_index, alignments[0].oie, k=3)
+        triples = [alignment.oie for alignment in alignments]
+        a = link(encoder, entity_index, predicate_index, triples, k=3)
+        b = link(encoder, entity_index, predicate_index, triples, k=3)
         assert a == b
 
 
