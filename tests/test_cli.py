@@ -98,6 +98,20 @@ class TestBuildBenchmark:
             alignments = read_jsonl(out / f"split-{facet}.jsonl")
             assert stats[facet]["# Total Samples"] == len(alignments)
 
+    @pytest.mark.parametrize("facet", ["transductive", "inductive", "out-of-kg"])
+    def test_split_of_a_facet_returns_it(self, facet, pipeline, tmp_path):
+        """These facets depend only on the training facts, so ``split``
+        over a facet that ``build-benchmark`` wrote keeps every record."""
+        directory, config_path = pipeline
+        out = directory / "out"
+        assert run(config_path, "--out-dir", str(tmp_path),
+                   "--set", f"train_alignments={out / 'alignments.jsonl'}",
+                   "--set", f"test_alignments={out / f'split-{facet}.jsonl'}",
+                   "split", "--facet", facet) == 0
+        written = payload(out / f"split-{facet}.jsonl")
+        assert written.count(b"\n") > 0
+        assert payload(tmp_path / f"split-{facet}.jsonl") == written
+
     def test_missing_input_exits_2_with_path(self, tmp_path, capsys):
         config_path = write_config(tmp_path)  # inputs never written
         assert run(config_path, "build-benchmark") == 2

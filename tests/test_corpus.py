@@ -27,7 +27,7 @@ from factlink.errors import (
     ReservedTokenError,
 )
 from factlink.io import write_jsonl
-from factlink.kg import KgFact, build_store
+from factlink.kg import KgFact, build_store, load_kg
 
 
 def triple(s, r, o, sentence=None):
@@ -395,6 +395,103 @@ class TestFileFormats:
             augmented=True,
         )
         assert alignment_from_record(alignment_record(a)) == a
+
+
+# Each line-record kind: (its reader over a path in tmp_path, a valid record,
+# the word its messages name it by, its required fields, and its optional
+# typed fields as (field, wrong value, message after "line 2: ")).
+def _read_entries(path, store):
+    facts = path.with_name("facts.jsonl")
+    write_jsonl(facts, [])
+    return load_kg(path, facts)
+
+
+def _read_facts(path, store):
+    entries = path.with_name("entries.jsonl")
+    write_jsonl(entries, [
+        {"id": "Q41421", "kind": "entity", "label": "Michael Jordan"},
+        {"id": "Q128109", "kind": "entity", "label": "Chicago Bulls"},
+        {"id": "P54", "kind": "predicate", "label": "member of sports team"},
+    ])
+    return load_kg(entries, path)
+
+
+RECORD_KINDS = {
+    "entry": (
+        _read_entries,
+        {"id": "Q2", "kind": "entity", "label": "Bob", "description": "a player",
+         "aliases": ["Bobby"]},
+        "entry", ("id", "kind", "label"),
+        [("kind", "person", "entry kind must be 'entity' or 'predicate', got 'person'"),
+         ("description", 5, "entry description must be a string or null, got 5"),
+         ("aliases", "Bob", "entry aliases must be a list of strings, got 'Bob'")],
+    ),
+    "fact": (
+        _read_facts,
+        {"subject": "Q41421", "predicate": "P54", "object": "Q128109"},
+        "fact", ("subject", "predicate", "object"), [],
+    ),
+    "oie": (
+        lambda path, store: read_oie_file(path),
+        {"sentence_id": "s1", "subject": "A", "relation": "r", "object": "B",
+         "sentence": "A r B.", "extractor": "toy"},
+        "OIE", ("sentence_id", "subject", "relation", "object"),
+        [("sentence", ["A r B."], "sentence must be a string or null, got ['A r B.']")],
+    ),
+    "pair": (
+        read_pairs_file,
+        {"sentence_id": "s1", "sentence": "A r B.", "subject": "Q41421", "predicate": "P54",
+         "object": "Q128109", "subject_mention": "A", "object_mention": "B"},
+        "pair", ("sentence_id", "sentence", "subject", "predicate", "object"),
+        [("subject_mention", 5, "pair subject_mention must be a string or null, got 5"),
+         ("object_mention", {"text": "B"},
+          "pair object_mention must be a string or null, got {'text': 'B'}")],
+    ),
+    "alignment": (
+        read_alignments,
+        {**alignment_record(make_alignment("A", "r", "B", PLAYED_FOR_FACT, sentence="A r B.")),
+         "extractor": "toy"},
+        "alignment",
+        ("subject", "relation", "object", "subject_id", "predicate_id", "object_id"),
+        [("sentence", 5, "sentence must be a string or null, got 5")],
+    ),
+}
+
+
+def _message_cases():
+    for kind, (_, valid, noun, required, typed) in RECORD_KINDS.items():
+        for field in required:
+            broken = {key: value for key, value in valid.items() if key != field}
+            yield pytest.param(kind, broken, f"{noun} record missing field {field!r}",
+                               id=f"{kind}-without-{field}")
+        for field, value, message in typed:
+            yield pytest.param(kind, {**valid, field: value}, message,
+                               id=f"{kind}-{field}-{type(value).__name__}")
+
+
+def _write_records(path, kind, second):
+    """A two-line file of ``kind``: a valid record, then ``second``."""
+    valid = RECORD_KINDS[kind][1]
+    first = {**valid, "id": "Q1", "label": "Ann", "aliases": []} if kind == "entry" else valid
+    write_jsonl(path, [first, second])
+
+
+class TestRecordMessages:
+    @pytest.mark.parametrize("kind", sorted(RECORD_KINDS))
+    def test_valid_records_read(self, kind, tmp_path, jordan_store):
+        read, valid = RECORD_KINDS[kind][:2]
+        _write_records(tmp_path / "records.jsonl", kind, valid)
+        read(tmp_path / "records.jsonl", jordan_store)
+
+    @pytest.mark.parametrize("kind,broken,message", list(_message_cases()))
+    def test_message_names_the_line(self, kind, broken, message, tmp_path, jordan_store):
+        """A malformed second line: one MalformedRecordError, its message
+        pinned in full."""
+        _write_records(tmp_path / "records.jsonl", kind, broken)
+        with pytest.raises(MalformedRecordError) as raised:
+            RECORD_KINDS[kind][0](tmp_path / "records.jsonl", jordan_store)
+        assert str(raised.value) == f"line 2: {message}"
+        assert raised.value.line_number == 2
 
 
 class TestUids:
