@@ -13,7 +13,7 @@ from .errors import (
     MalformedRecordError,
     MissingContextError,
 )
-from .io import iter_jsonl, write_jsonl
+from .io import iter_jsonl, optional_str, require_fields, write_jsonl
 from .kg import KgFact, KgStore, _validate_fact
 from .text import (
     OBJ_TOKEN,
@@ -242,19 +242,14 @@ def check_training_set(alignments: Sequence[Alignment], store: KgStore, role: st
 
 def _oie_triple(record: dict, line_number: int) -> OieTriple:
     """The triple of a record holding its three slots, an optional sentence
-    (a string or null) and an optional extractor tag."""
-    sentence = record.get("sentence")
-    if sentence is not None and not isinstance(sentence, str):
-        raise MalformedRecordError(
-            f"sentence must be a string or null, got {sentence!r}", line_number
-        )
+    and an optional extractor tag, each a string or null."""
     try:
         return OieTriple(
             subject=str(record["subject"]),
             relation=str(record["relation"]),
             object=str(record["object"]),
-            sentence=sentence,
-            extractor=record.get("extractor"),
+            sentence=optional_str(record, "sentence", line_number),
+            extractor=optional_str(record, "extractor", line_number),
         )
     except ValueError as exc:
         raise MalformedRecordError(str(exc), line_number) from exc
@@ -262,14 +257,11 @@ def _oie_triple(record: dict, line_number: int) -> OieTriple:
 
 def read_oie_file(path: str | Path) -> dict[str, list[OieTriple]]:
     """OIE records {sentence_id, subject, relation, object, sentence?,
-    extractor?} grouped by sentence id; a sentence is a string or null."""
+    extractor?} grouped by sentence id; a sentence or extractor is a
+    string or null."""
     grouped: dict[str, list[OieTriple]] = {}
     for line_number, record in iter_jsonl(path):
-        for required in ("sentence_id", "subject", "relation", "object"):
-            if required not in record:
-                raise MalformedRecordError(
-                    f"OIE record missing field {required!r}", line_number
-                )
+        require_fields(record, ("sentence_id", "subject", "relation", "object"), line_number, "OIE")
         grouped.setdefault(str(record["sentence_id"]), []).append(_oie_triple(record, line_number))
     return grouped
 
@@ -280,30 +272,21 @@ def read_pairs_file(path: str | Path, store: KgStore) -> list[SentenceFactPair]:
     each fact's ids must name store entries of their slot's kind."""
     pairs: list[SentenceFactPair] = []
     for line_number, record in iter_jsonl(path):
-        for required in ("sentence_id", "sentence", "subject", "predicate", "object"):
-            if required not in record:
-                raise MalformedRecordError(
-                    f"pair record missing field {required!r}", line_number
-                )
-        for key in ("subject_mention", "object_mention"):
-            mention = record.get(key)
-            if mention is not None and not isinstance(mention, str):
-                raise MalformedRecordError(
-                    f"pair {key} must be a string or null, got {mention!r}", line_number
-                )
-        fact = KgFact(
-            subject_id=str(record["subject"]),
-            predicate_id=str(record["predicate"]),
-            object_id=str(record["object"]),
+        require_fields(
+            record, ("sentence_id", "sentence", "subject", "predicate", "object"), line_number,
+            "pair",
         )
+        subject_surface = optional_str(record, "subject_mention", line_number, "pair")
+        object_surface = optional_str(record, "object_mention", line_number, "pair")
+        fact = KgFact(str(record["subject"]), str(record["predicate"]), str(record["object"]))
         _validate_fact(fact, store.entries, where=f"line {line_number}: pair ")
         pairs.append(
             SentenceFactPair(
                 sentence_id=str(record["sentence_id"]),
                 sentence=str(record["sentence"]),
                 fact=fact,
-                subject_surface=record.get("subject_mention"),
-                object_surface=record.get("object_mention"),
+                subject_surface=subject_surface,
+                object_surface=object_surface,
             )
         )
     return pairs
@@ -327,20 +310,20 @@ def alignment_record(alignment: Alignment) -> dict:
 
 
 def alignment_from_record(record: dict, line_number: int = 0) -> Alignment:
-    for required in ("subject", "relation", "object", "subject_id", "predicate_id", "object_id"):
-        if required not in record:
-            raise MalformedRecordError(
-                f"alignment record missing field {required!r}", line_number
-            )
-    return Alignment(
-        oie=_oie_triple(record, line_number),
-        fact=KgFact(
-            subject_id=str(record["subject_id"]),
-            predicate_id=str(record["predicate_id"]),
-            object_id=str(record["object_id"]),
-        ),
-        augmented=bool(record.get("augmented", False)),
+    """An alignment record's alignment; ``augmented`` is a boolean, false
+    when absent."""
+    require_fields(
+        record, ("subject", "relation", "object", "subject_id", "predicate_id", "object_id"),
+        line_number, "alignment",
     )
+    oie = _oie_triple(record, line_number)
+    augmented = record.get("augmented", False)
+    if not isinstance(augmented, bool):
+        raise MalformedRecordError(
+            f"alignment augmented must be a boolean, got {augmented!r}", line_number
+        )
+    fact = KgFact(str(record["subject_id"]), str(record["predicate_id"]), str(record["object_id"]))
+    return Alignment(oie, fact, augmented)
 
 
 def write_alignments(

@@ -59,6 +59,25 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return [record for _, record in iter_jsonl(path)]
 
 
+def require_fields(record: dict, fields: tuple[str, ...], line_number: int, what: str) -> None:
+    """MalformedRecordError naming the line and the first of ``fields``
+    that ``record``, a ``what`` record, lacks."""
+    for name in fields:
+        if name not in record:
+            raise MalformedRecordError(f"{what} record missing field {name!r}", line_number)
+
+
+def optional_str(record: dict, key: str, line_number: int, what: str = "") -> str | None:
+    """``record[key]``: a string, or None when null or absent; anything else
+    is a MalformedRecordError naming the line and the field (as
+    ``"{what} {key}"`` when ``what`` is given)."""
+    value = record.get(key)
+    if value is None or isinstance(value, str):
+        return value
+    name = f"{what} {key}" if what else key
+    raise MalformedRecordError(f"{name} must be a string or null, got {value!r}", line_number)
+
+
 @contextmanager
 def reading_artifact(path: str | Path) -> Iterator[None]:
     """Report a parse failure inside the block (bad or incomplete header,

@@ -22,7 +22,7 @@ from .errors import (
     MalformedRecordError,
     UnknownIdError,
 )
-from .io import iter_jsonl
+from .io import iter_jsonl, optional_str, require_fields
 from .text import check_no_markers, normalize_surface
 
 
@@ -135,20 +135,14 @@ _KINDS = {kind.value: kind for kind in EntryKind}
 
 
 def _parse_entry(record: dict, line_number: int) -> KgEntry:
-    for required in ("id", "kind", "label"):
-        if required not in record:
-            raise MalformedRecordError(f"entry record missing field {required!r}", line_number)
+    require_fields(record, ("id", "kind", "label"), line_number, "entry")
     kind_raw = record["kind"]
     kind = _KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
     if kind is None:
         raise MalformedRecordError(
             f"entry kind must be 'entity' or 'predicate', got {kind_raw!r}", line_number
         )
-    description = record.get("description")
-    if description is not None and not isinstance(description, str):
-        raise MalformedRecordError(
-            f"entry description must be a string or null, got {description!r}", line_number
-        )
+    description = optional_str(record, "description", line_number, "entry")
     aliases = record.get("aliases")
     if aliases is None:
         aliases = ()
@@ -163,9 +157,7 @@ def _parse_entry(record: dict, line_number: int) -> KgEntry:
 
 
 def _parse_fact(record: dict, line_number: int) -> KgFact:
-    for required in ("subject", "predicate", "object"):
-        if required not in record:
-            raise MalformedRecordError(f"fact record missing field {required!r}", line_number)
+    require_fields(record, ("subject", "predicate", "object"), line_number, "fact")
     return KgFact(str(record["subject"]), str(record["predicate"]), str(record["object"]))
 
 

@@ -47,7 +47,6 @@ class SplitStats:
 
 @dataclass(frozen=True)
 class SplitResult:
-    kind: SplitKind
     alignments: tuple[Alignment, ...]
     stats: SplitStats
 
@@ -60,11 +59,6 @@ def compute_stats(alignments: Sequence[Alignment]) -> SplitStats:
         unique_predicates=len(predicates),
         unique_facts=len(facts),
     )
-
-
-def _result(kind: SplitKind, alignments: Sequence[Alignment]) -> SplitResult:
-    kept = tuple(alignments)
-    return SplitResult(kind=kind, alignments=kept, stats=compute_stats(kept))
 
 
 def _seen_sets(train: Sequence[Alignment]) -> tuple[set[str], set[str], set[tuple[str, str, str]]]:
@@ -80,84 +74,41 @@ def _seen_sets(train: Sequence[Alignment]) -> tuple[set[str], set[str], set[tupl
     return entities, predicates, facts
 
 
-def transductive_split(
-    test: Sequence[Alignment], train: Sequence[Alignment]
-) -> SplitResult:
-    """Test alignments whose fact components were all seen in training
-    facts but whose whole triple was not."""
-    seen_entities, seen_predicates, seen_facts = _seen_sets(train)
-    kept = [
-        a
-        for a in test
-        if a.fact.subject_id in seen_entities
-        and a.fact.object_id in seen_entities
-        and a.fact.predicate_id in seen_predicates
-        and a.fact.ids not in seen_facts
-    ]
-    return _result(SplitKind.TRANSDUCTIVE, kept)
-
-
-def inductive_split(
-    test: Sequence[Alignment],
-    train: Sequence[Alignment],
-    mode: InductiveMode = InductiveMode.ANY_ENTITY_UNSEEN,
-) -> SplitResult:
-    """Test alignments whose fact contains entities unseen in any training
-    fact; predicate seen-ness is not constrained."""
-    seen_entities, _, _ = _seen_sets(train)
-    if mode is InductiveMode.ANY_ENTITY_UNSEEN:
-        kept = [
-            a
-            for a in test
-            if a.fact.subject_id not in seen_entities
-            or a.fact.object_id not in seen_entities
-        ]
-    else:
-        kept = [
-            a
-            for a in test
-            if a.fact.subject_id not in seen_entities
-            and a.fact.object_id not in seen_entities
-        ]
-    return _result(SplitKind.INDUCTIVE, kept)
-
-
-def polysemous_split(test: Sequence[Alignment], store: KgStore) -> SplitResult:
-    """Test alignments whose OIE subject or object surface resolves to two
-    or more entities of the evaluation-time store."""
-    kept = [
-        a
-        for a in test
-        if len(lookup_surface(store, a.oie.subject)) >= 2
-        or len(lookup_surface(store, a.oie.object)) >= 2
-    ]
-    return _result(SplitKind.POLYSEMOUS, kept)
-
-
-def ookg_split(test: Sequence[Alignment], train: Sequence[Alignment]) -> SplitResult:
-    """Test alignments whose subject entity, object entity and predicate
-    are all absent from training facts."""
-    seen_entities, seen_predicates, _ = _seen_sets(train)
-    kept = [
-        a
-        for a in test
-        if a.fact.subject_id not in seen_entities
-        and a.fact.object_id not in seen_entities
-        and a.fact.predicate_id not in seen_predicates
-    ]
-    return _result(SplitKind.OUT_OF_KG, kept)
-
-
 def build_split(
     spec: SplitSpec,
     test: Sequence[Alignment],
     train: Sequence[Alignment],
     store: KgStore,
 ) -> SplitResult:
-    if spec.kind is SplitKind.TRANSDUCTIVE:
-        return transductive_split(test, train)
-    if spec.kind is SplitKind.INDUCTIVE:
-        return inductive_split(test, train, spec.inductive_mode)
-    if spec.kind is SplitKind.POLYSEMOUS:
-        return polysemous_split(test, store)
-    return ookg_split(test, train)
+    """The test alignments, in test order, that meet the rule of
+    ``spec.kind``, where seen means in some training fact:
+
+    - transductive: both entities and the predicate seen, the triple not;
+    - inductive: at least one entity unseen (any-entity-unseen) or both
+      (all-entities-unseen), whatever the predicate;
+    - polysemous: the OIE subject or object surface names two or more
+      entities of ``store``;
+    - out-of-KG: both entities and the predicate unseen.
+    """
+    entities, predicates, facts = _seen_sets(train)
+    least = 2 if spec.inductive_mode is InductiveMode.ALL_ENTITIES_UNSEEN else 1
+
+    def unseen_entities(a: Alignment) -> int:
+        return (a.fact.subject_id not in entities) + (a.fact.object_id not in entities)
+
+    def polysemous(surface: str) -> bool:
+        return len(lookup_surface(store, surface)) >= 2
+
+    rules = {
+        SplitKind.TRANSDUCTIVE: lambda a: (
+            unseen_entities(a) == 0 and a.fact.predicate_id in predicates
+            and a.fact.ids not in facts
+        ),
+        SplitKind.INDUCTIVE: lambda a: unseen_entities(a) >= least,
+        SplitKind.POLYSEMOUS: lambda a: polysemous(a.oie.subject) or polysemous(a.oie.object),
+        SplitKind.OUT_OF_KG: lambda a: (
+            unseen_entities(a) == 2 and a.fact.predicate_id not in predicates
+        ),
+    }
+    kept = tuple(filter(rules[spec.kind], test))
+    return SplitResult(kept, compute_stats(kept))

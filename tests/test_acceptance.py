@@ -50,13 +50,7 @@ from factlink.reranker import (
     train_reranker,
 )
 from factlink.corpus import augment_aliases, remove_leakage
-from factlink.splits import (
-    InductiveMode,
-    inductive_split,
-    ookg_split,
-    polysemous_split,
-    transductive_split,
-)
+from factlink.splits import InductiveMode, SplitKind, SplitSpec, build_split
 from test_splits import fifty_fact_world
 from toyworld import build_toy_world, write_input_files
 
@@ -211,10 +205,12 @@ class TestCriterion3PipelineCounts:
 class TestCriterion4SplitSemantics:
     def test_split_semantics(self):
         store, train, test = fifty_fact_world()
-        trans = transductive_split(test, train)
-        ind_any = inductive_split(test, train, InductiveMode.ANY_ENTITY_UNSEEN)
-        ind_all = inductive_split(test, train, InductiveMode.ALL_ENTITIES_UNSEEN)
-        ookg = ookg_split(test, train)
+        trans, ind_any, poly, ookg = (
+            build_split(SplitSpec(kind), test, train, store) for kind in SplitKind
+        )
+        ind_all = build_split(
+            SplitSpec(SplitKind.INDUCTIVE, InductiveMode.ALL_ENTITIES_UNSEEN), test, train, store
+        )
 
         disjoint = set(trans.alignments).isdisjoint(ind_any.alignments)
         check("criterion 4a", disjoint, "transductive ∩ inductive(any) = ∅")
@@ -223,7 +219,7 @@ class TestCriterion4SplitSemantics:
         check("criterion 4b", subset, "out-of-KG ⊆ inductive(all)")
 
         ok = True
-        for result in (trans, ind_any, ind_all, ookg, polysemous_split(test, store)):
+        for result in (trans, ind_any, ind_all, ookg, poly):
             entities, predicates, facts = set(), set(), set()
             for a in result.alignments:
                 entities |= {a.fact.subject_id, a.fact.object_id}
@@ -247,10 +243,8 @@ def _seed_run(seed):
     start = time.perf_counter()
     world = build_toy_world(seed=seed)
     splits = {
-        "trans": transductive_split(world.test, world.train).alignments,
-        "ind": inductive_split(world.test, world.train).alignments,
-        "poly": polysemous_split(world.test, world.brkg).alignments,
-        "ookg": ookg_split(world.test, world.train).alignments,
+        name: build_split(SplitSpec(kind), world.test, world.train, world.brkg).alignments
+        for name, kind in zip(("trans", "ind", "poly", "ookg"), SplitKind)
     }
     base = dict(epochs=30, learning_rate=0.5, batch_size=64, seed=seed,
                 temperature_init=0.12, temperature_min=0.12)

@@ -539,10 +539,12 @@ def _predicate_as_subject(record):
     return record["predicate_id"]
 
 
-def _link_oie_with_int_sentence(out):
-    """An OIE file in out_dir whose one triple's sentence is a number."""
-    write_jsonl(out / "link_oie.jsonl", [{"sentence_id": "s1", "subject": "Ann",
-                                         "relation": "knows", "object": "Bob", "sentence": 5}])
+def _oie_file(name, **fields):
+    """An OIE file ``name`` in out_dir whose one triple takes ``fields``."""
+    def corrupt(out):
+        write_jsonl(out / name, [{"sentence_id": "s1", "subject": "Ann",
+                                  "relation": "knows", "object": "Bob", **fields}])
+    return corrupt
 
 
 def _one_pair(**fields):
@@ -727,7 +729,19 @@ class TestFailureExitCodes:
         ),
         "oie-sentence-int": (
             2, ["--set", "link_oie={out}/link_oie.jsonl", "--set", "store_variant=large", "link"],
-            _link_oie_with_int_sentence,
+            _oie_file("link_oie.jsonl", sentence=5),
+        ),
+        "extractor-list-build-benchmark": (
+            2, ["--set", "test_oie={out}/test_oie.jsonl", "build-benchmark"],
+            _oie_file("test_oie.jsonl", extractor=["x"]),
+        ),
+        "extractor-list-evaluate": (
+            2, ["evaluate", "--facet", "transductive"],
+            _first_alignment("split-transductive.jsonl", extractor=lambda record: ["x"]),
+        ),
+        "alignment-augmented-string": (
+            2, ["evaluate", "--facet", "transductive"],
+            _first_alignment("split-transductive.jsonl", augmented=lambda record: "false"),
         ),
         "oie-subject-blank-in-split": (
             2, ["evaluate", "--facet", "transductive"],
@@ -870,6 +884,8 @@ class TestFailureExitCodes:
             assert "line 2: alignment" in err
         if case.startswith("oie-"):
             assert re.search(r"line \d: (sentence must be a string or null|OIE subject)", err)
+        if case.startswith("extractor-"):
+            assert re.search(r"line \d: extractor must be a string or null, got \['x'\]", err)
         if case.startswith("section-"):
             section, key = argv[1].split("=")[0].split(".")
             assert f"section {section!r}" in err and key in err

@@ -388,6 +388,13 @@ class TestFileFormats:
         with pytest.raises(MalformedRecordError, match="line 2: OIE subject must be non-empty"):
             read_alignments(path, jordan_store)
 
+    def test_augmented_is_a_json_boolean_false_when_absent(self):
+        record = alignment_record(make_alignment("A", "r", "B", PLAYED_FOR_FACT))
+        for value in (True, False):
+            assert alignment_from_record({**record, "augmented": value}).augmented is value
+        del record["augmented"]
+        assert alignment_from_record(record).augmented is False
+
     def test_record_round_trip_preserves_fields(self):
         a = Alignment(
             oie=OieTriple("A", "r", "B", sentence="s", extractor="x"),
@@ -397,9 +404,6 @@ class TestFileFormats:
         assert alignment_from_record(alignment_record(a)) == a
 
 
-# Each line-record kind: (its reader over a path in tmp_path, a valid record,
-# the word its messages name it by, its required fields, and its optional
-# typed fields as (field, wrong value, message after "line 2: ")).
 def _read_entries(path, store):
     facts = path.with_name("facts.jsonl")
     write_jsonl(facts, [])
@@ -416,6 +420,9 @@ def _read_facts(path, store):
     return load_kg(entries, path)
 
 
+# Each line-record kind: (its reader over a path in tmp_path, a valid record,
+# the word its messages name it by, its required fields, and its optional
+# typed fields as (field, wrong value, message after "line 2: ")).
 RECORD_KINDS = {
     "entry": (
         _read_entries,
@@ -436,7 +443,8 @@ RECORD_KINDS = {
         {"sentence_id": "s1", "subject": "A", "relation": "r", "object": "B",
          "sentence": "A r B.", "extractor": "toy"},
         "OIE", ("sentence_id", "subject", "relation", "object"),
-        [("sentence", ["A r B."], "sentence must be a string or null, got ['A r B.']")],
+        [("sentence", ["A r B."], "sentence must be a string or null, got ['A r B.']"),
+         ("extractor", ["x"], "extractor must be a string or null, got ['x']")],
     ),
     "pair": (
         read_pairs_file,
@@ -453,7 +461,11 @@ RECORD_KINDS = {
          "extractor": "toy"},
         "alignment",
         ("subject", "relation", "object", "subject_id", "predicate_id", "object_id"),
-        [("sentence", 5, "sentence must be a string or null, got 5")],
+        [("sentence", 5, "sentence must be a string or null, got 5"),
+         ("extractor", ["x"], "extractor must be a string or null, got ['x']"),
+         ("augmented", "false", "alignment augmented must be a boolean, got 'false'"),
+         ("augmented", 1, "alignment augmented must be a boolean, got 1"),
+         ("augmented", None, "alignment augmented must be a boolean, got None")],
     ),
 }
 

@@ -1,7 +1,8 @@
-"""Every public module-level function of the package is used: referenced by
-code elsewhere in ``src/`` or named in the README. Functions are collected
-as perfbench's tracer collects them: from ``vars(module)``, defined in that
-module, no leading underscore."""
+"""Every public function and every public method of the package's classes
+is used: referenced by code elsewhere in ``src/`` or named in the README.
+Functions are collected as perfbench's tracer collects them: from
+``vars(module)``, defined in that module, no leading underscore; methods
+likewise from ``vars(cls)`` of each class the module defines."""
 
 import ast
 import importlib
@@ -16,28 +17,58 @@ import factlink
 PACKAGE = Path(factlink.__file__).parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# Methods kept though nothing in src/ calls them, each with its reason.
+UNUSED_METHODS = {
+    # perfbench's tracer wraps it and reads its calls (encoder.entry_embed_*);
+    # ROADMAP item 1 retires it together with those metrics
+    "encoder.ReferenceEncoder.entry_embed",
+}
 
-def public_functions():
+
+def _public(namespace, module_name):
+    for name, obj in vars(namespace).items():
+        obj = getattr(obj, "__func__", obj)  # staticmethod and classmethod
+        if not name.startswith("_") and inspect.isfunction(obj):
+            if obj.__module__ == module_name:
+                yield name
+
+
+def public_definitions():
+    """(module, qualified name, name) of each public function and method."""
     for info in pkgutil.iter_modules(factlink.__path__):
         module = importlib.import_module(f"factlink.{info.name}")
-        for name, obj in vars(module).items():
-            if not name.startswith("_") and inspect.isfunction(obj):
-                if obj.__module__ == module.__name__:
-                    yield info.name, name
+        for name in _public(module, module.__name__):
+            yield info.name, name, name
+        for cls_name, cls in vars(module).items():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                for name in _public(cls, module.__name__):
+                    yield info.name, f"{cls_name}.{name}", name
+
+
+def _owned_statements(path):
+    """(owner, statement) for each top-level statement, owned by its name;
+    a top-level class's body is split, each method owned as ``Class.method``."""
+    for statement in ast.parse(path.read_text("utf-8")).body:
+        name = getattr(statement, "name", None)
+        if not isinstance(statement, ast.ClassDef):
+            yield name, statement
+            continue
+        for member in statement.body:
+            method = isinstance(member, ast.FunctionDef)
+            yield (f"{name}.{member.name}" if method else name), member
 
 
 def code_references():
-    """Name -> the (module, top-level statement name) pairs whose code uses
-    it as an AST name or attribute; docstrings are constants, not names."""
+    """Name -> the (module, qualified owner) pairs whose code uses it as an
+    AST name or attribute; docstrings are constants, not names."""
     references = defaultdict(set)
     for path in PACKAGE.glob("*.py"):
-        for statement in ast.parse(path.read_text("utf-8")).body:
-            owner = (path.stem, getattr(statement, "name", None))
+        for owner, statement in _owned_statements(path):
             for node in ast.walk(statement):
                 if isinstance(node, ast.Name):
-                    references[node.id].add(owner)
+                    references[node.id].add((path.stem, owner))
                 elif isinstance(node, ast.Attribute):
-                    references[node.attr].add(owner)
+                    references[node.attr].add((path.stem, owner))
     return references
 
 
@@ -49,11 +80,24 @@ def readme_names():
     return set(re.findall(r"[A-Za-z_]\w*", " ".join(fenced + spans)))
 
 
-def test_every_public_function_is_used():
+def unused_definitions(methods):
     references = code_references()
     documented = readme_names()
-    unused = [
-        f"{module}.{name}" for module, name in public_functions()
-        if not references[name] - {(module, name)} and name not in documented
-    ]
+    return {
+        f"{module}.{qualified}" for module, qualified, name in public_definitions()
+        if ("." in qualified) == methods
+        and not references[name] - {(module, qualified)} and name not in documented
+    }
+
+
+def test_every_public_function_is_used():
+    unused = unused_definitions(methods=False)
     assert not unused, f"public functions that neither src/ code nor README uses: {unused}"
+
+
+def test_every_public_method_is_used():
+    unused = unused_definitions(methods=True)
+    assert unused == UNUSED_METHODS, (
+        f"public methods that neither src/ code nor README uses: {unused - UNUSED_METHODS}; "
+        f"listed as unused but used: {UNUSED_METHODS - unused}"
+    )

@@ -2,17 +2,14 @@ import random
 
 from conftest import entity, make_alignment, predicate
 from factlink.kg import KgFact, build_store
-from factlink.splits import (
-    InductiveMode,
-    SplitKind,
-    SplitSpec,
-    build_split,
-    compute_stats,
-    inductive_split,
-    ookg_split,
-    polysemous_split,
-    transductive_split,
-)
+from factlink.splits import InductiveMode, SplitKind, SplitSpec, build_split, compute_stats
+
+TRANSDUCTIVE, INDUCTIVE, POLYSEMOUS, OUT_OF_KG = SplitKind
+EMPTY_STORE = build_store([])
+
+
+def split(kind, test, train, store=EMPTY_STORE, mode=InductiveMode.ANY_ENTITY_UNSEEN):
+    return build_split(SplitSpec(kind, mode), test, train, store)
 
 
 def fifty_fact_world(seed=3):
@@ -68,7 +65,7 @@ def fifty_fact_world(seed=3):
 class TestTransductive:
     def test_components_seen_triple_unseen_included(self):
         store, train, test = fifty_fact_world()
-        result = transductive_split(test, train)
+        result = split(TRANSDUCTIVE, test, train)
         seen_entities = {a.fact.subject_id for a in train} | {a.fact.object_id for a in train}
         seen_predicates = {a.fact.predicate_id for a in train}
         train_triples = {a.fact.ids for a in train}
@@ -82,12 +79,12 @@ class TestTransductive:
     def test_training_triple_excluded(self):
         store, train, test = fifty_fact_world()
         polluted = test + [train[0]]
-        result = transductive_split(polluted, train)
+        result = split(TRANSDUCTIVE, polluted, train)
         assert train[0] not in result.alignments
 
     def test_unseen_entity_excluded(self):
         store, train, test = fifty_fact_world()
-        result = transductive_split(test, train)
+        result = split(TRANSDUCTIVE, test, train)
         assert all(
             not a.fact.subject_id.startswith("u") and not a.fact.object_id.startswith("u")
             for a in result.alignments
@@ -97,7 +94,7 @@ class TestTransductive:
 class TestInductive:
     def test_any_mode_requires_one_unseen(self):
         store, train, test = fifty_fact_world()
-        result = inductive_split(test, train, InductiveMode.ANY_ENTITY_UNSEEN)
+        result = split(INDUCTIVE, test, train, mode=InductiveMode.ANY_ENTITY_UNSEEN)
         seen = {a.fact.subject_id for a in train} | {a.fact.object_id for a in train}
         assert result.stats.samples > 0
         for a in result.alignments:
@@ -108,14 +105,14 @@ class TestInductive:
         seen_fact = make_alignment("A", "r", "B", KgFact("Q2", "P1", "Q1"))
         unseen_fact = make_alignment("X", "r", "Y", KgFact("Q8", "P1", "Q9"))
         for mode in InductiveMode:
-            result = inductive_split([seen_fact, unseen_fact], train, mode)
+            result = split(INDUCTIVE, [seen_fact, unseen_fact], train, mode=mode)
             assert seen_fact not in result.alignments
             assert unseen_fact in result.alignments
 
     def test_all_mode_is_stricter(self):
         store, train, test = fifty_fact_world()
-        any_result = inductive_split(test, train, InductiveMode.ANY_ENTITY_UNSEEN)
-        all_result = inductive_split(test, train, InductiveMode.ALL_ENTITIES_UNSEEN)
+        any_result = split(INDUCTIVE, test, train, mode=InductiveMode.ANY_ENTITY_UNSEEN)
+        all_result = split(INDUCTIVE, test, train, mode=InductiveMode.ALL_ENTITIES_UNSEEN)
         assert set(all_result.alignments) <= set(any_result.alignments)
         assert all_result.stats.samples < any_result.stats.samples
 
@@ -123,7 +120,7 @@ class TestInductive:
 class TestPolysemous:
     def test_shared_label_included(self):
         store, train, test = fifty_fact_world()
-        result = polysemous_split(test, store)
+        result = split(POLYSEMOUS, test, train, store)
         subjects = {a.fact.subject_id for a in result.alignments}
         objects = {a.fact.object_id for a in result.alignments}
         assert "t0" in subjects
@@ -131,59 +128,59 @@ class TestPolysemous:
 
     def test_unique_surfaces_excluded(self):
         store, train, test = fifty_fact_world()
-        result = polysemous_split(test, store)
+        result = split(POLYSEMOUS, test, train, store)
         for a in result.alignments:
             assert "t0" in a.fact.ids or "t1" in a.fact.ids
 
     def test_object_polysemy_alone_qualifies(self, jordan_store):
         fact = KgFact("Q128109", "P54", "Q3308205")
         a = make_alignment("Chicago Bulls", "hired", "Michael Jordan", fact)
-        result = polysemous_split([a], jordan_store)
+        result = split(POLYSEMOUS, [a], [], jordan_store)
         assert list(result.alignments) == [a]
 
 
 class TestOokg:
     def test_fully_unseen_included(self):
         store, train, test = fifty_fact_world()
-        result = ookg_split(test, train)
+        result = split(OUT_OF_KG, test, train)
         assert result.stats.samples == 6
         for a in result.alignments:
             assert a.fact.predicate_id.startswith("q")
 
     def test_seen_predicate_excluded(self):
         store, train, test = fifty_fact_world()
-        result = ookg_split(test, train)
+        result = split(OUT_OF_KG, test, train)
         seen_predicates = {a.fact.predicate_id for a in train}
         assert all(a.fact.predicate_id not in seen_predicates for a in result.alignments)
 
     def test_empty_train_includes_everything(self):
         store, train, test = fifty_fact_world()
-        result = ookg_split(test, [])
+        result = split(OUT_OF_KG, test, [])
         assert list(result.alignments) == test
 
 
 class TestFacetRelations:
     def test_transductive_disjoint_from_inductive_any(self):
         store, train, test = fifty_fact_world()
-        trans = set(transductive_split(test, train).alignments)
-        ind = set(inductive_split(test, train, InductiveMode.ANY_ENTITY_UNSEEN).alignments)
+        trans = set(split(TRANSDUCTIVE, test, train).alignments)
+        ind = set(split(INDUCTIVE, test, train, mode=InductiveMode.ANY_ENTITY_UNSEEN).alignments)
         assert trans.isdisjoint(ind)
 
     def test_ookg_subset_of_inductive_all(self):
         store, train, test = fifty_fact_world()
-        ookg = set(ookg_split(test, train).alignments)
+        ookg = set(split(OUT_OF_KG, test, train).alignments)
         ind_all = set(
-            inductive_split(test, train, InductiveMode.ALL_ENTITIES_UNSEEN).alignments
+            split(INDUCTIVE, test, train, mode=InductiveMode.ALL_ENTITIES_UNSEEN).alignments
         )
         assert ookg <= ind_all
 
     def test_stats_match_independent_recount(self):
         store, train, test = fifty_fact_world()
         for result in (
-            transductive_split(test, train),
-            inductive_split(test, train),
-            polysemous_split(test, store),
-            ookg_split(test, train),
+            split(TRANSDUCTIVE, test, train),
+            split(INDUCTIVE, test, train),
+            split(POLYSEMOUS, test, train, store),
+            split(OUT_OF_KG, test, train),
         ):
             entities = set()
             predicates = set()
