@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .corpus import align, augment_aliases, read_alignments, read_oie_file, read_pairs_file, remove_leakage, write_alignments
 from .encoder import EncoderConfig, ReferenceEncoder, load_params, save_params
-from .errors import DataError, FactLinkError, NumericError
+from .errors import DataError, NumericError
 from .evalkit import (
     evaluate_linker,
     format_table,
@@ -105,12 +105,13 @@ DEFAULT_CONFIG = {
     "link_k": 1,
 }
 
-# the top-level keys without a default are the path-valued ones and qkv_key_pool
-KNOWN_KEYS = frozenset(DEFAULT_CONFIG) | {
+PATH_KEYS = (
     "kg_entries", "kg_facts", "train_oie", "test_oie", "link_oie", "train_pairs", "test_pairs",
     "train_alignments", "test_alignments", "calibration_alignments", "facet_alignments",
-    "preranker_params", "reranker_params", "qkv_params", "thresholds", "qkv_key_pool",
-}
+    "preranker_params", "reranker_params", "qkv_params", "thresholds",
+)
+# the top-level keys without a default are the path-valued ones and qkv_key_pool
+KNOWN_KEYS = frozenset(DEFAULT_CONFIG) | {*PATH_KEYS, "qkv_key_pool"}
 
 
 # a diverging trainer stops at its first overflow (exit 3), saving no params
@@ -204,6 +205,10 @@ def load_config(
     for key in ("link_k", "rerank_k", "qkv_key_pool"):
         if key in config:
             _positive_int(config[key], key)
+    for key in PATH_KEYS:  # null means unset
+        value = config.get(key)
+        if value is not None and (type(value) is not str or not value):
+            raise UsageError(f"{key} must be a non-empty path string, got {value!r}")
     return config
 
 
@@ -232,11 +237,8 @@ def artifact_header(config: dict) -> dict:
 
 
 def _path_value(config: dict, key: str) -> Path | None:
-    """Config ``key`` as a path, None when unset; any value but a non-empty
-    string is a usage error."""
+    """Config ``key`` as a path, None when unset (``load_config`` checked it)."""
     value = config.get(key)
-    if value is not None and (type(value) is not str or not value):
-        raise UsageError(f"{key} must be a non-empty path string, got {value!r}")
     return None if value is None else Path(value)
 
 
@@ -429,6 +431,11 @@ def cmd_train_preranker(config: dict, args) -> int:
         if not params_path.exists():
             raise DataError(f"cannot resume: {params_path} does not exist")
         initial_params, initial_tau = load_params(params_path)
+        held = (initial_params.dim, initial_params.hidden, initial_params.buckets)
+        wanted = dataclasses.astuple(encoder_config)
+        if held != wanted:
+            raise DataError(f"cannot resume: {params_path} was trained at encoder (dim, hidden, "
+                            f"buckets) {held}, not {wanted}")
 
     with np.errstate(**_RAISE_FLOAT_ERRORS):
         params, trace = train_preranker(
@@ -731,10 +738,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except FactLinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,12 +8,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    EmptyTrainingSetError,
-    MalformedRecordError,
-    MissingContextError,
-)
-from .io import iter_jsonl, optional_str, require_fields, write_jsonl
+from .errors import DataError
+from .io import iter_jsonl, optional_str, require_fields, required_str, write_jsonl
 from .kg import KgFact, KgStore, _validate_fact
 from .text import (
     OBJ_TOKEN,
@@ -220,9 +216,7 @@ def oie_text(triple: OieTriple, with_context: bool = False) -> str:
     )
     if with_context:
         if triple.sentence is None:
-            raise MissingContextError(
-                f"triple {triple.slots!r} has no provenance sentence"
-            )
+            raise DataError(f"triple {triple.slots!r} has no provenance sentence")
         rendered += f" {SENT_TOKEN} {triple.sentence}"
     return rendered
 
@@ -231,9 +225,9 @@ def check_training_set(alignments: Sequence[Alignment], store: KgStore, role: st
     """A trainer's input check: at least one alignment, every fact id an
     entry of the store of its slot's kind."""
     if not alignments:
-        raise EmptyTrainingSetError(f"no {role} alignments")
+        raise DataError(f"no {role} alignments")
     for alignment in alignments:
-        _validate_fact(alignment.fact, store.entries, where="alignment ")
+        _validate_fact(alignment.fact, store.entries, what="alignment fact")
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +235,22 @@ def check_training_set(alignments: Sequence[Alignment], store: KgStore, role: st
 
 
 def _oie_triple(record: dict, line_number: int) -> OieTriple:
-    """The triple of a record holding its three slots, an optional sentence
-    and an optional extractor tag, each a string or null."""
+    """The triple of a record holding its three string slots, an optional
+    sentence and an optional extractor tag, each a string or null."""
+    slots = [required_str(record, name, line_number, "OIE")
+             for name in ("subject", "relation", "object")]
+    sentence = optional_str(record, "sentence", line_number)
+    extractor = optional_str(record, "extractor", line_number)
     try:
-        return OieTriple(
-            subject=str(record["subject"]),
-            relation=str(record["relation"]),
-            object=str(record["object"]),
-            sentence=optional_str(record, "sentence", line_number),
-            extractor=optional_str(record, "extractor", line_number),
-        )
-    except ValueError as exc:
-        raise MalformedRecordError(str(exc), line_number) from exc
+        return OieTriple(*slots, sentence, extractor)
+    except (ValueError, DataError) as exc:  # a blank slot or a marker
+        raise DataError(str(exc), line_number) from exc
 
 
 def read_oie_file(path: str | Path) -> dict[str, list[OieTriple]]:
     """OIE records {sentence_id, subject, relation, object, sentence?,
-    extractor?} grouped by sentence id; a sentence or extractor is a
-    string or null."""
+    extractor?} grouped by sentence id; each slot is a string, a sentence
+    or extractor a string or null."""
     grouped: dict[str, list[OieTriple]] = {}
     for line_number, record in iter_jsonl(path):
         require_fields(record, ("sentence_id", "subject", "relation", "object"), line_number, "OIE")
@@ -268,8 +260,9 @@ def read_oie_file(path: str | Path) -> dict[str, list[OieTriple]]:
 
 def read_pairs_file(path: str | Path, store: KgStore) -> list[SentenceFactPair]:
     """Pair records {sentence_id, sentence, subject, predicate, object,
-    subject_mention?, object_mention?}; a mention is a string or null, and
-    each fact's ids must name store entries of their slot's kind."""
+    subject_mention?, object_mention?}; the sentence is a string, a mention
+    a string or null, and each fact's ids must name store entries of their
+    slot's kind."""
     pairs: list[SentenceFactPair] = []
     for line_number, record in iter_jsonl(path):
         require_fields(
@@ -279,11 +272,11 @@ def read_pairs_file(path: str | Path, store: KgStore) -> list[SentenceFactPair]:
         subject_surface = optional_str(record, "subject_mention", line_number, "pair")
         object_surface = optional_str(record, "object_mention", line_number, "pair")
         fact = KgFact(str(record["subject"]), str(record["predicate"]), str(record["object"]))
-        _validate_fact(fact, store.entries, where=f"line {line_number}: pair ")
+        _validate_fact(fact, store.entries, line_number, "pair fact")
         pairs.append(
             SentenceFactPair(
                 sentence_id=str(record["sentence_id"]),
-                sentence=str(record["sentence"]),
+                sentence=required_str(record, "sentence", line_number, "pair"),
                 fact=fact,
                 subject_surface=subject_surface,
                 object_surface=object_surface,
@@ -319,9 +312,7 @@ def alignment_from_record(record: dict, line_number: int = 0) -> Alignment:
     oie = _oie_triple(record, line_number)
     augmented = record.get("augmented", False)
     if not isinstance(augmented, bool):
-        raise MalformedRecordError(
-            f"alignment augmented must be a boolean, got {augmented!r}", line_number
-        )
+        raise DataError(f"alignment augmented must be a boolean, got {augmented!r}", line_number)
     fact = KgFact(str(record["subject_id"]), str(record["predicate_id"]), str(record["object_id"]))
     return Alignment(oie, fact, augmented)
 
@@ -338,6 +329,6 @@ def read_alignments(path: str | Path, store: KgStore) -> list[Alignment]:
     alignments = []
     for line_number, record in iter_jsonl(path):
         alignment = alignment_from_record(record, line_number)
-        _validate_fact(alignment.fact, store.entries, where=f"line {line_number}: alignment ")
+        _validate_fact(alignment.fact, store.entries, line_number, "alignment fact")
         alignments.append(alignment)
     return alignments

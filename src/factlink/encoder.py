@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import OieTriple, oie_text, oie_uid
-from .errors import MalformedRecordError, NumericError
+from .errors import DataError, NumericError
 from .io import load_arrays, reading_artifact, save_arrays
 from .kg import KgEntry
 from .text import MARKER_TOKENS
@@ -325,12 +325,10 @@ def load_params(path: str | Path) -> tuple[ReferenceEncoderParams, float | None]
     with reading_artifact(path):
         buckets, hidden, seed = header["buckets"], header["hidden"], header["rng_seed"]
         if not (type(buckets) is type(hidden) is type(seed) is int and seed >= 0):
-            raise MalformedRecordError(
-                f"{path}: buckets and hidden must be integers, rng_seed one >= 0"
-            )
+            raise DataError(f"{path}: buckets and hidden must be integers, rng_seed one >= 0")
         if not (ids.ndim == 1 and table.shape == (len(ids), hidden) and slot.ndim == 2
                 and slot.shape == entry.shape and slot.shape[0] == 2 * hidden):
-            raise MalformedRecordError(
+            raise DataError(
                 f"{path}: {len(ids)} table ids at hidden {hidden} need a ({len(ids)}, {hidden}) "
                 f"table and (2*hidden, dim) projections, got shapes {ids.shape}, {table.shape}, "
                 f"{slot.shape}, {entry.shape}"
@@ -338,9 +336,7 @@ def load_params(path: str | Path) -> tuple[ReferenceEncoderParams, float | None]
         # the config's range checks: dim, hidden positive, buckets above the markers
         EncoderConfig(dim=slot.shape[1], hidden=hidden, buckets=buckets)
         if len(ids) and not (ids[0] >= 0 and ids[-1] < buckets and np.all(ids[1:] > ids[:-1])):
-            raise MalformedRecordError(
-                f"{path}: table ids must be strictly increasing within [0, {buckets})"
-            )
+            raise DataError(f"{path}: table ids must be strictly increasing within [0, {buckets})")
         tau = header["tau"]
         params = ReferenceEncoderParams(
             buckets=buckets, hidden=hidden, **arrays, rng_seed=seed

@@ -1,18 +1,11 @@
-"""Exception hierarchy shared across the package."""
+"""The package's two failures: DataError (exit 2) and NumericError (exit 3)."""
 
 import math
 
 
-class FactLinkError(Exception):
-    """Base class for all package errors."""
-
-
-class DataError(FactLinkError):
-    """Invalid or inconsistent input data. CLI maps these to exit code 2."""
-
-
-class MalformedRecordError(DataError):
-    """A line-delimited record could not be parsed or is missing fields."""
+class DataError(Exception):
+    """Invalid or inconsistent input data. CLI maps these to exit code 2.
+    A ``line_number`` prefixes the message with ``line N: ``."""
 
     def __init__(self, message: str, line_number: int | None = None):
         if line_number is not None:
@@ -21,39 +14,7 @@ class MalformedRecordError(DataError):
         self.line_number = line_number
 
 
-class DuplicateIdError(DataError):
-    pass
-
-
-class DanglingFactError(DataError):
-    """A fact references an id that is not present in the store."""
-
-
-class UnknownIdError(DataError):
-    pass
-
-
-class ReservedTokenError(DataError):
-    """An input string contains one of the reserved marker tokens."""
-
-
-class MissingContextError(DataError):
-    """Context rendering was requested for a triple without a sentence."""
-
-
-class EmptyTrainingSetError(DataError):
-    pass
-
-
-class EmptyKeySetError(DataError):
-    pass
-
-
-class EmptyEvaluationError(DataError):
-    pass
-
-
-class NumericError(FactLinkError):
+class NumericError(Exception):
     """Numerical failure (non-finite values etc.). CLI maps these to exit code 3."""
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Alignment, OieTriple
-from .errors import DataError, EmptyEvaluationError
+from .errors import DataError
 from .kg import KgFact, KgStore
 
 METRICS = ("subject", "relation", "object", "fact")
@@ -52,7 +52,7 @@ def score_linking(
         raise DataError("predictions and gold must have equal length")
     n = len(gold)
     if n == 0:
-        raise EmptyEvaluationError("nothing to score")
+        raise DataError("nothing to score")
     hits = Counter()
     for predicted, actual in zip(predictions, gold):
         subject_ok = predicted.subject_id == actual.subject_id
@@ -91,7 +91,7 @@ def frequency_baseline(train: Sequence[Alignment]) -> Linker:
     """Constant linker: the most frequent training subject entity, predicate
     and object entity (ties broken by smallest id)."""
     if not train:
-        raise EmptyEvaluationError("frequency baseline needs training alignments")
+        raise DataError("frequency baseline needs training alignments")
 
     def modal(counts: Counter) -> str:
         return min(counts, key=lambda eid: (-counts[eid], eid))
@@ -113,7 +113,7 @@ def random_baseline(store: KgStore, seed: int = 0) -> Linker:
     entity_ids = store.entity_ids()
     predicate_ids = store.predicate_ids()
     if not entity_ids or not predicate_ids:
-        raise EmptyEvaluationError("random baseline needs entities and predicates")
+        raise DataError("random baseline needs entities and predicates")
     rng = np.random.default_rng(seed)
 
     def link(_triple: OieTriple) -> KgFact:
@@ -133,7 +133,7 @@ def random_baseline(store: KgStore, seed: int = 0) -> Linker:
 def report_records(report: EvalReport) -> list[dict]:
     """Full-precision one-record-per-metric form."""
     if report.n == 0:
-        raise EmptyEvaluationError("empty report")
+        raise DataError("empty report")
     return [
         {
             "split": report.split,
@@ -150,7 +150,7 @@ def report_records(report: EvalReport) -> list[dict]:
 def format_table(report: EvalReport) -> str:
     """Fixed-column table: accuracies as percentages at one decimal."""
     if report.n == 0:
-        raise EmptyEvaluationError("empty report")
+        raise DataError("empty report")
     header = "Subject  Relation  Object  Fact"
     cells = [
         f"{100 * report.accuracy[m]:.1f} ±{100 * report.sem[m]:.1f}" for m in METRICS

@@ -17,7 +17,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .errors import MalformedRecordError
+from .errors import DataError
 
 HEADER_KEY = "tool_version"
 
@@ -47,9 +47,9 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedRecordError(f"invalid JSON: {exc}", line_number) from exc
+                raise DataError(f"invalid JSON: {exc}", line_number) from exc
             if not isinstance(record, dict):
-                raise MalformedRecordError("record is not an object", line_number)
+                raise DataError("record is not an object", line_number)
             if line_number == 1 and HEADER_KEY in record:
                 continue
             yield line_number, record
@@ -60,33 +60,42 @@ def read_jsonl(path: str | Path) -> list[dict]:
 
 
 def require_fields(record: dict, fields: tuple[str, ...], line_number: int, what: str) -> None:
-    """MalformedRecordError naming the line and the first of ``fields``
-    that ``record``, a ``what`` record, lacks."""
+    """DataError naming the line and the first of ``fields`` that
+    ``record``, a ``what`` record, lacks."""
     for name in fields:
         if name not in record:
-            raise MalformedRecordError(f"{what} record missing field {name!r}", line_number)
+            raise DataError(f"{what} record missing field {name!r}", line_number)
 
 
 def optional_str(record: dict, key: str, line_number: int, what: str = "") -> str | None:
     """``record[key]``: a string, or None when null or absent; anything else
-    is a MalformedRecordError naming the line and the field (as
-    ``"{what} {key}"`` when ``what`` is given)."""
+    is a DataError naming the line and the field (as ``"{what} {key}"``
+    when ``what`` is given)."""
     value = record.get(key)
     if value is None or isinstance(value, str):
         return value
     name = f"{what} {key}" if what else key
-    raise MalformedRecordError(f"{name} must be a string or null, got {value!r}", line_number)
+    raise DataError(f"{name} must be a string or null, got {value!r}", line_number)
+
+
+def required_str(record: dict, key: str, line_number: int, what: str) -> str:
+    """``record[key]``, present, when a string; anything else is a
+    DataError naming the line and the field as ``"{what} {key}"``."""
+    value = record[key]
+    if isinstance(value, str):
+        return value
+    raise DataError(f"{what} {key} must be a string, got {value!r}", line_number)
 
 
 @contextmanager
 def reading_artifact(path: str | Path) -> Iterator[None]:
     """Report a parse failure inside the block (bad or incomplete header,
-    bad value, short read) as a MalformedRecordError naming the file."""
+    bad value, short read) as a DataError naming the file."""
     try:
         yield
     except (AttributeError, LookupError, TypeError, ValueError, struct.error) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise MalformedRecordError(f"{path}: malformed artifact: {detail}") from None
+        raise DataError(f"{path}: malformed artifact: {detail}") from None
 
 
 def save_arrays(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -107,7 +116,7 @@ def load_arrays(
     path: str | Path, fmt: str, dtypes: dict[str, str]
 ) -> tuple[dict, dict[str, np.ndarray]]:
     """Header and arrays of a ``save_arrays`` file whose arrays are named
-    and typed as in ``dtypes``; MalformedRecordError for another format or
+    and typed as in ``dtypes``; DataError for another format or
     array names, another dtype, a record claiming more bytes than the file
     has left (before allocating it), or bytes after the last record."""
     names = list(dtypes)
@@ -115,23 +124,21 @@ def load_arrays(
         header = json.loads(fh.readline())
         layout = (header.get("format"), header.get("arrays")) if isinstance(header, dict) else ()
         if layout != (fmt, names):
-            raise MalformedRecordError(f"{path}: not a {fmt} file with arrays {names}")
+            raise DataError(f"{path}: not a {fmt} file with arrays {names}")
         size = os.fstat(fh.fileno()).st_size
         arrays = {}
         for name, dtype in dtypes.items():
             if np.lib.format.read_magic(fh) != (1, 0):
-                raise MalformedRecordError(f"{path}: {name}: unsupported .npy version")
+                raise DataError(f"{path}: {name}: unsupported .npy version")
             shape, fortran_order, record_dtype = np.lib.format.read_array_header_1_0(fh)
             if record_dtype.str != dtype or fortran_order:
-                raise MalformedRecordError(
+                raise DataError(
                     f"{path}: {name}: dtype {record_dtype.str}, expected C-order {dtype}"
                 )
             count, left = math.prod(shape), size - fh.tell()
             if min(shape, default=0) < 0 or count * record_dtype.itemsize > left:
-                raise MalformedRecordError(
-                    f"{path}: {name}: shape {shape} exceeds the {left} bytes left"
-                )
+                raise DataError(f"{path}: {name}: shape {shape} exceeds the {left} bytes left")
             arrays[name] = np.fromfile(fh, dtype=record_dtype, count=count).reshape(shape)
         if fh.tell() != size:
-            raise MalformedRecordError(f"{path}: {size - fh.tell()} bytes after the last array")
+            raise DataError(f"{path}: {size - fh.tell()} bytes after the last array")
     return header, arrays

@@ -16,13 +16,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 if TYPE_CHECKING:
     from .corpus import Alignment
 
-from .errors import (
-    DanglingFactError,
-    DuplicateIdError,
-    MalformedRecordError,
-    UnknownIdError,
-)
-from .io import iter_jsonl, optional_str, require_fields
+from .errors import DataError
+from .io import iter_jsonl, optional_str, require_fields, required_str
 from .text import check_no_markers, normalize_surface
 
 
@@ -95,7 +90,7 @@ class KgStore:
         try:
             return self.entries[entry_id]
         except KeyError:
-            raise UnknownIdError(f"unknown entry id {entry_id!r}") from None
+            raise DataError(f"unknown entry id {entry_id!r}") from None
 
     def entity_ids(self) -> list[str]:
         return [e.id for e in self.entries.values() if e.kind is EntryKind.ENTITY]
@@ -110,15 +105,19 @@ class KgStore:
 _FACT_KINDS = (EntryKind.ENTITY, EntryKind.PREDICATE, EntryKind.ENTITY)
 
 
-def _validate_fact(fact: KgFact, entries: Mapping[str, KgEntry], where: str = "") -> None:
+def _validate_fact(
+    fact: KgFact, entries: Mapping[str, KgEntry], line_number: int | None = None,
+    what: str = "fact",
+) -> None:
+    """DataError naming the line and ``fact``, called ``what``, when one of
+    its ids is not an entry of its slot's kind."""
     for entry_id, want in zip(fact.ids, _FACT_KINDS):
         entry = entries.get(entry_id)
         if entry is None:
-            raise DanglingFactError(f"{where}fact references unknown id {entry_id!r}")
+            raise DataError(f"{what} references unknown id {entry_id!r}", line_number)
         if entry.kind is not want:
-            raise DanglingFactError(
-                f"{where}fact uses {entry_id!r} as {want.value} but it is a {entry.kind.value}"
-            )
+            raise DataError(f"{what} uses {entry_id!r} as {want.value} "
+                            f"but it is a {entry.kind.value}", line_number)
 
 
 def build_store(entries: Iterable[KgEntry], *, case_fold: bool = False) -> KgStore:
@@ -126,7 +125,7 @@ def build_store(entries: Iterable[KgEntry], *, case_fold: bool = False) -> KgSto
     entry_map: dict[str, KgEntry] = {}
     for entry in entries:
         if entry.id in entry_map:
-            raise DuplicateIdError(f"duplicate entry id {entry.id!r}")
+            raise DataError(f"duplicate entry id {entry.id!r}")
         entry_map[entry.id] = entry
     return KgStore(entry_map, case_fold)
 
@@ -139,21 +138,20 @@ def _parse_entry(record: dict, line_number: int) -> KgEntry:
     kind_raw = record["kind"]
     kind = _KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
     if kind is None:
-        raise MalformedRecordError(
+        raise DataError(
             f"entry kind must be 'entity' or 'predicate', got {kind_raw!r}", line_number
         )
+    label = required_str(record, "label", line_number, "entry")
     description = optional_str(record, "description", line_number, "entry")
     aliases = record.get("aliases")
     if aliases is None:
         aliases = ()
     elif not (isinstance(aliases, list) and all(isinstance(a, str) for a in aliases)):
-        raise MalformedRecordError(
-            f"entry aliases must be a list of strings, got {aliases!r}", line_number
-        )
+        raise DataError(f"entry aliases must be a list of strings, got {aliases!r}", line_number)
     try:
-        return KgEntry(str(record["id"]), kind, str(record["label"]), description, tuple(aliases))
-    except ValueError as exc:
-        raise MalformedRecordError(str(exc), line_number) from exc
+        return KgEntry(str(record["id"]), kind, label, description, tuple(aliases))
+    except (ValueError, DataError) as exc:  # a blank or repeated string, or a marker
+        raise DataError(str(exc), line_number) from exc
 
 
 def _parse_fact(record: dict, line_number: int) -> KgFact:
@@ -170,8 +168,8 @@ def load_kg(
     """Load a store from line-delimited entry and fact files.
 
     Entry records: {id, kind: "entity"|"predicate", label, description?,
-    aliases?}, the description a string or null and the aliases a list of
-    strings. Fact records: {subject, predicate, object}, each id an entry of
+    aliases?}, the label a string, the description a string or null and the
+    aliases a list of strings. Fact records: {subject, predicate, object}, each id an entry of
     its slot's kind. Errors name the offending line. ``min_count`` 0 keeps
     every entry; n >= 1 drops the entries in fewer than n distinct facts,
     to a fixpoint. The facts are read for these two uses only.
@@ -183,10 +181,8 @@ def load_kg(
     for line_number, record in iter_jsonl(entries_path):
         entry = _parse_entry(record, line_number)
         if entry.id in seen_ids:
-            raise DuplicateIdError(
-                f"line {line_number}: duplicate entry id {entry.id!r} "
-                f"(first seen on line {seen_ids[entry.id]})"
-            )
+            raise DataError(f"duplicate entry id {entry.id!r} "
+                            f"(first seen on line {seen_ids[entry.id]})", line_number)
         seen_ids[entry.id] = line_number
         entry_map[entry.id] = entry
 
@@ -200,7 +196,7 @@ def load_kg(
             valid = False
         if not valid:  # raises, or accepts ids that only str() makes valid
             fact = _parse_fact(record, line_number)
-            _validate_fact(fact, entry_map, where=f"line {line_number}: ")
+            _validate_fact(fact, entry_map, line_number)
             ids = fact.ids
         if min_count:
             facts.add(ids)
@@ -235,7 +231,7 @@ def restrict_to_benchmark(store: KgStore, alignments: "list[Alignment]") -> KgSt
     for alignment in alignments:
         for entry_id in alignment.fact.ids:
             if entry_id not in store.entries:
-                raise UnknownIdError(f"alignment references unknown id {entry_id!r}")
+                raise DataError(f"alignment references unknown id {entry_id!r}")
             referenced.add(entry_id)
     entries = {eid: e for eid, e in store.entries.items() if eid in referenced}
     return KgStore(entries, store.case_fold)

@@ -12,9 +12,7 @@ import numpy as np
 
 from .corpus import Alignment, alignment_uid
 from .encoder import ReferenceEncoder
-from .errors import (
-    DataError, EmptyKeySetError, EmptyTrainingSetError, MalformedRecordError, require_finite,
-)
+from .errors import DataError, require_finite
 from .io import load_arrays, reading_artifact, save_arrays
 from .preranker import EmbeddingIndex
 from .reranker import _sigmoid, bce_grad, bce_loss
@@ -56,7 +54,7 @@ def topk_softmax(sims: Sequence[float]) -> np.ndarray:
     """Plain softmax (no temperature) over the top similarities."""
     sims = np.asarray(sims, dtype=np.float64)
     if sims.size == 0:
-        raise EmptyKeySetError("softmax needs at least one similarity")
+        raise DataError("softmax needs at least one similarity")
     shifted = sims - sims.max()
     exp = np.exp(shifted)
     return exp / exp.sum()
@@ -146,7 +144,7 @@ def qkv_score(params: QkvParams, query: np.ndarray, keys: Sequence[np.ndarray]) 
     value-projected keys; score = sigmoid(scale * (query . context) + bias)."""
     key_matrix = np.asarray(keys, dtype=np.float64)
     if key_matrix.size == 0:
-        raise EmptyKeySetError("qkv_score needs at least one key")
+        raise DataError("qkv_score needs at least one key")
     state = _qkv_forward(params, np.asarray(query, dtype=np.float64), key_matrix)
     return _sigmoid(state["logit"])
 
@@ -190,10 +188,10 @@ def train_qkv(
     with the configured probability (label 0) or kept (label 1), the
     remainder filled with uniformly drawn other rows. Keys are index rows
     cast to float64, as ``QkvDetector`` reads them; a gold id missing from
-    its kind's index is an UnknownIdError.
+    its kind's index is a DataError.
     """
     if not alignments:
-        raise EmptyTrainingSetError("no calibration alignments")
+        raise DataError("no calibration alignments")
 
     params = QkvParams.identity(encoder.dim)
     rng = np.random.default_rng(config.seed)
@@ -264,7 +262,7 @@ def load_qkv_params(path, dim: int) -> QkvParams:
     q, k, v = arrays.values()
     with reading_artifact(path):
         if q.ndim != 2 or q.shape[0] != q.shape[1] or not q.shape == k.shape == v.shape:
-            raise MalformedRecordError(
+            raise DataError(
                 f"{path}: need three d x d blocks, got {q.shape}, {k.shape}, {v.shape}"
             )
         if len(q) != dim:
@@ -285,7 +283,7 @@ def thresholds_record(thresholds: OokgThresholds, grid_metadata: dict | None = N
 
 def thresholds_from_record(record: dict, path="thresholds record") -> OokgThresholds:
     """Inverse of ``thresholds_record``; a missing key, a wrong count, an
-    out-of-range value or unequal attention values is a MalformedRecordError
+    out-of-range value or unequal attention values is a DataError
     naming ``path``."""
     with reading_artifact(path):
         confidence, entropies, attention = (
@@ -471,7 +469,7 @@ def _scenario_rankings(
     (subjects and objects in one ``score_rows`` pass). "imputed" ranks every
     row; "removed" ranks the same scores over the rows that are no
     alignment's gold entry, as the index's row subset would. A gold id
-    missing from its slot kind's index is an UnknownIdError.
+    missing from its slot kind's index is a DataError.
     """
     if not alignments:
         raise DataError("no alignments to evaluate")
@@ -509,7 +507,7 @@ def ookg_evaluate(
     each scenario's ranked list (``_scenario_rankings``). Slot accuracy
     averages the two scenario trial sets; fact accuracy requires all three
     slot decisions correct within a trial. A gold id missing from its slot
-    kind's index is an UnknownIdError.
+    kind's index is a DataError.
     """
     queries, ranked = _scenario_rankings(alignments, indices, encoder, with_context, detector.depth)
     slot_hits = np.zeros(3)

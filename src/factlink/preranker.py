@@ -27,13 +27,7 @@ from .encoder import (
     render_entry,
     render_slots,
 )
-from .errors import (
-    DataError,
-    DuplicateIdError,
-    MalformedRecordError,
-    UnknownIdError,
-    require_finite,
-)
+from .errors import DataError, require_finite
 from .io import reading_artifact
 from .kg import KgEntry, KgFact, KgStore
 
@@ -50,7 +44,7 @@ class IndexKind(enum.Enum):
 @dataclass
 class EmbeddingIndex:
     """Ordered distinct ids plus a row-unit-norm float32 matrix; a repeated
-    id is a DuplicateIdError."""
+    id is a DataError."""
 
     ids: tuple[str, ...]
     matrix: np.ndarray
@@ -65,7 +59,7 @@ class EmbeddingIndex:
         if len(self._row_index) < len(self.ids):
             repeated = next(entry_id for row, entry_id in enumerate(self.ids)
                             if self._row_index[entry_id] != row)
-            raise DuplicateIdError(f"duplicate id {repeated!r} in index")
+            raise DataError(f"duplicate id {repeated!r} in index")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -81,7 +75,7 @@ class EmbeddingIndex:
         try:
             return self._row_index[entry_id]
         except KeyError:
-            raise UnknownIdError(f"id {entry_id!r} not in index") from None
+            raise DataError(f"id {entry_id!r} not in index") from None
 
     def vectors(self, ids: Iterable[str]) -> np.ndarray:
         """The rows of ``ids`` as float64: the re-ranker's and QKV head's entry vectors."""
@@ -258,26 +252,26 @@ def load_index(path: str | Path) -> EmbeddingIndex:
     with reading_artifact(path), open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _FLIX_MAGIC:
-            raise MalformedRecordError(f"{path}: not an index file (bad magic {magic!r})")
+            raise DataError(f"{path}: not an index file (bad magic {magic!r})")
         version, kind_value, count, dim = struct.unpack("<IBQI", fh.read(17))
         if version != _FLIX_VERSION:
-            raise MalformedRecordError(f"{path}: unsupported index version {version}")
+            raise DataError(f"{path}: unsupported index version {version}")
         ids = []
         for _ in range(count):
             (length,) = struct.unpack("<I", fh.read(4))
             ids.append(fh.read(length).decode("utf-8"))
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if left < count * dim * 4:
-            raise MalformedRecordError(f"{path}: truncated index payload")
+            raise DataError(f"{path}: truncated index payload")
         if left > count * dim * 4:
-            raise MalformedRecordError(
+            raise DataError(
                 f"{path}: {left - count * dim * 4} bytes after the index payload; run index"
             )
         matrix = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
         try:
             return EmbeddingIndex(ids=tuple(ids), matrix=matrix, kind=IndexKind(kind_value))
-        except DuplicateIdError as exc:
-            raise MalformedRecordError(f"{path}: {exc}; run index") from None
+        except DataError as exc:  # a repeated id
+            raise DataError(f"{path}: {exc}; run index") from None
 
 
 # ---------------------------------------------------------------------------

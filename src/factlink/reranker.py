@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import Alignment, OieTriple
 from .encoder import ReferenceEncoder
-from .errors import DataError, EmptyTrainingSetError, MalformedRecordError, require_finite
+from .errors import DataError, require_finite
 from .io import load_arrays, reading_artifact, save_arrays, write_jsonl
 from .kg import KgFact
 from .preranker import EmbeddingIndex, SlotLinkResult
@@ -132,18 +132,15 @@ def rerank(
 def build_neighbor_lists(index: EmbeddingIndex, pool: int = 10) -> dict[str, tuple[str, ...]]:
     """Top-``pool`` most similar same-kind entries per entry, self excluded.
 
-    Computed once from the frozen pre-ranker embeddings.
+    Computed once from the frozen pre-ranker embeddings, each row scored
+    against the index by ``score_rows``.
     """
     neighbors: dict[str, tuple[str, ...]] = {}
-    matrix = index.matrix
     ids = index.ids
-    chunk = 512
-    for start in range(0, len(index), chunk):
-        sims = matrix[start : start + chunk] @ matrix.T  # (chunk, n)
-        for i, scores in enumerate(sims, start):
-            # self need not rank first: keep pool + 1, then drop it
-            picked = [ids[j] for j in index._top_rows(scores, pool + 1) if j != i]
-            neighbors[ids[i]] = tuple(picked[:pool])
+    for i, scores in enumerate(index.score_rows(index.matrix)):
+        # self need not rank first: keep pool + 1, then drop it
+        picked = [ids[j] for j in index._top_rows(scores, pool + 1) if j != i]
+        neighbors[ids[i]] = tuple(picked[:pool])
     return neighbors
 
 
@@ -216,10 +213,10 @@ def train_reranker(
     reads the label-only pair ``masked_indices`` with the configured
     probability, else ``indices``. Plain SGD with decoupled weight decay;
     returns params and a per-epoch {epoch, mean_loss} trace. A fact id
-    missing from its slot kind's index is an UnknownIdError.
+    missing from its slot kind's index is a DataError.
     """
     if not alignments:
-        raise EmptyTrainingSetError("no training alignments")
+        raise DataError("no training alignments")
     for alignment in alignments:
         for slot, entry_id in enumerate(alignment.fact.ids):
             indices[slot == 1].row(entry_id)
@@ -280,7 +277,7 @@ def load_cross_params(path: str | Path, dim: int) -> CrossScorerParams:
     with reading_artifact(path):
         n = len(weights) - 3 * N_SLOT_EXTRAS if weights.ndim == 1 else -1
         if n < 6 or n % 6 or bias.shape != (1,):
-            raise MalformedRecordError(
+            raise DataError(
                 f"{path}: need 6*dim+{3 * N_SLOT_EXTRAS} weights and one bias, got shapes "
                 f"{weights.shape} and {bias.shape}"
             )

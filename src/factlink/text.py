@@ -2,7 +2,7 @@
 
 import unicodedata
 
-from .errors import ReservedTokenError
+from .errors import DataError
 
 SUBJ_TOKEN = "<SUBJ>"
 REL_TOKEN = "<REL>"
@@ -40,7 +40,5 @@ def check_no_markers(text: str, field: str) -> str:
     if "<" in text:  # every marker starts with it
         for token in MARKER_TOKENS:
             if token in text:
-                raise ReservedTokenError(
-                    f"{field} contains reserved token {token!r}: {text!r}"
-                )
+                raise DataError(f"{field} contains reserved token {token!r}: {text!r}")
     return text

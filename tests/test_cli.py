@@ -665,6 +665,12 @@ class TestFailureExitCodes:
             1, ["--set", "train_alignments=[]", "train-preranker"], None
         ),
         "thresholds-int": (1, ["--set", "thresholds=5", "detect"], None),
+        "path-thresholds-int-build-benchmark": (
+            1, ["--set", "thresholds=5", "build-benchmark"], None
+        ),
+        "path-reranker-params-list-build-benchmark": (
+            1, ["--set", "reranker_params=[]", "build-benchmark"], None
+        ),
         "preranker-negative-weight-decay": (
             1, ["--set", "preranker.weight_decay=-0.1", "train-preranker"], None
         ),
@@ -731,6 +737,10 @@ class TestFailureExitCodes:
             2, ["--set", "link_oie={out}/link_oie.jsonl", "--set", "store_variant=large", "link"],
             _oie_file("link_oie.jsonl", sentence=5),
         ),
+        "oie-subject-marker": (
+            2, ["--set", "link_oie={out}/link_oie.jsonl", "--set", "store_variant=large", "link"],
+            _oie_file("link_oie.jsonl", subject="x <REL> y"),
+        ),
         "extractor-list-build-benchmark": (
             2, ["--set", "test_oie={out}/test_oie.jsonl", "build-benchmark"],
             _oie_file("test_oie.jsonl", extractor=["x"]),
@@ -779,6 +789,10 @@ class TestFailureExitCodes:
         "kg-entry-description-int": (
             2, ["--set", "kg_entries={out}/kg_entries.jsonl", "build-benchmark"],
             _kg_entry_with(description=5),
+        ),
+        "kg-entry-label-marker": (
+            2, ["--set", "kg_entries={out}/kg_entries.jsonl", "build-benchmark"],
+            _kg_entry_with(label="Bad <SUBJ> label"),
         ),
         "stale-index-link": (2, ["link"], _edit_params(_perturb_projection)),
         "stale-index-evaluate": (
@@ -832,6 +846,10 @@ class TestFailureExitCodes:
         "resume-without-params": (
             2, ["train-preranker", "--resume"], lambda out: (out / "preranker.params").unlink()
         ),
+        "resume-encoder-mismatch": (
+            2, ["--set", "encoder.dim=8", "--set", "encoder.buckets=999",
+                "train-preranker", "--resume"], None,
+        ),
         "evaluate-empty-facet": (
             2, ["evaluate", "--facet", "transductive"], _header_only("split-transductive.jsonl")
         ),
@@ -884,6 +902,12 @@ class TestFailureExitCodes:
             assert "line 2: alignment" in err
         if case.startswith("oie-"):
             assert re.search(r"line \d: (sentence must be a string or null|OIE subject)", err)
+        if case.endswith("-marker"):
+            assert re.search(r"line \d: (entry Q2 label|OIE subject) contains reserved token", err)
+        if case.startswith("path-"):
+            assert "must be a non-empty path string" in err
+        if case == "resume-encoder-mismatch":
+            assert "preranker.params" in err and "(32, 16, 4096)" in err and "(8, 16, 999)" in err
         if case.startswith("extractor-"):
             assert re.search(r"line \d: extractor must be a string or null, got \['x'\]", err)
         if case.startswith("section-"):

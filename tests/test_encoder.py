@@ -18,7 +18,7 @@ from factlink.encoder import (
 )
 from factlink.kg import KgFact, build_store
 from factlink.preranker import IndexKind
-from factlink.errors import DuplicateIdError, MissingContextError, NumericError
+from factlink.errors import DataError, NumericError
 from factlink.text import MARKER_TOKENS
 
 CONFIG = EncoderConfig(dim=16, hidden=8, buckets=512)
@@ -113,7 +113,7 @@ class TestSlotEmbed:
         assert not np.allclose(encoder.slot_embed(with_sentence)[0], contextual[0])
 
     def test_missing_context_propagates(self, encoder):
-        with pytest.raises(MissingContextError):
+        with pytest.raises(DataError, match=r"^triple \(.*\) has no provenance sentence$"):
             encoder.slot_embed(triple(), with_context=True)
 
     def test_relation_feeds_subject_only_through_triple_half(self):
@@ -344,7 +344,7 @@ class TestOneForward:
             return preranker.build_index(embedded, IndexKind.ENTITIES)
 
         for build in (chunked, stacked):
-            with pytest.raises(DuplicateIdError, match="'Q3'"):
+            with pytest.raises(DataError, match="^duplicate id 'Q3' in index$"):
                 build(params, entries + [entries[3]])  # the repeat is past the first chunk
             with pytest.raises(NumericError):
                 build(zeroed, entries)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import entity, make_alignment, predicate
-from factlink.errors import EmptyEvaluationError
+from factlink.errors import DataError
 from factlink.evalkit import (
     EvalReport,
     METRICS,
@@ -65,7 +65,7 @@ class TestScoreLinking:
             )
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyEvaluationError):
+        with pytest.raises(DataError, match="^nothing to score$"):
             score_linking([], [])
 
 
@@ -87,9 +87,9 @@ class TestEmitReport:
             split="", store="", n=0,
             accuracy={m: 0.0 for m in METRICS}, sem={m: 0.0 for m in METRICS},
         )
-        with pytest.raises(EmptyEvaluationError):
+        with pytest.raises(DataError, match="^empty report$"):
             format_table(empty)
-        with pytest.raises(EmptyEvaluationError):
+        with pytest.raises(DataError, match="^empty report$"):
             report_records(empty)
 
     def test_record_schema(self):

@@ -14,7 +14,7 @@ from factlink.encoder import (
     load_params,
     save_params,
 )
-from factlink.errors import DuplicateIdError, EmptyTrainingSetError
+from factlink.errors import DataError
 from factlink.kg import KgFact, build_store
 from factlink.preranker import (
     IndexKind,
@@ -164,7 +164,7 @@ class TestIndex:
     def test_duplicate_id(self):
         rng = np.random.default_rng(2)
         pairs = [("Q1", random_unit(rng, 8)), ("Q1", random_unit(rng, 8))]
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(DataError, match="^duplicate id 'Q1' in index$"):
             build_index(pairs, IndexKind.ENTITIES)
 
     def test_empty_index_queries(self):
@@ -494,7 +494,7 @@ class TestTrainPreranker:
 
     def test_empty_training_set(self):
         store, _ = tiny_world()
-        with pytest.raises(EmptyTrainingSetError):
+        with pytest.raises(DataError, match="^no training alignments$"):
             train_preranker([], store, PrerankTrainConfig(), SMALL_ENCODER)
 
     def test_batch_loss_matches_scalar_infonce(self):

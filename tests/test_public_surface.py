@@ -101,3 +101,16 @@ def test_every_public_method_is_used():
         f"public methods that neither src/ code nor README uses: {unused - UNUSED_METHODS}; "
         f"listed as unused but used: {UNUSED_METHODS - unused}"
     )
+
+
+def test_one_exception_class_per_failing_exit_code():
+    """The package defines exactly the three failures the CLI maps to exit
+    codes: cli.UsageError (1), errors.DataError (2), errors.NumericError (3)."""
+    defined = set()
+    for info in pkgutil.iter_modules(factlink.__path__):
+        module = importlib.import_module(f"factlink.{info.name}")
+        for name, cls in vars(module).items():
+            if inspect.isclass(cls) and issubclass(cls, BaseException):
+                if cls.__module__ == module.__name__:
+                    defined.add(f"{info.name}.{name}")
+    assert defined == {"cli.UsageError", "errors.DataError", "errors.NumericError"}

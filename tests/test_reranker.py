@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from conftest import entity, make_alignment, predicate
 from factlink.corpus import OieTriple
 from factlink.encoder import EncoderConfig, ReferenceEncoder, init_params, load_params, save_params
-from factlink.errors import EmptyTrainingSetError, MalformedRecordError, UnknownIdError
+from factlink.errors import DataError
 from factlink.io import read_jsonl
 from factlink.kg import KgFact, build_store
 from factlink.ookg import QkvParams, load_qkv_params, save_qkv_params
@@ -459,12 +460,12 @@ class TestTrainReranker:
         a = alignments[0]
         wrong_kind = dataclasses.replace(a, fact=KgFact(a.fact.predicate_id, *a.fact.ids[1:]))
         config = RerankTrainConfig(epochs=1, seed=0)
-        with pytest.raises(UnknownIdError, match=repr(a.fact.predicate_id)):
+        with pytest.raises(DataError, match=re.escape(f"id {a.fact.predicate_id!r} not in index")):
             train_with_neighbors([wrong_kind], mini_encoder, store, config)
 
     def test_empty_training_set_rejected(self, mini_encoder):
         store, _ = mini_world()
-        with pytest.raises(EmptyTrainingSetError):
+        with pytest.raises(DataError, match="^no training alignments$"):
             train_with_neighbors([], mini_encoder, store, RerankTrainConfig(epochs=1))
 
     def test_seeded_reproducible(self, mini_encoder):
@@ -544,5 +545,5 @@ class TestPersistence:
         cuts |= set(np.linspace(1, len(data) - 2, 40).astype(int).tolist())
         for size in sorted(cuts):
             path.write_bytes(data[:size])
-            with pytest.raises(MalformedRecordError):
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
                 load(path)
