@@ -25,6 +25,7 @@ from .text import MARKER_TOKENS
 
 _MARKER_BUCKETS = {token: i for i, token in enumerate(MARKER_TOKENS)}
 _N_RESERVED = len(MARKER_TOKENS)
+_EMBED_CHUNK = 64  # triples or entries per forward pass; queries per scoring product
 
 
 def _hash_feature(feature: str, space: int) -> int:
@@ -275,13 +276,25 @@ class ReferenceEncoder:
     def slot_embed(
         self, triple: OieTriple, with_context: bool = False
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        key = (oie_uid(triple), with_context)
-        embeddings = self._slot_cache.get(key)
-        if embeddings is None:
-            texts = [render_slots(triple, with_context)]
-            embeddings = tuple(encode_batch(self.params, self.hasher, texts, ()).slot_vectors)
-            self._slot_cache[key] = embeddings
-        return embeddings
+        return self.slot_embeds([triple], with_context)[0]
+
+    def slot_embeds(
+        self, triples: Sequence[OieTriple], with_context: bool = False
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(subject, relation, object) embeddings per triple, in input order.
+        The distinct uncached triples are embedded in order, one forward per
+        64-triple chunk, so a missing sentence names the first such triple."""
+        keys = [(oie_uid(t), with_context) for t in triples]
+        pending = list({k: t for k, t in zip(keys, triples) if k not in self._slot_cache}.items())
+        for start in range(0, len(pending), _EMBED_CHUNK):
+            chunk = pending[start : start + _EMBED_CHUNK]
+            texts = [render_slots(triple, with_context) for _, triple in chunk]
+            subjects, relations, objects = np.split(
+                encode_batch(self.params, self.hasher, texts, ()).slot_vectors, 3
+            )
+            for (key, _), *vectors in zip(chunk, subjects, relations, objects):
+                self._slot_cache[key] = tuple(vectors)
+        return [self._slot_cache[key] for key in keys]
 
     def entry_embed(self, entry: KgEntry, mask_description: bool = False) -> np.ndarray:
         key = (entry.id, mask_description or entry.description is None)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DataError
 
 HEADER_KEY = "tool_version"
+_DECODER = json.JSONDecoder()
 
 
 def canonical_json(obj: Any) -> str:
@@ -38,16 +39,22 @@ def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None =
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) pairs, skipping a leading header record."""
+    """Yield (line_number, record) pairs, skipping a leading header record.
+    Each stripped line must hold one JSON object."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"invalid JSON: {exc}", line_number) from exc
+                record, end = _DECODER.raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):  # json.loads words the error, extra data and a BOM too
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"invalid JSON: {exc}", line_number) from exc
             if not isinstance(record, dict):
                 raise DataError("record is not an object", line_number)
             if line_number == 1 and HEADER_KEY in record:

@@ -205,9 +205,9 @@ def train_qkv(
         order = rng.permutation(len(alignments))
         epoch_loss = 0.0
         n_examples = 0
-        for i in order:
+        embedded = encoder.slot_embeds([alignments[i].oie for i in order], with_context)
+        for i, queries in zip(order, embedded):
             alignment = alignments[i]
-            queries = encoder.slot_embed(alignment.oie, with_context)
             for slot, gold_id in enumerate(alignment.fact.ids):
                 index = indices[slot == 1]
                 gold = index.row(gold_id)
@@ -477,7 +477,7 @@ def _scenario_rankings(
         for slot, entry_id in enumerate(alignment.fact.ids):
             indices[slot == 1].row(entry_id)
     gold = {entry_id for alignment in alignments for entry_id in alignment.fact.ids}
-    queries = [encoder.slot_embed(alignment.oie, with_context) for alignment in alignments]
+    queries = encoder.slot_embeds([alignment.oie for alignment in alignments], with_context)
     n = len(alignments)
     ranked = {scenario: [[None] * n for _ in range(3)] for scenario in _SCENARIOS}
     if depth is not None:

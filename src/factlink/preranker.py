@@ -18,6 +18,7 @@ import numpy as np
 
 from .corpus import Alignment, OieTriple, check_training_set
 from .encoder import (
+    _EMBED_CHUNK,
     EncoderConfig,
     FeatureHasher,
     ReferenceEncoder,
@@ -33,7 +34,6 @@ from .kg import KgEntry, KgFact, KgStore
 
 _FLIX_MAGIC = b"FLIX"
 _FLIX_VERSION = 1
-_EMBED_CHUNK = 64  # entries per forward pass when a store is embedded; queries per scoring product
 
 
 class IndexKind(enum.Enum):
@@ -185,7 +185,7 @@ def link(
     predicate index."""
     if not triples:
         return []
-    subjects, relations, objects = zip(*(encoder.slot_embed(t, with_context) for t in triples))
+    subjects, relations, objects = zip(*encoder.slot_embeds(triples, with_context))
     n = len(triples)
     entities = topk(entity_index, subjects + objects, k)
     predicates = topk(predicate_index, relations, k)

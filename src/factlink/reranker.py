@@ -24,6 +24,7 @@ from .kg import KgFact
 from .preranker import EmbeddingIndex, SlotLinkResult
 
 N_SLOT_EXTRAS = 3  # cosine, squared cosine, bias per slot pair
+_TRAIN_CHUNK = 16  # alignments per feature build in train_reranker
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,9 @@ def init_cross_params(dim: int, seed: int = 0) -> CrossScorerParams:
 
 
 def _slot_features(slot_embedding: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """(n, 2*dim + 3) blocks of one slot embedding against n entry vectors:
-    elementwise product, absolute difference, cosine, its square and 1."""
+    """(n, 2*dim + 3) blocks of one slot embedding, or n row by row, against
+    n entry vectors: elementwise product, absolute difference, cosine, its
+    square and 1."""
     products = entries * slot_embedding
     cosines = products.sum(axis=1, keepdims=True)  # row by row: equal rows, equal bits
     return np.concatenate(
@@ -211,8 +213,9 @@ def train_reranker(
     """Binary cross-entropy training: gold pairs are positives, one-slot
     corruptions from top-k neighbor lists are negatives; each scored pair
     reads the label-only pair ``masked_indices`` with the configured
-    probability, else ``indices``. Plain SGD with decoupled weight decay;
-    returns params and a per-epoch {epoch, mean_loss} trace. A fact id
+    probability, else ``indices``. Features are built 16 alignments at a
+    time; plain SGD with decoupled weight decay steps one pair at a time.
+    Returns params and a per-epoch {epoch, mean_loss} trace. A fact id
     missing from its slot kind's index is a DataError.
     """
     if not alignments:
@@ -231,19 +234,26 @@ def train_reranker(
     for epoch in range(config.epochs):
         order = rng.permutation(len(alignments))
         epoch_loss = 0.0
-        for i in order:
-            alignment = alignments[i]
-            facts = [alignment.fact] + [
-                sample_hard_negative(alignment.fact, neighbor_lists, rng) for _ in labels[1:]
-            ]
-            masked = rng.random(len(facts))[:, None] < config.description_mask_prob
-            slot_embeddings = encoder.slot_embed(alignment.oie, with_context)
+        for start in range(0, len(order), _TRAIN_CHUNK):
+            chunk = [alignments[i] for i in order[start : start + _TRAIN_CHUNK]]
+            facts, masks = [], []
+            for n, alignment in enumerate(chunk):  # negatives, then masks: chunk-size-free draws
+                try:
+                    facts += [alignment.fact] + [sample_hard_negative(
+                        alignment.fact, neighbor_lists, rng) for _ in labels[1:]]
+                except DataError:  # an earlier triple's missing sentence still fails first
+                    encoder.slot_embeds([a.oie for a in chunk[:n]], with_context)
+                    raise
+                masks.append(rng.random(len(labels)) < config.description_mask_prob)
+            masked = np.concatenate(masks)[:, None]
+            queries = encoder.slot_embeds([a.oie for a in chunk], with_context)
             blocks = []
             for slot, ids in enumerate(zip(*(fact.ids for fact in facts))):
                 entries = np.where(masked, masked_indices[slot == 1].vectors(ids),
                                    indices[slot == 1].vectors(ids))
-                blocks.append(_slot_features(slot_embeddings[slot], entries))
-            for features, label in zip(np.concatenate(blocks, axis=1), labels):
+                slot_rows = np.repeat([q[slot] for q in queries], len(labels), axis=0)
+                blocks.append(_slot_features(slot_rows, entries))
+            for features, label in zip(np.concatenate(blocks, axis=1), labels * len(chunk)):
                 logit = float(params.weights @ features) + params.bias
                 epoch_loss += bce_loss(logit, label)
                 d_logit = bce_grad(logit, label)

@@ -21,7 +21,7 @@ from factlink.corpus import (
     write_alignments,
 )
 from factlink.errors import DataError
-from factlink.io import write_jsonl
+from factlink.io import iter_jsonl, write_jsonl
 from factlink.kg import KgFact, build_store, load_kg
 
 
@@ -511,6 +511,38 @@ class TestRecordMessages:
             RECORD_KINDS[kind][0](tmp_path / "records.jsonl", jordan_store)
         assert str(raised.value) == f"line 2: {message}"
         assert raised.value.line_number == 2
+
+
+class TestIterJsonl:
+    """Each stripped line is one JSON object; every message is pinned."""
+
+    @pytest.mark.parametrize("text,line_number,message", [
+        ('{"a": 1}\n{"a": 1} {"b": 2}\n', 2,
+         "invalid JSON: Extra data: line 1 column 10 (char 9)"),
+        ('{"a": 1}}\n', 1, "invalid JSON: Extra data: line 1 column 9 (char 8)"),
+        ('{"id": "Q1",\n "label": "x"}\n', 1, "invalid JSON: Expecting property name "
+         "enclosed in double quotes: line 1 column 13 (char 12)"),
+        ('{"a": 1}\n\n[1, 2]\n', 3, "record is not an object"),
+        ('"text"\n', 1, "record is not an object"),
+        ('\ufeff{"a": 1}\n', 1, "invalid JSON: Unexpected UTF-8 BOM "
+         "(decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ('{"a": 1}\n\ufeff{"b": 2}\n', 2, "invalid JSON: Unexpected UTF-8 BOM "
+         "(decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ], ids=["extra-data", "extra-brace", "split-record", "list", "string", "bom", "bom-line-2"])
+    def test_message_and_line(self, text, line_number, message, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            list(iter_jsonl(path))
+        assert str(raised.value) == f"line {line_number}: {message}"
+        assert raised.value.line_number == line_number
+
+    def test_only_a_first_line_header_is_skipped(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"tool_version": "0.1", "seed": 1}\n {"a": [1, {"b": null}]}\t\n'
+                        '\n{"tool_version": "0.2"}\n', encoding="utf-8")
+        assert list(iter_jsonl(path)) == [(2, {"a": [1, {"b": None}]}),
+                                          (4, {"tool_version": "0.2"})]
 
 
 class TestUids:

@@ -1,8 +1,10 @@
 from collections import Counter
+import re
 
 import numpy as np
 import pytest
 
+import factlink.encoder as encoder_module
 import factlink.preranker as preranker
 from conftest import entity, make_alignment, predicate
 from factlink.corpus import OieTriple, oie_text
@@ -401,6 +403,80 @@ class TestOneForward:
         entries = {(e.label, e.description or ""): e for e in store.entries.values()}
         trained = np.stack([served.entry_embed(entries[texts]) for texts in entry_texts])
         np.testing.assert_allclose(forward.entry_vectors, trained, rtol=0, atol=FORWARD_TOL)
+
+
+class TestSlotEmbeds:
+    """``slot_embeds``: the one slot-embedding path, 64 triples per forward."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Each slot forward's triple count, recorded through ``encode_batch``."""
+        sizes = []
+        forward = encoder_module.encode_batch
+
+        def recording(params, hasher, slot_texts, entry_texts):
+            if slot_texts:
+                sizes.append(len(slot_texts))
+            return forward(params, hasher, slot_texts, entry_texts)
+
+        monkeypatch.setattr(encoder_module, "encode_batch", recording)
+        return sizes
+
+    @staticmethod
+    def triples(n):
+        return [triple(f"Person {i} Harbor", ("works with", "lives near")[i % 2],
+                       f"Town {i // 3}", sentence=f"Sentence number {i}.") for i in range(n)]
+
+    @pytest.mark.parametrize("with_context", [False, True])
+    def test_matches_one_triple_at_a_time(self, with_context):
+        params = init_params(CONFIG, seed=11)
+        triples = self.triples(130)
+        chunked = ReferenceEncoder(params).slot_embeds(triples, with_context)
+        assert len(chunked) == len(triples)
+        for oie, got in zip(triples, chunked):
+            alone = ReferenceEncoder(params).slot_embed(oie, with_context)
+            for g, want in zip(got, alone, strict=True):
+                np.testing.assert_allclose(g, want, rtol=0, atol=1e-15)
+
+    def test_input_order_repeats_and_context_keys(self, monkeypatch):
+        params = init_params(CONFIG, seed=11)
+        a, b, c = self.triples(3)
+        alone = {oie: ReferenceEncoder(params).slot_embed(oie) for oie in (a, b, c)}
+        sizes = self.counting(monkeypatch)
+        served = ReferenceEncoder(params)
+        got = served.slot_embeds([b, a, b, c, a], with_context=False)
+        assert sizes == [3]  # each distinct triple once
+        assert got[0] is got[2] and got[1] is got[4]
+        for oie, vectors in zip([b, a, c], [got[0], got[1], got[3]]):
+            assert all(np.array_equal(x, y) for x, y in zip(vectors, alone[oie], strict=True))
+        again = served.slot_embeds([a, c])  # cached: no forward
+        assert again[0] is got[1] and again[1] is got[3]
+        contextual = served.slot_embeds([a, b], with_context=True)
+        assert sizes == [3, 2]
+        assert not np.allclose(contextual[0][0], got[1][0])
+        assert served.slot_embed(a, with_context=True) is contextual[0]
+        assert sizes == [3, 2]
+
+    def test_no_triples(self, monkeypatch):
+        sizes = self.counting(monkeypatch)
+        assert ReferenceEncoder(init_params(CONFIG, seed=11)).slot_embeds([], True) == []
+        assert sizes == []
+
+    def test_missing_sentence_names_the_first_failing_triple(self):
+        first, second = triple("D", "e", "F"), triple()
+        served = ReferenceEncoder(init_params(CONFIG, seed=11))
+        with pytest.raises(DataError, match=f"^triple {re.escape(repr(first.slots))} has no "):
+            served.slot_embeds([*self.triples(70), first, second], with_context=True)
+
+    def test_link_embeds_64_triples_per_forward(self, monkeypatch):
+        params = init_params(CONFIG, seed=11)
+        store, alignments = forward_world(n_entities=20)
+        indices = preranker.build_store_indices(ReferenceEncoder(params), store)
+        triples = self.triples(130)
+        sizes = self.counting(monkeypatch)
+        results = preranker.link(ReferenceEncoder(params), *indices, triples + triples[:5], k=2)
+        assert sizes == [64, 64, 2]
+        assert len(results) == 135 and results[130] == results[0]
 
 
 class TestSegmentSums:

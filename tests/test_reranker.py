@@ -478,6 +478,103 @@ class TestTrainReranker:
         assert params_a.bias == params_b.bias
 
 
+def reference_train_reranker(alignments, encoder, indices, config, neighbor_lists,
+                             masked_indices, with_context=False):
+    """The per-alignment trainer: each alignment's pairs drawn, embedded and
+    featurized on their own, then stepped one pair at a time."""
+    params = init_cross_params(encoder.dim, config.seed)
+    rng = np.random.default_rng(config.seed)
+    lr, wd = config.learning_rate, config.weight_decay
+    labels = [1.0] + [0.0] * config.negatives_per_positive
+    trace = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(alignments))
+        epoch_loss = 0.0
+        for i in order:
+            alignment = alignments[i]
+            facts = [alignment.fact] + [
+                sample_hard_negative(alignment.fact, neighbor_lists, rng) for _ in labels[1:]
+            ]
+            masked = rng.random(len(facts))[:, None] < config.description_mask_prob
+            slot_embeddings = encoder.slot_embed(alignment.oie, with_context)
+            blocks = []
+            for slot, ids in enumerate(zip(*(fact.ids for fact in facts))):
+                entries = np.where(masked, masked_indices[slot == 1].vectors(ids),
+                                   indices[slot == 1].vectors(ids))
+                blocks.append(_slot_features(slot_embeddings[slot], entries))
+            for features, label in zip(np.concatenate(blocks, axis=1), labels):
+                logit = float(params.weights @ features) + params.bias
+                epoch_loss += bce_loss(logit, label)
+                d_logit = bce_grad(logit, label)
+                params.weights -= lr * (d_logit * features + wd * params.weights)
+                params.bias -= lr * d_logit
+        trace.append({"epoch": epoch, "mean_loss": epoch_loss / (len(order) * len(labels))})
+    return params, trace
+
+
+def with_sentences(alignments, missing=()):
+    """The alignments with a provenance sentence each, except at ``missing``."""
+    return [
+        dataclasses.replace(a, oie=dataclasses.replace(
+            a.oie, sentence=None if i in missing else f"Record {i}."))
+        for i, a in enumerate(alignments)
+    ]
+
+
+class TestTrainRerankerChunks:
+    """``train_reranker`` featurizes 16 alignments at a time; given the same
+    slot vectors, its params and trace equal the per-alignment loop's bit
+    for bit."""
+
+    @pytest.mark.parametrize("n_alignments", [1, 16, 37, 48])
+    @pytest.mark.parametrize("mask_prob, negatives, with_context",
+                             [(0.5, 3, False), (1.0, 2, True), (0.0, 0, False)])
+    def test_bitwise_the_per_alignment_loop(
+        self, mini_encoder, n_alignments, mask_prob, negatives, with_context
+    ):
+        store, alignments = mini_world()
+        alignments = with_sentences(alignments)[:n_alignments]
+        indices = build_store_indices(mini_encoder, store)
+        masked = build_store_indices(mini_encoder, store, mask_description=True)
+        neighbors = store_neighbor_lists(indices, 4)
+        config = RerankTrainConfig(epochs=2, learning_rate=0.3, weight_decay=1e-2, seed=5,
+                                   description_mask_prob=mask_prob,
+                                   negatives_per_positive=negatives)
+        # both read the slot vectors that the chunked trainer embeds
+        encoder = ReferenceEncoder(mini_encoder.params)
+        params, trace = train_reranker(
+            alignments, encoder, indices, config, neighbors, masked, with_context)
+        expected, expected_trace = reference_train_reranker(
+            alignments, encoder, indices, config, neighbors, masked, with_context)
+        assert params.weights.tobytes() == expected.weights.tobytes()
+        assert params.bias == expected.bias
+        assert trace == expected_trace
+
+    @pytest.mark.parametrize("sentence_at, neighbors_at",
+                             [(3, 3), (3, 5), (5, 3), (17, 20), (20, 17), (0, 40), (40, 0)])
+    def test_first_failure_is_the_per_alignment_loops(
+        self, mini_encoder, sentence_at, neighbors_at
+    ):
+        """A missing sentence and a subject without neighbors, each at one
+        epoch position, fail in the order the per-alignment loop meets them."""
+        store, alignments = mini_world()
+        lonely = alignments[0].fact.subject_id
+        others = [a for a in alignments if lonely not in a.fact.ids]
+        config = RerankTrainConfig(epochs=1, learning_rate=0.3, negatives_per_positive=30, seed=4)
+        order = np.random.default_rng(config.seed).permutation(len(others) + 1)
+        others.insert(order[neighbors_at], alignments[0])  # the one alignment with `lonely`
+        alignments = with_sentences(others, missing=(order[sentence_at],))
+        indices = build_store_indices(mini_encoder, store)
+        neighbors = {**store_neighbor_lists(indices, 4), lonely: ()}
+        errors = []
+        for train in (train_reranker, reference_train_reranker):
+            with pytest.raises(DataError) as raised:
+                train(alignments, ReferenceEncoder(mini_encoder.params), indices, config,
+                      neighbors, indices, True)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+
+
 PROVENANCE = {"tool_version": "0.1.0", "config_hash": "0123456789abcdef", "seed": 7}
 
 
