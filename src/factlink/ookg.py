@@ -5,6 +5,7 @@ cross-attention head over frozen pre-ranker embeddings."""
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -22,6 +23,7 @@ TOP_SUPPORT = 5  # fixed support for the confidence and entropy heuristics
 DEFAULT_CONFIDENCE_THRESHOLDS = (0.235, 0.260, 0.235)
 DEFAULT_ENTROPY_THRESHOLDS = (1.60, 1.58, 1.60)
 DEFAULT_ATTENTION_THRESHOLD = 0.3
+QKV_STEP = 16  # (alignment, slot) examples per train_qkv SGD step
 
 
 class Decision(enum.Enum):
@@ -50,14 +52,14 @@ class OokgThresholds:
             raise ValueError(f"the attention threshold must lie in (0, 1), got {self.attention!r}")
 
 
-def topk_softmax(sims: Sequence[float]) -> np.ndarray:
-    """Plain softmax (no temperature) over the top similarities."""
+def topk_softmax(sims: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Plain softmax (no temperature) over the top similarities, along the
+    last axis; a -inf similarity (a padded key) gets probability exactly 0."""
     sims = np.asarray(sims, dtype=np.float64)
-    if sims.size == 0:
+    if np.isneginf(sims).all(axis=-1).any():  # no similarity, or only padding
         raise DataError("softmax needs at least one similarity")
-    shifted = sims - sims.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+    exp = np.exp(sims - sims.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def entropy(probs: Sequence[float]) -> float:
@@ -100,43 +102,47 @@ class QkvParams:
         return int(self.q_proj.shape[0])
 
 
-def _qkv_forward(params: QkvParams, query: np.ndarray, keys: np.ndarray) -> dict:
-    """The head's forward, with the key projection moved onto the query:
-    ``logits = keys @ (k_projᵀ (q_proj q)) / √d`` costs O(d² + m·d) for m
-    keys, where projecting every key costs O(m·d²)."""
-    q_projected = params.q_proj @ query
-    logits = keys @ (params.k_proj.T @ q_projected) / np.sqrt(params.dim)
-    attention = topk_softmax(logits)
-    mean_key = attention @ keys
-    context = params.v_proj @ mean_key
-    inner = float(query @ context)
-    logit = params.scale * inner + params.bias
+def _qkv_forward(
+    params: QkvParams, queries: np.ndarray, keys: np.ndarray, mask: np.ndarray
+) -> dict:
+    """The head's forward for n queries (the rows of ``queries``), query j
+    attending over the ``mask[j]`` rows of its key block ``keys[j]``; the
+    other rows pad the block and get attention exactly 0. The key
+    projection is moved onto the query: ``logits = keys @ (k_projᵀ (q_proj
+    q)) / √d`` costs O(d² + m·d) for m keys, where projecting every key
+    costs O(m·d²). Query j's logit is ``scale * inner[j] + bias``."""
+    q_projected = queries @ params.q_proj.T
+    logits = np.matmul(keys, (q_projected @ params.k_proj)[:, :, None])[:, :, 0]
+    attention = topk_softmax(np.where(mask, logits / np.sqrt(params.dim), -np.inf))
+    mean_key = np.matmul(attention[:, None, :], keys)[:, 0, :]
+    context = mean_key @ params.v_proj.T
+    inner = np.matmul(queries[:, None, :], context[:, :, None])[:, 0, 0]
     return {
         "q_projected": q_projected,
         "attention": attention,
         "mean_key": mean_key,
         "inner": inner,
-        "logit": logit,
     }
 
 
 def _qkv_backward(
-    params: QkvParams, query: np.ndarray, keys: np.ndarray, state: dict, d_logit: float
+    params: QkvParams, queries: np.ndarray, keys: np.ndarray, state: dict, d_logit: np.ndarray
 ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], float, float]:
-    """Gradients of a loss with ``d_logit`` = d loss / d logit at the
-    forward ``state``: each projection's as rank-1 factors (left, right),
-    its gradient being ``outer(left, right)``; then scale's and bias's."""
-    d_context = (d_logit * params.scale) * query
-    d_attention = keys @ (params.v_proj.T @ d_context)
+    """Gradients of the n examples' summed loss, ``d_logit[j]`` being d loss
+    / d logit j at the forward ``state``: each projection's as factors
+    (left, right) of n rows, its gradient being ``leftᵀ @ right`` (one
+    outer product per example); then scale's and bias's."""
+    d_context = (d_logit * params.scale)[:, None] * queries
+    d_attention = np.matmul(keys, (d_context @ params.v_proj)[:, :, None])[:, :, 0]
     a = state["attention"]
-    d_logits = a * (d_attention - float(a @ d_attention))
-    d_key_query = (keys.T @ d_logits) / np.sqrt(params.dim)
+    d_logits = a * (d_attention - np.matmul(a[:, None, :], d_attention[:, :, None])[:, 0])
+    d_key_query = np.matmul(d_logits[:, None, :], keys)[:, 0, :] / np.sqrt(params.dim)
     factors = {
-        "q_proj": (params.k_proj @ d_key_query, query),
+        "q_proj": (d_key_query @ params.k_proj.T, queries),
         "k_proj": (state["q_projected"], d_key_query),
         "v_proj": (d_context, state["mean_key"]),
     }
-    return factors, d_logit * state["inner"], d_logit
+    return factors, float(d_logit @ state["inner"]), float(d_logit.sum())
 
 
 def qkv_score(params: QkvParams, query: np.ndarray, keys: Sequence[np.ndarray]) -> float:
@@ -145,8 +151,11 @@ def qkv_score(params: QkvParams, query: np.ndarray, keys: Sequence[np.ndarray]) 
     key_matrix = np.asarray(keys, dtype=np.float64)
     if key_matrix.size == 0:
         raise DataError("qkv_score needs at least one key")
-    state = _qkv_forward(params, np.asarray(query, dtype=np.float64), key_matrix)
-    return _sigmoid(state["logit"])
+    state = _qkv_forward(
+        params, np.asarray(query, dtype=np.float64)[None], key_matrix[None],
+        np.ones((1, len(key_matrix)), dtype=bool),
+    )
+    return _sigmoid(params.scale * state["inner"][0] + params.bias)
 
 
 @dataclass
@@ -174,6 +183,27 @@ class QkvTrainConfig:
         OokgThresholds(attention=self.attention_threshold)  # its range check
 
 
+def _sampled_examples(
+    alignments: Sequence[Alignment], order: np.ndarray, queries: Sequence[tuple],
+    indices: tuple[EmbeddingIndex, EmbeddingIndex], config: QkvTrainConfig, rng: np.random.Generator,
+):
+    """The epoch's (query, key rows, label) examples, per alignment in
+    ``order`` and slot, drawn lazily in stream order. Key rows index the
+    entity index's rows followed by the predicate index's."""
+    for i, slot_queries in zip(order, queries):
+        for slot, gold_id in enumerate(alignments[i].fact.ids):
+            index = indices[slot == 1]
+            gold = index.row(gold_id)
+            keep_gold = bool(rng.random() >= config.gold_drop_prob)
+            fill = min(config.subset_size - (1 if keep_gold else 0), len(index) - 1)
+            rows = rng.choice(len(index) - 1, size=fill, replace=False)
+            rows += rows >= gold  # index rows, skipping the gold's
+            if keep_gold:
+                rows = np.concatenate(([gold], rows))
+            offset = len(indices[0]) if slot == 1 else 0
+            yield slot_queries[slot], rows + offset, float(keep_gold)
+
+
 def train_qkv(
     alignments: Sequence[Alignment],
     encoder: ReferenceEncoder,
@@ -181,7 +211,7 @@ def train_qkv(
     config: QkvTrainConfig,
     with_context: bool = False,
 ) -> tuple[QkvParams, list[dict]]:
-    """Train the attention head with binary cross-entropy.
+    """Train the attention head with binary cross-entropy, by minibatch SGD.
 
     Per alignment and slot, a key subset is sampled from the (entity,
     predicate) ``indices`` entry of the slot's kind: the gold row is dropped
@@ -189,6 +219,11 @@ def train_qkv(
     remainder filled with uniformly drawn other rows. Keys are index rows
     cast to float64, as ``QkvDetector`` reads them; a gold id missing from
     its kind's index is a DataError.
+
+    The epoch's stream of (alignment, slot) examples is cut every
+    ``QKV_STEP`` examples, across alignments; the last step may be short.
+    A step sums its examples' gradients (and weight-decay terms) at the
+    step's params, so ``learning_rate`` keeps its per-example meaning.
     """
     if not alignments:
         raise DataError("no calibration alignments")
@@ -197,48 +232,40 @@ def train_qkv(
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
     wd = config.weight_decay
-    shrink = 1.0 - lr * wd
+    # both indices' rows cast once, then the zero row that pads a step's key blocks
+    key_matrix = np.vstack([indices[0].matrix, indices[1].matrix, np.zeros((1, encoder.dim))])
+    pad = len(key_matrix) - 1
     update = np.empty_like(params.q_proj)
     trace: list[dict] = []
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(alignments))
-        epoch_loss = 0.0
-        n_examples = 0
         embedded = encoder.slot_embeds([alignments[i].oie for i in order], with_context)
-        for i, queries in zip(order, embedded):
-            alignment = alignments[i]
-            for slot, gold_id in enumerate(alignment.fact.ids):
-                index = indices[slot == 1]
-                gold = index.row(gold_id)
-                keep_gold = bool(rng.random() >= config.gold_drop_prob)
-                fill = min(config.subset_size - (1 if keep_gold else 0), len(index) - 1)
-                rows = rng.choice(len(index) - 1, size=fill, replace=False)
-                rows += rows >= gold  # index rows, skipping the gold's
-                if keep_gold:
-                    rows = np.concatenate(([gold], rows))
-                keys = index.matrix[rows].astype(np.float64)
-                label = 1.0 if keep_gold else 0.0
-
-                query = queries[slot]
-                state = _qkv_forward(params, query, keys)
-                logit = state["logit"]
+        examples = _sampled_examples(alignments, order, embedded, indices, config, rng)
+        epoch_loss = 0.0
+        while step := list(itertools.islice(examples, QKV_STEP)):
+            queries, rows, labels = zip(*step)
+            block = np.full((len(step), max(map(len, rows))), pad)
+            for j, example_rows in enumerate(rows):
+                block[j, : len(example_rows)] = example_rows
+            queries, keys = np.array(queries), key_matrix[block]
+            state = _qkv_forward(params, queries, keys, block != pad)
+            d_logit = np.empty(len(step))
+            # scalar logits: a diverging head fails in this product, on numpy's scalar message
+            for j, (inner, label) in enumerate(zip(state["inner"], labels)):
+                logit = params.scale * inner + params.bias
                 epoch_loss += bce_loss(logit, label)
-                n_examples += 1
+                d_logit[j] = bce_grad(logit, label)
 
-                factors, d_scale, d_bias = _qkv_backward(
-                    params, query, keys, state, bce_grad(logit, label)
-                )
-                for name, (left, right) in factors.items():
-                    weights = getattr(params, name)
-                    if wd:
-                        weights *= shrink
-                    # outer(left, right) as a k = 1 BLAS product: the same bits as
-                    # np.outer, faster, and into one reused buffer
-                    weights -= np.dot((lr * left)[:, None], right[None, :], out=update)
-                params.scale -= lr * d_scale
-                params.bias -= lr * d_bias
-        mean_loss = require_finite(epoch_loss / max(n_examples, 1), f"epoch {epoch} mean loss")
+            factors, d_scale, d_bias = _qkv_backward(params, queries, keys, state, d_logit)
+            for name, (left, right) in factors.items():
+                weights = getattr(params, name)
+                if wd:
+                    weights *= 1.0 - len(step) * lr * wd
+                weights -= np.dot((lr * left).T, right, out=update)
+            params.scale -= lr * d_scale
+            params.bias -= lr * d_bias
+        mean_loss = require_finite(epoch_loss / (3 * len(alignments)), f"epoch {epoch} mean loss")
         trace.append({"epoch": epoch, "mean_loss": mean_loss})
     return params, trace
 

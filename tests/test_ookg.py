@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from factlink.ookg import (
     Decision,
     EntropyDetector,
     OokgThresholds,
+    QKV_STEP,
     QkvParams,
     QkvTrainConfig,
     QkvDetector,
@@ -232,8 +234,8 @@ class TestQkvScore:
 
 
 class TestQkvGradient:
-    """The trainer's backward against central differences of the BCE loss,
-    at tiny dims with random non-identity params."""
+    """The trainer's backward against central differences of the summed BCE
+    loss of one step, at tiny dims with random non-identity params."""
 
     @pytest.mark.parametrize("label", [0.0, 1.0])
     def test_backward_matches_central_differences(self, label):
@@ -243,14 +245,23 @@ class TestQkvGradient:
             q_proj=rng.normal(size=(d, d)), k_proj=rng.normal(size=(d, d)),
             v_proj=rng.normal(size=(d, d)), scale=0.7, bias=-0.2,
         )
-        query, keys = rng.normal(size=d), rng.normal(size=(m, d))
+        # three examples; the second has m - 2 keys, its block padded with zero rows
+        queries, keys = rng.normal(size=(3, d)), rng.normal(size=(3, m, d))
+        mask = np.ones((3, m), dtype=bool)
+        mask[1, m - 2 :] = False
+        keys[~mask] = 0.0
+        labels = np.array([label, 1.0 - label, label])
+
+        def logits(p):
+            return p.scale * _qkv_forward(p, queries, keys, mask)["inner"] + p.bias
 
         def loss(p):
-            return bce_loss(_qkv_forward(p, query, keys)["logit"], label)
+            return sum(bce_loss(logit, y) for logit, y in zip(logits(p), labels))
 
-        state = _qkv_forward(params, query, keys)
+        state = _qkv_forward(params, queries, keys, mask)
+        assert np.all(state["attention"][~mask] == 0.0)
         factors, d_scale, d_bias = _qkv_backward(
-            params, query, keys, state, bce_grad(state["logit"], label)
+            params, queries, keys, state, bce_grad(logits(params), labels)
         )
         eps = 1e-6
         for name, (left, right) in factors.items():
@@ -265,7 +276,7 @@ class TestQkvGradient:
                 weights[idx] = saved
                 numeric[idx] = (up - down) / (2 * eps)
             assert np.abs(numeric).max() > 1e-3, name  # not a vacuous comparison
-            np.testing.assert_allclose(np.outer(left, right), numeric, rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(left.T @ right, numeric, rtol=1e-6, atol=1e-9)
         for name, analytic in (("scale", d_scale), ("bias", d_bias)):
             value = getattr(params, name)
             up = loss(dataclasses.replace(params, **{name: value + eps}))
@@ -319,9 +330,12 @@ def calibration_setup():
     return store, alignments, ReferenceEncoder(params)
 
 
-def reference_train_qkv(alignments, encoder, store, indices, config, with_context=False):
-    """The straightforward per-example trainer: object-array inventories,
-    one index-row lookup per sampled id, every key projected, d x d gradients."""
+def reference_train_qkv(
+    alignments, encoder, store, indices, config, with_context=False, step=QKV_STEP
+):
+    """The straightforward minibatch trainer: object-array inventories, one
+    index-row lookup per sampled id, every key projected, per-example d x d
+    gradients summed over each ``step`` examples of the epoch's stream."""
     params = QkvParams.identity(encoder.dim)
     rng = np.random.default_rng(config.seed)
     entity_ids = np.array(store.entity_ids(), dtype=object)
@@ -331,7 +345,7 @@ def reference_train_qkv(alignments, encoder, store, indices, config, with_contex
     trace = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(alignments))
-        epoch_loss, n_examples = 0.0, 0
+        examples = []  # every draw of the epoch, in stream order
         for i in order:
             alignment = alignments[i]
             queries = encoder.slot_embed(alignment.oie, with_context)
@@ -345,9 +359,14 @@ def reference_train_qkv(alignments, encoder, store, indices, config, with_contex
                 subset = ([gold_ids[slot]] if keep_gold else []) + list(chosen)
                 index = indices[slot == 1]
                 keys = index.matrix[[index.row(eid) for eid in subset]].astype(np.float64)
-                label = 1.0 if keep_gold else 0.0
-                query = queries[slot]
+                examples.append((queries[slot], keys, 1.0 if keep_gold else 0.0))
 
+        epoch_loss = 0.0
+        for start in range(0, len(examples), step):
+            batch = examples[start : start + step]
+            d_q, d_k, d_v = (np.zeros_like(params.q_proj) for _ in range(3))
+            d_scale = d_bias = 0.0
+            for query, keys, label in batch:
                 q_projected = params.q_proj @ query
                 k_projected = keys @ params.k_proj.T
                 a = topk_softmax((k_projected @ q_projected) / sqrt_d)
@@ -355,35 +374,55 @@ def reference_train_qkv(alignments, encoder, store, indices, config, with_contex
                 inner = float(query @ (params.v_proj @ mean_key))
                 logit = params.scale * inner + params.bias
                 epoch_loss += bce_loss(logit, label)
-                n_examples += 1
 
                 d_logit = bce_grad(logit, label)
                 d_context = (d_logit * params.scale) * query
-                d_v = np.outer(d_context, mean_key)
+                d_v += np.outer(d_context, mean_key)
                 d_attention = keys @ (params.v_proj.T @ d_context)
                 d_logits = a * (d_attention - float(a @ d_attention))
-                d_q = np.outer((k_projected.T @ d_logits) / sqrt_d, query)
-                d_k = (np.outer(d_logits, q_projected) / sqrt_d).T @ keys
-                params.q_proj -= lr * (d_q + wd * params.q_proj)
-                params.k_proj -= lr * (d_k + wd * params.k_proj)
-                params.v_proj -= lr * (d_v + wd * params.v_proj)
-                params.scale -= lr * (d_logit * inner)
-                params.bias -= lr * d_logit
-        trace.append({"epoch": epoch, "mean_loss": epoch_loss / n_examples})
+                d_q += np.outer((k_projected.T @ d_logits) / sqrt_d, query)
+                d_k += (np.outer(d_logits, q_projected) / sqrt_d).T @ keys
+                d_scale += d_logit * inner
+                d_bias += d_logit
+            n = len(batch)
+            params.q_proj -= lr * (d_q + n * wd * params.q_proj)
+            params.k_proj -= lr * (d_k + n * wd * params.k_proj)
+            params.v_proj -= lr * (d_v + n * wd * params.v_proj)
+            params.scale -= lr * d_scale
+            params.bias -= lr * d_bias
+        trace.append({"epoch": epoch, "mean_loss": epoch_loss / len(examples)})
     return params, trace
+
+
+def assert_matches_reference(got, want):
+    (params, trace), (expected, expected_trace) = got, want
+    for name in ("q_proj", "k_proj", "v_proj"):
+        np.testing.assert_allclose(
+            getattr(params, name), getattr(expected, name), rtol=0, atol=1e-12
+        )
+    assert params.scale == pytest.approx(expected.scale, rel=0, abs=1e-12)
+    assert params.bias == pytest.approx(expected.bias, rel=0, abs=1e-12)
+    assert [t["epoch"] for t in trace] == [t["epoch"] for t in expected_trace]
+    for got_epoch, want_epoch in zip(trace, expected_trace):
+        assert got_epoch["mean_loss"] == pytest.approx(want_epoch["mean_loss"], rel=1e-12, abs=0)
 
 
 class TestTrainQkv:
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
     @pytest.mark.parametrize("gold_drop_prob", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize(  # 10 > the 6 predicates: fill capped
-        "subset_size, with_context", [(4, False), (10, False), (10, True)],
-        ids=["4", "10", "10-context"],
+    @pytest.mark.parametrize(  # 10 > the 6 predicates and 30 = the 30 entities: fill capped,
+        # so a kept gold gives one key more than a dropped one and blocks are padded;
+        # 7 alignments give 21 examples, a full step, then a short one
+        "subset_size, with_context, n_alignments",
+        [(4, False, None), (10, False, None), (10, True, None), (30, False, None), (10, False, 7)],
+        ids=["4", "10", "10-context", "30-padded", "10-short-last-step"],
     )
     def test_matches_reference_loop(
-        self, calibration_setup, weight_decay, gold_drop_prob, subset_size, with_context
+        self, calibration_setup, weight_decay, gold_drop_prob, subset_size, with_context,
+        n_alignments,
     ):
         store, alignments, encoder = calibration_setup
+        alignments = alignments[:n_alignments]
         if with_context:
             alignments = [
                 dataclasses.replace(a, oie=dataclasses.replace(a.oie, sentence=f"Record {i}."))
@@ -394,19 +433,47 @@ class TestTrainQkv:
             epochs=2, learning_rate=0.05, weight_decay=weight_decay,
             subset_size=subset_size, gold_drop_prob=gold_drop_prob, seed=2,
         )
-        params, trace = train_qkv(alignments, encoder, indices, config, with_context)
-        expected, expected_trace = reference_train_qkv(
-            alignments, encoder, store, indices, config, with_context
+        assert_matches_reference(
+            train_qkv(alignments, encoder, indices, config, with_context),
+            reference_train_qkv(alignments, encoder, store, indices, config, with_context),
         )
-        for name in ("q_proj", "k_proj", "v_proj"):
-            np.testing.assert_allclose(
-                getattr(params, name), getattr(expected, name), rtol=0, atol=1e-12
-            )
-        assert params.scale == pytest.approx(expected.scale, rel=0, abs=1e-12)
-        assert params.bias == pytest.approx(expected.bias, rel=0, abs=1e-12)
-        assert [t["epoch"] for t in trace] == [t["epoch"] for t in expected_trace]
-        for got, want in zip(trace, expected_trace):
-            assert got["mean_loss"] == pytest.approx(want["mean_loss"], rel=1e-12, abs=0)
+
+    def test_step_of_one_is_per_example_sgd(self, calibration_setup, monkeypatch):
+        store, alignments, encoder = calibration_setup
+        indices = build_store_indices(encoder, store)
+        config = QkvTrainConfig(
+            epochs=2, learning_rate=0.05, weight_decay=1e-2, subset_size=10, seed=2
+        )
+        monkeypatch.setattr("factlink.ookg.QKV_STEP", 1)
+        assert_matches_reference(
+            train_qkv(alignments, encoder, indices, config),
+            reference_train_qkv(alignments, encoder, store, indices, config, step=1),
+        )
+
+    def test_memory_is_bounded_by_one_step(self, calibration_setup):
+        """Peak traced memory of 8 repeats of the alignments, each repeat with
+        its own triples, grows by less than one step's keys per repeat: a
+        step's keys are drawn when it runs, not for the whole epoch."""
+        store, alignments, encoder = calibration_setup
+        indices = build_store_indices(encoder, store)
+        config = QkvTrainConfig(epochs=1, learning_rate=0.05, subset_size=64, seed=0)
+        repeated = [
+            dataclasses.replace(a, oie=dataclasses.replace(a.oie, subject=f"{a.oie.subject} {r}"))
+            for r in range(8) for a in alignments
+        ]
+        encoder.slot_embeds([a.oie for a in repeated])  # the slot cache, outside the peaks
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                train_qkv(run, encoder, indices, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        once, eight = peak(repeated[: len(alignments)]), peak(repeated)
+        step_keys = QKV_STEP * min(config.subset_size, len(indices[0])) * encoder.dim * 8
+        assert eight - once < 7 * step_keys
 
     def test_loss_decreases(self, calibration_setup):
         store, alignments, encoder = calibration_setup
