@@ -616,6 +616,27 @@ def _negative_seed(header, arrays):
     header["rng_seed"] = -1
 
 
+# case: (argv, the default input file it deletes from out_dir, the stage that writes it)
+MISSING_INPUTS = {
+    "missing-train-alignments": (["train-preranker"], "alignments.jsonl", "build-benchmark"),
+    "missing-calibration-alignments": (["train-ookg"], "alignments.jsonl", "build-benchmark"),
+    "missing-facet-alignments": (
+        ["evaluate", "--facet", "transductive"], "split-transductive.jsonl",
+        "build-benchmark or split",
+    ),
+    "missing-preranker-params": (["index"], "preranker.params", "train-preranker"),
+    "missing-reranker-params": (
+        ["evaluate", "--facet", "polysemous", "--use-reranker"], "reranker.params",
+        "train-reranker",
+    ),
+    "missing-qkv-params": (["detect", "--detector", "qkv"], "qkv.params", "train-ookg"),
+}
+
+
+def _delete(name):
+    return lambda out: (out / name).unlink()
+
+
 class TestFailureExitCodes:
     """Bad config files and values exit 1, corrupt artifacts 2, diverging
     training 3: each with one line on stderr, no traceback, and the stage's
@@ -868,6 +889,7 @@ class TestFailureExitCodes:
                 out / "preranker.params", b'{"format":"reference-encoder"}'
             ),
         ),
+        **{case: (2, argv, _delete(name)) for case, (argv, name, _) in MISSING_INPUTS.items()},
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -898,6 +920,9 @@ class TestFailureExitCodes:
             name, producer = {"dim-reranker": ("reranker.params", "train-reranker"),
                               "dim-qkv": ("qkv.params", "train-ookg")}[case]
             assert name in err and err.strip().endswith(f"run {producer}")
+        if case in MISSING_INPUTS:
+            _, name, producer = MISSING_INPUTS[case]
+            assert str(out / name) in err and err.strip().endswith(f"(run {producer} first)")
         if case.startswith("alignment-"):
             assert "line 2: alignment" in err
         if case.startswith("oie-"):
