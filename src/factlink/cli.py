@@ -78,12 +78,7 @@ from .splits import InductiveMode, SplitKind, SplitSpec, build_split
 
 log = logging.getLogger("factlink")
 
-FACETS = {
-    "transductive": SplitKind.TRANSDUCTIVE,
-    "inductive": SplitKind.INDUCTIVE,
-    "polysemous": SplitKind.POLYSEMOUS,
-    "out-of-kg": SplitKind.OUT_OF_KG,
-}
+FACETS = tuple(kind.value for kind in SplitKind)
 
 DETECTORS = ("confidence", "entropy", "qkv", "random", "always-in")
 
@@ -113,9 +108,15 @@ PATH_KEYS = (
 # the top-level keys without a default are the path-valued ones and qkv_key_pool
 KNOWN_KEYS = frozenset(DEFAULT_CONFIG) | {*PATH_KEYS, "qkv_key_pool"}
 
-
-# a diverging trainer stops at its first overflow (exit 3), saving no params
-_RAISE_FLOAT_ERRORS = {"over": "raise", "invalid": "raise", "divide": "raise"}
+# path key -> (its default file under out_dir, what the file holds, the stage that writes it)
+INPUTS = {
+    "train_alignments": ("alignments.jsonl", "training alignments", "build-benchmark"),
+    "calibration_alignments": ("alignments.jsonl", "calibration alignments", "build-benchmark"),
+    "facet_alignments": ("split-{facet}.jsonl", "split file", "build-benchmark or split"),
+    "preranker_params": ("preranker.params", "encoder params", "train-preranker"),
+    "reranker_params": ("reranker.params", "reranker params", "train-reranker"),
+    "qkv_params": ("qkv.params", "qkv params", "train-ookg"),
+}
 
 
 class UsageError(Exception):
@@ -254,13 +255,18 @@ def _require_paths(config: dict, *keys: str) -> list[Path]:
     return paths
 
 
-def _input_path(config: dict, key: str, default_name: str, what: str, producer: str) -> Path:
-    """Config ``key``, else ``default_name`` under ``out_dir``; a missing file
-    is a data error naming the path and the stage that writes it."""
-    path = _path_value(config, key) or Path(config["out_dir"]) / default_name
+def _input_path(config: dict, key: str, facet: str | None = None) -> Path:
+    """Config ``key``, else its ``INPUTS`` default under ``out_dir``; a
+    missing file is a data error naming the path and the stage that writes it."""
+    name, what, producer = INPUTS[key]
+    path = _path_value(config, key) or Path(config["out_dir"]) / name.format(facet=facet)
     if not path.exists():
         raise DataError(f"{what} not found: {path} (run {producer} first)")
     return path
+
+
+def _input_alignments(config: dict, key: str, store, facet: str | None = None):
+    return read_alignments(_input_path(config, key, facet), store)
 
 
 def _out_dir(config: dict) -> Path:
@@ -314,10 +320,7 @@ def _section(config: dict, name: str, cls, **fixed):
 
 
 def _load_encoder(config: dict) -> ReferenceEncoder:
-    path = _input_path(
-        config, "preranker_params", "preranker.params", "encoder params", "train-preranker"
-    )
-    params, _tau = load_params(path)
+    params, _tau = load_params(_input_path(config, "preranker_params"))
     return ReferenceEncoder(params)
 
 
@@ -364,9 +367,17 @@ def _store_indices(config: dict, encoder: ReferenceEncoder, store) -> tuple:
 # Subcommands
 
 
-def cmd_build_benchmark(config: dict, args) -> int:
+def _write_facet(config: dict, header: dict, facet: str, test, train, polysemy_store) -> dict:
+    """Write ``facet``'s split file under ``out_dir``; its stats record."""
+    spec = SplitSpec(SplitKind(facet), InductiveMode(config["inductive_mode"]))
+    result = build_split(spec, test, train, polysemy_store)
+    write_alignments(Path(config["out_dir"]) / f"split-{facet}.jsonl", result.alignments,
+                     header=header)
+    return {"split": facet, **result.stats.to_record()}
+
+
+def cmd_build_benchmark(config: dict, args, header: dict) -> int:
     store = _load_store(config)
-    header = artifact_header(config)
     out = _out_dir(config)
 
     train = _benchmark_alignments(config, store, "train")
@@ -375,12 +386,8 @@ def cmd_build_benchmark(config: dict, args) -> int:
     write_alignments(out / "alignments.jsonl", train, header=header)
 
     polysemy_store, _tag = _store_variant(config, store, train + test)
-    mode = InductiveMode(config["inductive_mode"])
-    stats_records = []
-    for name, kind in FACETS.items():
-        result = build_split(SplitSpec(kind, mode), test, train, polysemy_store)
-        write_alignments(out / f"split-{name}.jsonl", result.alignments, header=header)
-        stats_records.append({"split": name, **result.stats.to_record()})
+    stats_records = [_write_facet(config, header, facet, test, train, polysemy_store)
+                     for facet in FACETS]
     write_jsonl(out / "stats.jsonl", stats_records, header=header)
     log.info("benchmark written to %s (train=%d, test=%d)", out, len(train), len(test))
     print(f"alignments: {len(train)} train, {len(test)} test; splits: "
@@ -388,41 +395,26 @@ def cmd_build_benchmark(config: dict, args) -> int:
     return 0
 
 
-def cmd_split(config: dict, args) -> int:
+def cmd_split(config: dict, args, header: dict) -> int:
     store = _load_store(config)
-    header = artifact_header(config)
     out = _out_dir(config)
     train_path, test_path = _require_paths(config, "train_alignments", "test_alignments")
     train = read_alignments(train_path, store)
     test = read_alignments(test_path, store)
     polysemy_store, _tag = _store_variant(config, store, train + test)
-    kind = FACETS[args.facet]
-    result = build_split(
-        SplitSpec(kind, InductiveMode(config["inductive_mode"])), test, train, polysemy_store
-    )
-    write_alignments(out / f"split-{args.facet}.jsonl", result.alignments, header=header)
-    write_jsonl(
-        out / f"split-{args.facet}.stats.jsonl",
-        [{"split": args.facet, **result.stats.to_record()}],
-        header=header,
-    )
-    print(f"{args.facet}: {result.stats.samples} alignments")
+    record = _write_facet(config, header, args.facet, test, train, polysemy_store)
+    write_jsonl(out / f"split-{args.facet}.stats.jsonl", [record], header=header)
+    print(f"{args.facet}: {record['# Total Samples']} alignments")
     return 0
 
 
-def _train_alignments(config: dict, store):
-    return read_alignments(_input_path(
-        config, "train_alignments", "alignments.jsonl", "training alignments", "build-benchmark"
-    ), store)
-
-
-def cmd_train_preranker(config: dict, args) -> int:
+def cmd_train_preranker(config: dict, args, header: dict) -> int:
     train_config = _section(
         config, "preranker", PrerankTrainConfig, seed=stream_seed(config["seed"], "negatives")
     )
     encoder_config = _section(config, "encoder", EncoderConfig)
     store = _load_store(config)
-    alignments = _train_alignments(config, store)
+    alignments = _input_alignments(config, "train_alignments", store)
     out = _out_dir(config)
     params_path = out / "preranker.params"
 
@@ -437,63 +429,55 @@ def cmd_train_preranker(config: dict, args) -> int:
             raise DataError(f"cannot resume: {params_path} was trained at encoder (dim, hidden, "
                             f"buckets) {held}, not {wanted}")
 
-    with np.errstate(**_RAISE_FLOAT_ERRORS):
-        params, trace = train_preranker(
-            alignments, store, train_config, encoder_config,
-            initial_params=initial_params, initial_tau=initial_tau,
-            with_context=config["with_context"],
-        )
-    save_params(params, params_path, tau=trace[-1]["tau"], header=artifact_header(config))
+    params, trace = train_preranker(
+        alignments, store, train_config, encoder_config,
+        initial_params=initial_params, initial_tau=initial_tau,
+        with_context=config["with_context"],
+    )
+    save_params(params, params_path, tau=trace[-1]["tau"], header=header)
     held = len(params.table_ids)
     log.info("feature table: %d of %d rows learned (%.2f%%)",
              held, params.buckets, 100 * held / params.buckets)
-    write_jsonl(out / "preranker.trace.jsonl", trace, header=artifact_header(config))
+    write_jsonl(out / "preranker.trace.jsonl", trace, header=header)
     print(f"final loss {trace[-1]['mean_loss']:.6f} tau {trace[-1]['tau']:.4f}")
     return 0
 
 
-def cmd_train_reranker(config: dict, args) -> int:
+def cmd_train_reranker(config: dict, args, header: dict) -> int:
     train_config = _section(
         config, "reranker", RerankTrainConfig, seed=stream_seed(config["seed"], "corruption")
     )
     store = _load_store(config)
-    alignments = _train_alignments(config, store)
+    alignments = _input_alignments(config, "train_alignments", store)
     encoder = _load_encoder(config)
     out = _out_dir(config)
 
-    with np.errstate(**_RAISE_FLOAT_ERRORS):
-        indices = build_store_indices(encoder, store)
-        neighbors = store_neighbor_lists(indices, train_config.hard_negative_pool)
-        masked = build_store_indices(encoder, store, mask_description=True)
-        params, trace = train_reranker(
-            alignments, encoder, indices, train_config, neighbors, masked, config["with_context"]
-        )
-    save_cross_params(params, out / "reranker.params", header=artifact_header(config))
-    write_jsonl(out / "reranker.trace.jsonl", trace, header=artifact_header(config))
-    write_neighbor_lists(out / "neighbors.jsonl", neighbors, header=artifact_header(config))
+    indices = build_store_indices(encoder, store)
+    neighbors = store_neighbor_lists(indices, train_config.hard_negative_pool)
+    masked = build_store_indices(encoder, store, mask_description=True)
+    params, trace = train_reranker(
+        alignments, encoder, indices, train_config, neighbors, masked, config["with_context"]
+    )
+    save_cross_params(params, out / "reranker.params", header=header)
+    write_jsonl(out / "reranker.trace.jsonl", trace, header=header)
+    write_neighbor_lists(out / "neighbors.jsonl", neighbors, header=header)
     print(f"final loss {trace[-1]['mean_loss']:.6f}")
     return 0
 
 
-def cmd_train_ookg(config: dict, args) -> int:
+def cmd_train_ookg(config: dict, args, header: dict) -> int:
     train_config = _section(
         config, "ookg", QkvTrainConfig, seed=stream_seed(config["seed"], "calibration")
     )
     store = _load_store(config)
-    alignments = read_alignments(_input_path(
-        config, "calibration_alignments", "alignments.jsonl", "calibration alignments",
-        "build-benchmark",
-    ), store)
+    alignments = _input_alignments(config, "calibration_alignments", store)
     encoder = _load_encoder(config)
     out = _out_dir(config)
     indices = build_store_indices(encoder, store)
 
-    with np.errstate(**_RAISE_FLOAT_ERRORS):
-        params, trace = train_qkv(
-            alignments, encoder, indices, train_config, config["with_context"]
-        )
-    save_qkv_params(params, out / "qkv.params", header=artifact_header(config))
-    write_jsonl(out / "qkv.trace.jsonl", trace, header=artifact_header(config))
+    params, trace = train_qkv(alignments, encoder, indices, train_config, config["with_context"])
+    save_qkv_params(params, out / "qkv.params", header=header)
+    write_jsonl(out / "qkv.trace.jsonl", trace, header=header)
 
     if train_config.calibrate_thresholds:
         thresholds, grid_meta = calibrate_all_thresholds(
@@ -503,8 +487,7 @@ def cmd_train_ookg(config: dict, args) -> int:
     else:
         thresholds = OokgThresholds(attention=train_config.attention_threshold)
         grid_meta = {"grid_size": train_config.grid_size, "calibrated": False}
-    write_jsonl(out / "thresholds.jsonl", [thresholds_record(thresholds, grid_meta)],
-                header=artifact_header(config))
+    write_jsonl(out / "thresholds.jsonl", [thresholds_record(thresholds, grid_meta)], header=header)
     print(f"final loss {trace[-1]['mean_loss']:.6f}")
     return 0
 
@@ -514,7 +497,7 @@ def _index_store(config: dict, store):
     alignments and every split file present, or the whole KG under ``large``."""
     if config["store_variant"] == "large":
         return store
-    referenced = _train_alignments(config, store)
+    referenced = _input_alignments(config, "train_alignments", store)
     for facet in FACETS:  # the benchmark covers the test facets too
         split_path = Path(config["out_dir"]) / f"split-{facet}.jsonl"
         if split_path.exists():
@@ -522,11 +505,11 @@ def _index_store(config: dict, store):
     return restrict_to_benchmark(store, referenced)
 
 
-def cmd_index(config: dict, args) -> int:
+def cmd_index(config: dict, args, header: dict) -> int:
     store = _index_store(config, _load_store(config))
     encoder = _load_encoder(config)
     out = _out_dir(config)
-    meta = {**artifact_header(config), "inputs_sha256": _inputs_digest(config, encoder)}
+    meta = {**header, "inputs_sha256": _inputs_digest(config, encoder)}
     entity_index, predicate_index = build_store_indices(encoder, store)
     for index, name in ((entity_index, "entities"), (predicate_index, "predicates")):
         save_index(index, out / f"{name}.flix")
@@ -535,7 +518,7 @@ def cmd_index(config: dict, args) -> int:
     return 0
 
 
-def cmd_link(config: dict, args) -> int:
+def cmd_link(config: dict, args, header: dict) -> int:
     store = _index_store(config, _load_store(config))
     encoder = _load_encoder(config)
     (oie_path,) = _require_paths(config, "link_oie")
@@ -559,28 +542,21 @@ def cmd_link(config: dict, args) -> int:
         }
         for (sentence_id, triple), result in zip(triples, results)
     )
-    write_jsonl(out / "links.jsonl", records, header=artifact_header(config))
+    write_jsonl(out / "links.jsonl", records, header=header)
     print(f"linked {sum(len(v) for v in oies.values())} OIE triples at k={k}")
     return 0
 
 
-def _facet_alignments(config: dict, facet: str, store):
-    return read_alignments(_input_path(
-        config, "facet_alignments", f"split-{facet}.jsonl", "split file",
-        "build-benchmark or split",
-    ), store)
-
-
-def cmd_evaluate(config: dict, args) -> int:
+def cmd_evaluate(config: dict, args, header: dict) -> int:
     if args.rerank_k is not None and not args.use_reranker:
         raise UsageError("--rerank-k needs --use-reranker")
     if args.use_reranker and args.linker != "preranker":
         raise UsageError(f"--use-reranker needs the preranker linker, not {args.linker!r}")
     store = _load_store(config)
-    test = _facet_alignments(config, args.facet, store)
+    test = _input_alignments(config, "facet_alignments", store, args.facet)
     if not test:
         raise DataError(f"facet {args.facet!r} is empty")
-    train = _train_alignments(config, store)
+    train = _input_alignments(config, "train_alignments", store)
     eval_store, store_tag = _store_variant(config, store, train + test)
     with_context = config["with_context"]
 
@@ -594,9 +570,7 @@ def cmd_evaluate(config: dict, args) -> int:
         k = 1
         if args.use_reranker:
             k = config["rerank_k"]
-            scorer = load_cross_params(_input_path(
-                config, "reranker_params", "reranker.params", "reranker params", "train-reranker"
-            ), encoder.dim)
+            scorer = load_cross_params(_input_path(config, "reranker_params"), encoder.dim)
             log.info("reranking %d candidates per OIE", k**3)
         triples = [alignment.oie for alignment in test]
         results = dict(zip(triples, link(encoder, *indices, triples, k, with_context)))
@@ -615,15 +589,15 @@ def cmd_evaluate(config: dict, args) -> int:
     report = evaluate_linker(linker, test, split=args.facet, store=store_tag)
     out = _out_dir(config)
     suffix = f"{args.facet}-{store_tag.lower()}"
-    write_jsonl(out / f"report-{suffix}.jsonl", report_records(report), header=artifact_header(config))
+    write_jsonl(out / f"report-{suffix}.jsonl", report_records(report), header=header)
     print(format_table(report))
     return 0
 
 
-def cmd_detect(config: dict, args) -> int:
+def cmd_detect(config: dict, args, header: dict) -> int:
     store = _load_store(config)
     facet = args.facet or "out-of-kg"
-    test = _facet_alignments(config, facet, store)
+    test = _input_alignments(config, "facet_alignments", store, facet)
     if not test:
         raise DataError(f"facet {facet!r} is empty")
     encoder = _load_encoder(config)
@@ -643,8 +617,7 @@ def cmd_detect(config: dict, args) -> int:
     elif name == "entropy":
         detector = EntropyDetector(thresholds)
     elif name == "qkv":
-        path = _input_path(config, "qkv_params", "qkv.params", "qkv params", "train-ookg")
-        params = load_qkv_params(path, encoder.dim)
+        params = load_qkv_params(_input_path(config, "qkv_params"), encoder.dim)
         detector = QkvDetector(params, thresholds, config.get("qkv_key_pool", 64))
     elif name == "random":
         detector = RandomDetector(seed=stream_seed(config["seed"], "detector"))
@@ -655,7 +628,7 @@ def cmd_detect(config: dict, args) -> int:
         detector, test, _store_indices(config, encoder, store), encoder,
         with_context=config["with_context"], collect_records=True,
     )
-    write_jsonl(out / f"detection-{name}.jsonl", report.records, header=artifact_header(config))
+    write_jsonl(out / f"detection-{name}.jsonl", report.records, header=header)
     slots = " ".join(
         f"{label}={value:.3f}"
         for label, value in zip(("subject", "relation", "object"), report.slot_accuracy)
@@ -731,7 +704,10 @@ def main(argv: list[str] | None = None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
         )
         config = _fold_flags(load_config(args.config, args.set, args.out_dir, args.seed), args)
-        return COMMANDS[args.command](config, args)
+        header = artifact_header(config)
+        # a stage stops at its first overflow (exit 3) and writes no inf or NaN
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return COMMANDS[args.command](config, args, header)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -377,14 +377,13 @@ class OokgDetector(Protocol):
     """Per-slot decision given the slot's query embedding, the index of the
     matching kind and the scenario's ranked (id, score) list over it: its
     ``depth`` best rows, or None when ``depth`` is None (no scoring at
-    all). ``gold_id`` identifies the slot's reference entry so oracle-style
-    instrumentation is expressible; real detectors ignore it."""
+    all)."""
 
     depth: int | None
 
     def decide(
         self, query: np.ndarray, index: EmbeddingIndex, ranked: list[tuple[str, float]] | None,
-        slot: int, gold_id: str,
+        slot: int,
     ) -> tuple[Decision, float]: ...
 
 
@@ -403,7 +402,7 @@ class ConfidenceDetector:
     def __init__(self, thresholds: OokgThresholds | None = None):
         self.thresholds = thresholds or OokgThresholds()
 
-    def decide(self, query, index, ranked, slot, gold_id):
+    def decide(self, query, index, ranked, slot):
         top1, _ = _support_statistics(ranked)
         return _threshold_decision(top1, self.thresholds.confidence[slot], "below"), top1
 
@@ -414,7 +413,7 @@ class EntropyDetector:
     def __init__(self, thresholds: OokgThresholds | None = None):
         self.thresholds = thresholds or OokgThresholds()
 
-    def decide(self, query, index, ranked, slot, gold_id):
+    def decide(self, query, index, ranked, slot):
         _, h = _support_statistics(ranked)
         if not ranked:  # out-of-KG even at a threshold of ln TOP_SUPPORT
             return Decision.OUT_OF_KG, h
@@ -438,7 +437,7 @@ class QkvDetector:
     def depth(self) -> int:
         return self.key_pool
 
-    def decide(self, query, index, ranked, slot, gold_id):
+    def decide(self, query, index, ranked, slot):
         if not ranked:  # an empty store variant cannot contain the referent
             return Decision.OUT_OF_KG, 0.0
         keys = index.vectors(i for i, _ in ranked)
@@ -454,7 +453,7 @@ class RandomDetector:
     def __init__(self, seed: int = 0):
         self.rng = np.random.default_rng(seed)
 
-    def decide(self, query, index, ranked, slot, gold_id):
+    def decide(self, query, index, ranked, slot):
         out = bool(self.rng.integers(2))
         return (Decision.OUT_OF_KG if out else Decision.IN_KG), 0.5
 
@@ -465,7 +464,7 @@ class ConstantDetector:
     def __init__(self, decision: Decision):
         self.decision = decision
 
-    def decide(self, query, index, ranked, slot, gold_id):
+    def decide(self, query, index, ranked, slot):
         return self.decision, 1.0 if self.decision is Decision.IN_KG else 0.0
 
 
@@ -543,12 +542,10 @@ def ookg_evaluate(
     for scenario in _SCENARIOS:
         expect_out = scenario == "removed"
         for i, alignment in enumerate(alignments):
-            gold_ids = alignment.fact.ids
             all_correct = True
             for slot in range(3):
                 decision, statistic = detector.decide(
-                    queries[i][slot], indices[slot == 1], ranked[scenario][slot][i], slot,
-                    gold_ids[slot],
+                    queries[i][slot], indices[slot == 1], ranked[scenario][slot][i], slot
                 )
                 correct = (decision is Decision.OUT_OF_KG) == expect_out
                 slot_hits[slot] += correct

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import io
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from factlink import cli
 from factlink.cli import main
 from factlink.io import load_arrays, read_jsonl, save_arrays, write_jsonl
 from factlink.preranker import load_index
@@ -413,6 +415,42 @@ class TestCliContract:
         assert (out / name).read_bytes() == written
 
 
+class TestStageTable:
+    """``cli.INPUTS`` names stages that exist and files that the pipeline writes."""
+
+    def test_each_producer_is_a_stage(self):
+        for key, (_name, _what, producer) in cli.INPUTS.items():
+            assert set(producer.split(" or ")) <= set(cli.COMMANDS), key
+
+    def test_pipeline_writes_each_default_input(self, pipeline):
+        directory, _ = pipeline
+        for name, _what, _producer in cli.INPUTS.values():
+            for facet in cli.FACETS:
+                assert (directory / "out" / name.format(facet=facet)).exists(), name
+
+    def test_parser_offers_each_stage(self):
+        (stages,) = [action.choices for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+        assert set(stages) == set(cli.COMMANDS)
+
+
+class TestFloatPolicy:
+    """``main`` raises on floating-point errors only while its stage runs:
+    perfbench calls it many times in one process."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["evaluate", "--facet", "transductive"], 0),
+        (["--set", "preranker.learning_rate=1e9", "train-preranker"], 3),
+    ], ids=["exits-0", "exits-3"])
+    def test_main_restores_the_float_error_state(self, argv, code, pipeline, tmp_path):
+        directory, config_path = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        before = np.geterr()
+        assert run(config_path, "--out-dir", str(out), *argv) == code
+        assert np.geterr() == before
+
+
 class TestDeterminism:
     def test_stage_rerun_hashes_identical(self, tmp_path):
         world = build_toy_world(seed=9)
@@ -456,6 +494,17 @@ def _claim_huge_first_record(path):
         record, {"descr": "<f8", "fortran_order": False, "shape": (10**6, 10**6)}
     )
     path.write_bytes(header_line + b"\n" + record.getvalue() + bytes(64))
+
+
+def _overflow_qkv(out):
+    """qkv.params whose query and key projections, each scaled by 1e200,
+    overflow the product that scores a key: detection, not training."""
+    path = out / "qkv.params"
+    layout = dict.fromkeys(("q_proj", "k_proj", "v_proj"), "<f8")
+    header, arrays = load_arrays(path, "qkv-attention", layout)
+    for name in ("q_proj", "k_proj"):
+        arrays[name] *= 1e200
+    save_arrays(path, header, arrays)
 
 
 def _widen(name, kind):
@@ -742,6 +791,7 @@ class TestFailureExitCodes:
             3, ["--set", "reranker.learning_rate=1e9", "train-reranker"], None
         ),
         "qkv-diverges": (3, ["--set", "ookg.learning_rate=1e12", "train-ookg"], None),
+        "qkv-overflows-in-detect": (3, ["detect", "--detector", "qkv"], _overflow_qkv),
         "alignment-slot-kind": (
             2, ["train-preranker"],
             _first_alignment("alignments.jsonl", subject_id=_predicate_as_subject),

@@ -617,11 +617,14 @@ class TestEvaluateProtocol:
     def test_oracle_detector_is_perfect(self, calibration_setup):
         store, alignments, encoder = calibration_setup
 
+        # "removed" ranks no alignment's gold entry, "imputed" ranks them all
+        gold = {entry_id for alignment in alignments for entry_id in alignment.fact.ids}
+
         class OracleDetector:
             depth = 10**6  # every row the scenario ranks
 
-            def decide(self, query, index, ranked, slot, gold_id):
-                present = gold_id in {entry_id for entry_id, _ in ranked}
+            def decide(self, query, index, ranked, slot):
+                present = not gold.isdisjoint(entry_id for entry_id, _ in ranked)
                 return (Decision.IN_KG if present else Decision.OUT_OF_KG), float(present)
 
         report = ookg_evaluate(
@@ -682,10 +685,10 @@ class TestEvaluateProtocol:
         thresholds = OokgThresholds(entropy=(max_entropy,) * 3)
         empty = build_index([], IndexKind.ENTITIES)
         query = np.ones(4) / 2
-        assert ConfidenceDetector(thresholds).decide(query, empty, [], 0, "Q1") == (
+        assert ConfidenceDetector(thresholds).decide(query, empty, [], 0) == (
             Decision.OUT_OF_KG, 0.0
         )
-        assert EntropyDetector(thresholds).decide(query, empty, [], 0, "Q1") == (
+        assert EntropyDetector(thresholds).decide(query, empty, [], 0) == (
             Decision.OUT_OF_KG, max_entropy
         )
 
@@ -717,9 +720,7 @@ def reference_decisions(detector, alignments, indices, encoder):
                 index = variant[slot == 1]
                 ranked = (None if detector.depth is None
                           else topk(index, queries[slot][None], detector.depth)[0])
-                decision, statistic = detector.decide(
-                    queries[slot], index, ranked, slot, alignment.fact.ids[slot]
-                )
+                decision, statistic = detector.decide(queries[slot], index, ranked, slot)
                 trials.append((scenario, slot, decision.value, statistic))
     return trials
 
