@@ -1,10 +1,12 @@
-"""Every public function and every public method of the package's classes
-is used: referenced by code elsewhere in ``src/`` or named in the README.
-Functions are collected as perfbench's tracer collects them: from
-``vars(module)``, defined in that module, no leading underscore; methods
-likewise from ``vars(cls)`` of each class the module defines."""
+"""Every public function, every public method of the package's classes and
+every public field of its dataclasses is used: referenced by code elsewhere
+in ``src/`` or named in the README. Functions are collected as perfbench's
+tracer collects them: from ``vars(module)``, defined in that module, no
+leading underscore; methods likewise from ``vars(cls)`` of each class the
+module defines, and fields from ``dataclasses.fields(cls)``."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -33,16 +35,24 @@ def _public(namespace, module_name):
                 yield name
 
 
+def _classes():
+    """(module, class name, class) of each class the package defines."""
+    for info in pkgutil.iter_modules(factlink.__path__):
+        module = importlib.import_module(f"factlink.{info.name}")
+        for cls_name, cls in vars(module).items():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                yield info.name, cls_name, cls
+
+
 def public_definitions():
     """(module, qualified name, name) of each public function and method."""
     for info in pkgutil.iter_modules(factlink.__path__):
         module = importlib.import_module(f"factlink.{info.name}")
         for name in _public(module, module.__name__):
             yield info.name, name, name
-        for cls_name, cls in vars(module).items():
-            if inspect.isclass(cls) and cls.__module__ == module.__name__:
-                for name in _public(cls, module.__name__):
-                    yield info.name, f"{cls_name}.{name}", name
+    for module, cls_name, cls in _classes():
+        for name in _public(cls, f"factlink.{module}"):
+            yield module, f"{cls_name}.{name}", name
 
 
 def _owned_statements(path):
@@ -101,6 +111,21 @@ def test_every_public_method_is_used():
         f"public methods that neither src/ code nor README uses: {unused - UNUSED_METHODS}; "
         f"listed as unused but used: {UNUSED_METHODS - unused}"
     )
+
+
+def test_every_public_dataclass_field_is_read():
+    """A field's own declaration is owned by its class body; a read is any
+    other reference, in a method of the class or elsewhere in ``src/``."""
+    references = code_references()
+    documented = readme_names()
+    unused = {
+        f"{module}.{cls_name}.{field.name}"
+        for module, cls_name, cls in _classes() if dataclasses.is_dataclass(cls)
+        for field in dataclasses.fields(cls)
+        if not field.name.startswith("_")
+        and not references[field.name] - {(module, cls_name)} and field.name not in documented
+    }
+    assert not unused, f"public dataclass fields that neither src/ code nor README reads: {unused}"
 
 
 def test_one_exception_class_per_failing_exit_code():
