@@ -35,7 +35,7 @@ from .evalkit import (
     random_baseline,
     report_records,
 )
-from .io import canonical_json, read_jsonl, reading_artifact, write_jsonl
+from .io import canonical_json, read_jsonl, reading_artifact, unencodable_key, write_jsonl
 from .kg import load_kg, restrict_to_benchmark
 from .ookg import (
     ConfidenceDetector,
@@ -90,7 +90,7 @@ DEFAULT_CONFIG = {
     "augment": True,
     "inductive_mode": "any-entity-unseen",
     "store_variant": "brkg",
-    "encoder": {"dim": 200, "hidden": 64, "buckets": 2**18},
+    "encoder": dataclasses.asdict(EncoderConfig()),
     "preranker": {},
     "reranker": {},
     "ookg": {},
@@ -148,7 +148,8 @@ def load_config(
 ) -> dict:
     """The default config, updated by the file at ``path`` (else
     ``$FACTLINK_CONFIG``), the ``--set`` overrides, then ``out_dir`` and
-    ``seed`` when given; an unknown or ill-kinded top-level key is a usage error."""
+    ``seed`` when given; an unknown or ill-kinded top-level key, or a lone
+    surrogate in one, is a usage error."""
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     path = path or os.environ.get("FACTLINK_CONFIG")
     if path:
@@ -210,6 +211,8 @@ def load_config(
         value = config.get(key)
         if value is not None and (type(value) is not str or not value):
             raise UsageError(f"{key} must be a non-empty path string, got {value!r}")
+    if (key := unencodable_key(config)) is not None:  # config_hash encodes it as UTF-8
+        raise UsageError(f"config key {key!r} holds a lone surrogate")
     return config
 
 
@@ -626,7 +629,7 @@ def cmd_detect(config: dict, args, header: dict) -> int:
 
     report = ookg_evaluate(
         detector, test, _store_indices(config, encoder, store), encoder,
-        with_context=config["with_context"], collect_records=True,
+        with_context=config["with_context"],
     )
     write_jsonl(out / f"detection-{name}.jsonl", report.records, header=header)
     slots = " ".join(

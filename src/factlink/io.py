@@ -28,6 +28,17 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
+def unencodable_key(mapping: dict) -> str | None:
+    """The first key of ``mapping`` whose name or value holds a lone
+    surrogate (UTF-8 cannot encode it; a JSON ``\\u`` escape spells it), else None."""
+    for key, value in mapping.items():
+        try:
+            canonical_json({key: value}).encode("utf-8")
+        except UnicodeEncodeError:
+            return key
+    return None
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None = None) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -40,7 +51,8 @@ def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None =
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) pairs, skipping a leading header record.
-    Each stripped line must hold one JSON object."""
+    Each stripped line must hold one JSON object; one with a ``\\u`` escape
+    (a backslash pretest is faster) is also checked for a lone surrogate."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -57,6 +69,8 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                     raise DataError(f"invalid JSON: {exc}", line_number) from exc
             if not isinstance(record, dict):
                 raise DataError("record is not an object", line_number)
+            if "\\" in line and "\\u" in line and (key := unencodable_key(record)) is not None:
+                raise DataError(f"field {key!r} holds a lone surrogate", line_number)
             if line_number == 1 and HEADER_KEY in record:
                 continue
             yield line_number, record

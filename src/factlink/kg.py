@@ -98,9 +98,6 @@ class KgStore:
     def predicate_ids(self) -> list[str]:
         return [e.id for e in self.entries.values() if e.kind is EntryKind.PREDICATE]
 
-    def __contains__(self, entry_id: str) -> bool:
-        return entry_id in self.entries
-
 
 _FACT_KINDS = (EntryKind.ENTITY, EntryKind.PREDICATE, EntryKind.ENTITY)
 

@@ -15,7 +15,7 @@ from .corpus import Alignment, alignment_uid
 from .encoder import ReferenceEncoder
 from .errors import DataError, require_finite
 from .io import load_arrays, reading_artifact, save_arrays
-from .preranker import EmbeddingIndex
+from .preranker import EmbeddingIndex, check_indexed
 from .reranker import _sigmoid, bce_grad, bce_loss
 
 TOP_SUPPORT = 5  # fixed support for the confidence and entropy heuristics
@@ -218,7 +218,7 @@ def train_qkv(
     with the configured probability (label 0) or kept (label 1), the
     remainder filled with uniformly drawn other rows. Keys are index rows
     cast to float64, as ``QkvDetector`` reads them; a gold id missing from
-    its kind's index is a DataError.
+    its kind's index is a DataError, raised before any work.
 
     The epoch's stream of (alignment, slot) examples is cut every
     ``QKV_STEP`` examples, across alignments; the last step may be short.
@@ -227,6 +227,7 @@ def train_qkv(
     """
     if not alignments:
         raise DataError("no calibration alignments")
+    check_indexed(alignments, indices)
 
     params = QkvParams.identity(encoder.dim)
     rng = np.random.default_rng(config.seed)
@@ -421,21 +422,13 @@ class EntropyDetector:
 
 
 class QkvDetector:
-    """Attends over the top-``key_pool`` pre-ranked entries of the index."""
+    """Attends over the top-``depth`` pre-ranked entries of the index."""
 
-    def __init__(
-        self,
-        params: QkvParams,
-        thresholds: OokgThresholds | None = None,
-        key_pool: int = 64,
-    ):
+    def __init__(self, params: QkvParams, thresholds: OokgThresholds | None = None,
+                 depth: int = 64):
         self.params = params
         self.thresholds = thresholds or OokgThresholds()
-        self.key_pool = key_pool
-
-    @property
-    def depth(self) -> int:
-        return self.key_pool
+        self.depth = depth
 
     def decide(self, query, index, ranked, slot):
         if not ranked:  # an empty store variant cannot contain the referent
@@ -475,7 +468,7 @@ class OokgReport:
     slot_accuracy: tuple[float, float, float]
     fact_accuracy: float
     trials_per_scenario: int
-    records: list[dict] = field(default_factory=list, repr=False)
+    records: list[dict] = field(repr=False)  # one per slot decision
 
 
 _SCENARIOS = ("imputed", "removed")  # a hit is an in-KG, then an out-of-KG decision
@@ -499,9 +492,7 @@ def _scenario_rankings(
     """
     if not alignments:
         raise DataError("no alignments to evaluate")
-    for alignment in alignments:  # each slot against its own kind's index
-        for slot, entry_id in enumerate(alignment.fact.ids):
-            indices[slot == 1].row(entry_id)
+    check_indexed(alignments, indices)
     gold = {entry_id for alignment in alignments for entry_id in alignment.fact.ids}
     queries = encoder.slot_embeds([alignment.oie for alignment in alignments], with_context)
     n = len(alignments)
@@ -523,7 +514,6 @@ def ookg_evaluate(
     indices: tuple[EmbeddingIndex, EmbeddingIndex],
     encoder: ReferenceEncoder,
     with_context: bool = False,
-    collect_records: bool = False,
 ) -> OokgReport:
     """Run the paired imputed/removed protocol.
 
@@ -550,16 +540,15 @@ def ookg_evaluate(
                 correct = (decision is Decision.OUT_OF_KG) == expect_out
                 slot_hits[slot] += correct
                 all_correct &= correct
-                if collect_records:
-                    records.append(
-                        {
-                            "alignment_id": alignment_uid(alignment),
-                            "slot": ("subject", "relation", "object")[slot],
-                            "scenario": scenario,
-                            "decision": decision.value,
-                            "statistic": statistic,
-                        }
-                    )
+                records.append(
+                    {
+                        "alignment_id": alignment_uid(alignment),
+                        "slot": ("subject", "relation", "object")[slot],
+                        "scenario": scenario,
+                        "decision": decision.value,
+                        "statistic": statistic,
+                    }
+                )
             fact_hits += all_correct
 
     n_trials = 2 * len(alignments)

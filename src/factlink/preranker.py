@@ -64,9 +64,6 @@ class EmbeddingIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, entry_id: str) -> bool:
-        return entry_id in self._row_index
-
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[1])
@@ -123,6 +120,15 @@ class EmbeddingIndex:
             top = keep[top]
         order = np.lexsort((self._id_rank[top], -scores[top]))
         return top[order[:k]]
+
+
+def check_indexed(
+    alignments: Sequence[Alignment], indices: tuple[EmbeddingIndex, EmbeddingIndex]
+) -> None:
+    """DataError for the first fact id, in input order, not in its slot kind's index."""
+    for alignment in alignments:
+        for slot, entry_id in enumerate(alignment.fact.ids):
+            indices[slot == 1].row(entry_id)
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -396,21 +402,16 @@ def train_preranker(
             batch_facts = [alignments[i].fact for i in batch]
 
             # candidate pools per slot: in-batch entries of the same slot
-            # plus one global sample per kind, deduplicated by id
+            # plus one global sample of the slot's kind, deduplicated by id
             global_entities = sample_negatives(entity_ids, config.global_neg_entities, rng)
             global_predicates = sample_negatives(
                 predicate_ids, config.global_neg_predicates, rng
             )
-            subj_pool = list(
-                dict.fromkeys([f.subject_id for f in batch_facts] + global_entities)
-            )
-            obj_pool = list(
-                dict.fromkeys([f.object_id for f in batch_facts] + global_entities)
-            )
-            pred_pool = list(
-                dict.fromkeys([f.predicate_id for f in batch_facts] + global_predicates)
-            )
-            all_ids = list(dict.fromkeys(subj_pool + obj_pool + pred_pool))
+            positives = list(zip(*(f.ids for f in batch_facts)))
+            negatives = (global_entities, global_predicates, global_entities)
+            pools = [list(dict.fromkeys([*p, *n])) for p, n in zip(positives, negatives)]
+            # subject, object, then predicate pool: the forward's entry row order
+            all_ids = list(dict.fromkeys(pools[0] + pools[2] + pools[1]))
             row_of = {eid: j for j, eid in enumerate(all_ids)}
 
             # --- forward: the serving encoder's forward over the whole batch
@@ -424,15 +425,11 @@ def train_preranker(
             d_tau_total = 0.0
             terms = 3 * b
 
-            for slot_block, pool, positives in (
-                (0, subj_pool, [f.subject_id for f in batch_facts]),
-                (1, pred_pool, [f.predicate_id for f in batch_facts]),
-                (2, obj_pool, [f.object_id for f in batch_facts]),
-            ):
-                rows = slot_block * b + np.arange(b)
+            for slot, (pool, slot_positives) in enumerate(zip(pools, positives)):
+                rows = slot * b + np.arange(b)
                 pool_rows = np.array([row_of[eid] for eid in pool])
                 pool_index = {eid: j for j, eid in enumerate(pool)}
-                pos_cols = np.array([pool_index[eid] for eid in positives])
+                pos_cols = np.array([pool_index[eid] for eid in slot_positives])
                 queries = o_hat[rows]
                 keys = k_hat[pool_rows]
                 sims = queries @ keys.T  # (b, |pool|)

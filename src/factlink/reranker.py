@@ -21,41 +21,25 @@ from .encoder import ReferenceEncoder
 from .errors import DataError, require_finite
 from .io import load_arrays, reading_artifact, save_arrays, write_jsonl
 from .kg import KgFact
-from .preranker import EmbeddingIndex, SlotLinkResult
+from .preranker import EmbeddingIndex, SlotLinkResult, check_indexed
 
 N_SLOT_EXTRAS = 3  # cosine, squared cosine, bias per slot pair
 _TRAIN_CHUNK = 16  # alignments per feature build in train_reranker
 
 
-@dataclass(frozen=True)
-class CandidateFact:
-    """A fact assembled from per-slot candidate lists, with the rank each
-    id held in its list."""
-
-    subject_id: str
-    predicate_id: str
-    object_id: str
-    subject_rank: int
-    predicate_rank: int
-    object_rank: int
-
-    @property
-    def ids(self) -> tuple[str, str, str]:
-        return (self.subject_id, self.predicate_id, self.object_id)
+class CandidateFact(KgFact):
+    """A fact assembled from the per-slot candidate lists."""
 
     def to_fact(self) -> KgFact:
-        return KgFact(self.subject_id, self.predicate_id, self.object_id)
+        """The plain fact, which a candidate never equals (dataclass ``==`` compares classes)."""
+        return KgFact(*self.ids)
 
 
 def enumerate_candidates(result: SlotLinkResult) -> list[CandidateFact]:
     """Full cartesian product of the three slot lists in rank-lexicographic
     order (subject rank major)."""
-    return [
-        CandidateFact(s_id, p_id, o_id, s_rank, p_rank, o_rank)
-        for (s_rank, (s_id, _)), (p_rank, (p_id, _)), (o_rank, (o_id, _)) in product(
-            enumerate(result.subject), enumerate(result.relation), enumerate(result.object)
-        )
-    ]
+    slots = (result.subject, result.relation, result.object)
+    return [CandidateFact(*ids) for ids in product(*([i for i, _ in ranked] for ranked in slots))]
 
 
 @dataclass
@@ -220,9 +204,7 @@ def train_reranker(
     """
     if not alignments:
         raise DataError("no training alignments")
-    for alignment in alignments:
-        for slot, entry_id in enumerate(alignment.fact.ids):
-            indices[slot == 1].row(entry_id)
+    check_indexed(alignments, indices)
 
     params = init_cross_params(encoder.dim, config.seed)
     rng = np.random.default_rng(config.seed)

@@ -861,6 +861,11 @@ class TestFailureExitCodes:
             2, ["--set", "kg_entries={out}/kg_entries.jsonl", "build-benchmark"],
             _kg_entry_with(description=5),
         ),
+        "surrogate-in-config": (1, ["--set", 'link_oie="\\ud800"', "build-benchmark"], None),
+        "surrogate-in-kg-entry": (
+            2, ["--set", "kg_entries={out}/kg_entries.jsonl", "train-preranker"],
+            _kg_entry_with(description="\ud800"),
+        ),
         "kg-entry-label-marker": (
             2, ["--set", "kg_entries={out}/kg_entries.jsonl", "build-benchmark"],
             _kg_entry_with(label="Bad <SUBJ> label"),
@@ -979,6 +984,9 @@ class TestFailureExitCodes:
             assert re.search(r"line \d: (sentence must be a string or null|OIE subject)", err)
         if case.endswith("-marker"):
             assert re.search(r"line \d: (entry Q2 label|OIE subject) contains reserved token", err)
+        if case.startswith("surrogate-"):
+            field = "config key 'link_oie'" if code == 1 else "line 2: field 'description'"
+            assert f"{field} holds a lone surrogate" in err
         if case.startswith("path-"):
             assert "must be a non-empty path string" in err
         if case == "resume-encoder-mismatch":

@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 
 import pytest
@@ -430,7 +431,8 @@ RECORD_KINDS = {
          ("label", "Bad <SUBJ> label",
           "entry Q2 label contains reserved token '<SUBJ>': 'Bad <SUBJ> label'"),
          ("description", 5, "entry description must be a string or null, got 5"),
-         ("aliases", "Bob", "entry aliases must be a list of strings, got 'Bob'")],
+         ("aliases", "Bob", "entry aliases must be a list of strings, got 'Bob'"),
+         ("description", "\ud800", "field 'description' holds a lone surrogate")],
     ),
     "fact": (
         _read_facts,
@@ -446,6 +448,7 @@ RECORD_KINDS = {
          ("relation", ["r"], "OIE relation must be a string, got ['r']"),
          ("object", 5, "OIE object must be a string, got 5"),
          ("subject", "x <REL> y", "OIE subject contains reserved token '<REL>': 'x <REL> y'"),
+         ("relation", "\ud800", "field 'relation' holds a lone surrogate"),
          ("sentence", ["A r B."], "sentence must be a string or null, got ['A r B.']"),
          ("extractor", ["x"], "extractor must be a string or null, got ['x']")],
     ),
@@ -489,10 +492,11 @@ def _message_cases():
 
 
 def _write_records(path, kind, second):
-    """A two-line file of ``kind``: a valid record, then ``second``."""
+    """A two-line file of ``kind``: a valid record, then ``second``, with
+    non-ASCII text as JSON escapes (a lone surrogate has no UTF-8 form)."""
     valid = RECORD_KINDS[kind][1]
     first = {**valid, "id": "Q1", "label": "Ann", "aliases": []} if kind == "entry" else valid
-    write_jsonl(path, [first, second])
+    path.write_text("".join(json.dumps(record) + "\n" for record in (first, second)), "utf-8")
 
 
 class TestRecordMessages:

@@ -502,6 +502,25 @@ class TestTrainQkv:
         with pytest.raises(DataError, match=re.escape(f"id {gold!r} not in index")):
             train_qkv(alignments[:1], encoder, (entity_index, entity_index), config)
 
+    def test_gold_missing_from_its_index_rejected_before_embedding(
+        self, calibration_setup, monkeypatch
+    ):
+        store, alignments, encoder = calibration_setup
+        indices = build_store_indices(encoder, store)
+        last = alignments[-1]
+        wrong_kind = dataclasses.replace(
+            last, fact=KgFact(last.fact.predicate_id, *last.fact.ids[1:])
+        )
+
+        def embed(*args):
+            raise AssertionError("train_qkv embedded a query before checking its gold ids")
+
+        monkeypatch.setattr(encoder, "slot_embeds", embed)
+        config = QkvTrainConfig(epochs=1, learning_rate=0.05, subset_size=4, seed=0)
+        gold = wrong_kind.fact.subject_id
+        with pytest.raises(DataError, match=re.escape(f"id {gold!r} not in index")):
+            train_qkv([*alignments[:-1], wrong_kind], encoder, indices, config)
+
     def test_gold_always_kept_single_key_reduces_to_identity_case(self, calibration_setup):
         store, alignments, encoder = calibration_setup
         gold = store.entry(alignments[0].fact.subject_id)
@@ -522,7 +541,7 @@ class TestTrainQkv:
         params, _ = train_qkv(train, encoder, build_store_indices(encoder, store), config)
         from factlink.ookg import QkvDetector
 
-        detector = QkvDetector(params, OokgThresholds(attention=0.5), key_pool=12)
+        detector = QkvDetector(params, OokgThresholds(attention=0.5), depth=12)
         report = ookg_evaluate(
             detector, held_out, build_store_indices(encoder, store), encoder
         )
@@ -646,8 +665,7 @@ class TestEvaluateProtocol:
     def test_records_schema(self, calibration_setup):
         store, alignments, encoder = calibration_setup
         report = ookg_evaluate(
-            EntropyDetector(), alignments[:3], build_store_indices(encoder, store), encoder,
-            collect_records=True,
+            EntropyDetector(), alignments[:3], build_store_indices(encoder, store), encoder
         )
         assert len(report.records) == 2 * 3 * 3
         record = report.records[0]
@@ -739,7 +757,7 @@ def reference_calibration(alignments, indices, encoder, grid_size):
                 if sims:
                     probs = topk_softmax(sims)
                     top1, h = probs.max(), entropy(probs)
-                samples[slot].append((top1, h, gold_id not in index))
+                samples[slot].append((top1, h, gold_id not in index.ids))
     confidence, entropies, ranges = [], [], {}
     for slot, slot_samples in enumerate(samples):
         top1, h, is_out = (np.array(column) for column in zip(*slot_samples))
@@ -776,7 +794,7 @@ class TestRankedScenarios:
     ], ids=["confidence", "entropy", "qkv", "random", "always-in"])
     def test_decisions_match_the_row_subset_protocol(self, world, make):
         batch, indices, encoder = world
-        report = ookg_evaluate(make(encoder.dim), batch, indices, encoder, collect_records=True)
+        report = ookg_evaluate(make(encoder.dim), batch, indices, encoder)
         expected = reference_decisions(make(encoder.dim), batch, indices, encoder)
         got = [(r["scenario"], ("subject", "relation", "object").index(r["slot"]),
                 r["decision"], r["statistic"]) for r in report.records]

@@ -64,8 +64,8 @@ class TestEnumerateCandidates:
 
     def test_rank_lexicographic_order(self):
         candidates = enumerate_candidates(slot_result(2))
-        ranks = [(c.subject_rank, c.predicate_rank, c.object_rank) for c in candidates]
-        assert ranks == sorted(ranks)
+        ids = [c.ids for c in candidates]  # each slot's ids sort as its ranks
+        assert ids == sorted(ids)
 
     def test_size_is_product_of_lengths(self):
         result = SlotLinkResult(
@@ -144,7 +144,7 @@ def fact_score(params, encoder, indices, triple, fact):
 
 def rerank_scores(params, encoder, indices, triple, facts):
     """``rerank``'s score of each fact, in order."""
-    candidates = [CandidateFact(*fact.ids, 0, 0, 0) for fact in facts]
+    candidates = [CandidateFact(*fact.ids) for fact in facts]
     return rerank(params, encoder, indices, triple, candidates)[1]
 
 

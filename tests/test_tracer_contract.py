@@ -114,7 +114,7 @@ def test_split_hook_reads_the_kind_value_and_sample_count():
 def test_rerank_and_evaluate_hooks_compare_facts():
     """The rerank hook collects ``CandidateFact.to_fact()``; the evaluate
     hook looks each ``Alignment.fact`` up among them."""
-    candidate = reranker.CandidateFact("Q1", "P1", "Q2", 0, 0, 0)
+    candidate = reranker.CandidateFact("Q1", "P1", "Q2")
     alignment = corpus.Alignment(corpus.OieTriple("Ann", "knows", "Bob"),
                                  kg.KgFact("Q1", "P1", "Q2"))
     assert alignment.fact in {candidate.to_fact()}
