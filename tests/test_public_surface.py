@@ -131,11 +131,6 @@ def test_every_public_dataclass_field_is_read():
 def test_one_exception_class_per_failing_exit_code():
     """The package defines exactly the three failures the CLI maps to exit
     codes: cli.UsageError (1), errors.DataError (2), errors.NumericError (3)."""
-    defined = set()
-    for info in pkgutil.iter_modules(factlink.__path__):
-        module = importlib.import_module(f"factlink.{info.name}")
-        for name, cls in vars(module).items():
-            if inspect.isclass(cls) and issubclass(cls, BaseException):
-                if cls.__module__ == module.__name__:
-                    defined.add(f"{info.name}.{name}")
+    defined = {f"{module}.{name}" for module, name, cls in _classes()
+               if issubclass(cls, BaseException)}
     assert defined == {"cli.UsageError", "errors.DataError", "errors.NumericError"}
