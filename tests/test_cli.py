@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -13,8 +14,11 @@ import pytest
 
 from factlink import cli
 from factlink.cli import main
+from factlink.encoder import EncoderConfig
 from factlink.io import load_arrays, read_jsonl, save_arrays, write_jsonl
-from factlink.preranker import load_index
+from factlink.ookg import QkvTrainConfig
+from factlink.preranker import PrerankTrainConfig, load_index
+from factlink.reranker import RerankTrainConfig
 from toyworld import build_toy_world, write_input_files
 
 
@@ -999,3 +1003,130 @@ class TestFailureExitCodes:
         if case.startswith(("thresholds-", "config-file")) and case != "thresholds-int":
             assert str(out) in err
         assert {p.name: file_hash(p) for p in out.glob("*.params")} == before
+
+
+# ---------------------------------------------------------------------------
+# Contract fuzz: seeded config values and byte edits of the pipeline's files
+
+FUZZ_SEED = 29
+FUZZ_VALUES = ("x", 0, -1, "", [], {}, None, 10**15)
+# a legitimate endless run at the huge value: every epoch or k^3 candidate runs
+FUZZ_ENDLESS_AT_HUGE = frozenset({"epochs", "rerank_k"})
+POLYSEMOUS_RERANKED = ["evaluate", "--facet", "polysemous", "--use-reranker"]
+FUZZ_SECTIONS = {
+    "encoder": (EncoderConfig, ["train-preranker"]),
+    "preranker": (PrerankTrainConfig, ["train-preranker"]),
+    "reranker": (RerankTrainConfig, ["train-reranker"]),
+    "ookg": (QkvTrainConfig, ["train-ookg"]),
+}
+# a top-level key runs the stage that reads it, else build-benchmark
+FUZZ_STAGES = {
+    "link_k": ["link"], "link_oie": ["link"], "with_context": ["link"],
+    "store_variant": ["evaluate", "--facet", "transductive"],
+    "facet_alignments": ["evaluate", "--facet", "transductive"],
+    "rerank_k": POLYSEMOUS_RERANKED, "reranker_params": POLYSEMOUS_RERANKED,
+    "detector": ["detect"], "thresholds": ["detect"],
+    "qkv_key_pool": ["detect", "--detector", "qkv"], "qkv_params": ["detect", "--detector", "qkv"],
+    "preranker_params": ["index"], "train_alignments": ["train-reranker"],
+    "calibration_alignments": ["train-ookg"],
+}
+# each edited file and the stage that reads it; the KG files are fixture inputs
+FUZZ_FILES = {
+    "kg_entries.jsonl": ["build-benchmark"], "kg_facts.jsonl": ["build-benchmark"],
+    "split-transductive.jsonl": ["evaluate", "--facet", "transductive"],
+    "thresholds.jsonl": ["detect"], "preranker.params": ["index"],
+    "reranker.params": POLYSEMOUS_RERANKED, "qkv.params": ["detect", "--detector", "qkv"],
+    "entities.flix": ["link"],
+}
+FUZZ_EDITS = ("truncate", "xor", "extend")
+
+
+def _fuzz_config_cases():
+    """(key, value) for every fuzzed top-level and section key and value;
+    ``out_dir`` is left out, because ``--out-dir`` overrides it."""
+    keys = sorted(cli.KNOWN_KEYS - set(FUZZ_SECTIONS) - {"out_dir"})
+    keys += [f"{section}.{f.name}" for section, (cls, _) in FUZZ_SECTIONS.items()
+             for f in dataclasses.fields(cls)]
+    return [(key, value) for key in keys for value in FUZZ_VALUES
+            if not (value == 10**15 and key.split(".")[-1] in FUZZ_ENDLESS_AT_HUGE)]
+
+
+def _fuzz_byte_cases(draws=4):
+    """(file, edit, draw) for every fuzzed file and edit; a draw seeds the offset."""
+    return [(name, edit, draw) for name in FUZZ_FILES for edit in FUZZ_EDITS
+            for draw in range(draws)]
+
+
+def _fuzz_sample(cases, size, always):
+    """``always`` plus ``size`` seeded picks of the other ``cases``, in case order."""
+    rest = [case for case in cases if case not in always]
+    chosen = np.random.default_rng(FUZZ_SEED).choice(len(rest), size=size, replace=False)
+    return [*always, *(rest[i] for i in sorted(chosen))]
+
+
+def _edit_bytes(data, edit, rng):
+    """``data`` truncated at, XOR-ed with 0xFF at, or extended by eight bytes
+    at one seeded offset."""
+    offset = int(rng.integers(len(data)))
+    if edit == "truncate":
+        return data[:offset]
+    if edit == "xor":
+        return data[:offset] + bytes([data[offset] ^ 0xFF]) + data[offset + 1:]
+    return data[:offset] + rng.bytes(8) + data[offset:]
+
+
+class TestContractFuzz:
+    """Every fuzzed case exits 0-3; a nonzero exit prints one stderr line
+    and no traceback; no case changes the bytes of the files it reads. A
+    byte that is not UTF-8 and an allocation past the address space are
+    always among the cases."""
+
+    CONFIG_CASES = _fuzz_sample(
+        _fuzz_config_cases(), 46,
+        always=[("encoder.dim", 10**15), ("reranker.negatives_per_positive", 10**15)],
+    )
+    BYTE_CASES = _fuzz_sample(
+        _fuzz_byte_cases(), 30, always=[("kg_entries.jsonl", "xor", 0),
+                                        ("thresholds.jsonl", "xor", 0)],
+    )
+
+    def _run(self, argv, out, inputs, capsys):
+        before = {path: file_hash(path) for path in inputs}
+        capsys.readouterr()
+        code = main(["--out-dir", str(out), *argv])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2, 3), captured.err
+        if code:
+            assert len(captured.err.strip().splitlines()) == 1, captured.err
+            assert "Traceback" not in captured.err
+        assert {path: file_hash(path) for path in inputs} == before
+
+    @pytest.mark.parametrize("key,value", CONFIG_CASES,
+                             ids=[f"{key}={value!r}" for key, value in CONFIG_CASES])
+    def test_config_value(self, key, value, pipeline, tmp_path, monkeypatch, capsys):
+        directory, config_path = pipeline
+        monkeypatch.chdir(tmp_path)  # a relative path value resolves here
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        section = key.split(".")[0]
+        stage = FUZZ_SECTIONS[section][1] if section in FUZZ_SECTIONS else FUZZ_STAGES.get(
+            key, ["build-benchmark"])
+        inputs = [config_path, *directory.glob("*.jsonl")]
+        self._run(["--config", str(config_path), "--set", f"{key}={json.dumps(value)}", *stage],
+                  out, inputs, capsys)
+
+    @pytest.mark.parametrize("name,edit,draw", BYTE_CASES,
+                             ids=[f"{name}-{edit}-{draw}" for name, edit, draw in BYTE_CASES])
+    def test_byte_edit(self, name, edit, draw, pipeline, tmp_path, capsys):
+        directory, config_path = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        argv = ["--config", str(config_path)]
+        path = out / name
+        if not path.exists():  # a fixture input, read through its config key
+            shutil.copy(directory / name, path)
+            argv += ["--set", f"{path.stem}={path}"]
+        rng = np.random.default_rng([FUZZ_SEED, list(FUZZ_FILES).index(name),
+                                     FUZZ_EDITS.index(edit), draw])
+        path.write_bytes(_edit_bytes(path.read_bytes(), edit, rng))
+        self._run([*argv, *FUZZ_FILES[name]], out, [path], capsys)
