@@ -720,6 +720,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size taken from the config or an input; its text may be empty
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ pre-ranker's trainer and ``ReferenceEncoder`` both call it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import hashlib
 from pathlib import Path
 from typing import Sequence
@@ -163,15 +163,7 @@ class ReferenceEncoderParams:
         return rows
 
     def copy(self) -> "ReferenceEncoderParams":
-        return ReferenceEncoderParams(
-            buckets=self.buckets,
-            hidden=self.hidden,
-            table_ids=self.table_ids.copy(),
-            feature_table=self.feature_table.copy(),
-            slot_projection=self.slot_projection.copy(),
-            entry_projection=self.entry_projection.copy(),
-            rng_seed=self.rng_seed,
-        )
+        return replace(self, **{name: getattr(self, name).copy() for name in _PARAM_ARRAYS})
 
 
 def init_params(config: EncoderConfig, seed: int) -> ReferenceEncoderParams:

@@ -36,6 +36,8 @@ class EvalReport:
     sem: Mapping[str, float]
 
     def __post_init__(self):
+        if self.n == 0:
+            raise DataError("empty report")
         missing = set(METRICS) - set(self.accuracy)
         if missing:
             raise ValueError(f"report missing metrics {sorted(missing)}")
@@ -132,8 +134,6 @@ def random_baseline(store: KgStore, seed: int = 0) -> Linker:
 
 def report_records(report: EvalReport) -> list[dict]:
     """Full-precision one-record-per-metric form."""
-    if report.n == 0:
-        raise DataError("empty report")
     return [
         {
             "split": report.split,
@@ -149,8 +149,6 @@ def report_records(report: EvalReport) -> list[dict]:
 
 def format_table(report: EvalReport) -> str:
     """Fixed-column table: accuracies as percentages at one decimal."""
-    if report.n == 0:
-        raise DataError("empty report")
     header = "Subject  Relation  Object  Fact"
     cells = [
         f"{100 * report.accuracy[m]:.1f} ±{100 * report.sem[m]:.1f}" for m in METRICS

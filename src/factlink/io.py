@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -21,6 +22,7 @@ from .errors import DataError
 
 HEADER_KEY = "tool_version"
 _DECODER = json.JSONDecoder()
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # what surrogateescape makes of a bad byte
 
 
 def canonical_json(obj: Any) -> str:
@@ -51,29 +53,37 @@ def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None =
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) pairs, skipping a leading header record.
-    Each stripped line must hold one JSON object; one with a ``\\u`` escape
-    (a backslash pretest is faster) is also checked for a lone surrogate."""
+    Each stripped line must hold one JSON object in UTF-8; one with a ``\\u``
+    escape (a backslash pretest is faster) is also checked for a lone surrogate."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record, end = _DECODER.raw_decode(line)
-            except json.JSONDecodeError:
-                end = None
-            if end != len(line):  # json.loads words the error, extra data and a BOM too
+        try:
+            for line_number, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"invalid JSON: {exc}", line_number) from exc
-            if not isinstance(record, dict):
-                raise DataError("record is not an object", line_number)
-            if "\\" in line and "\\u" in line and (key := unencodable_key(record)) is not None:
-                raise DataError(f"field {key!r} holds a lone surrogate", line_number)
-            if line_number == 1 and HEADER_KEY in record:
-                continue
-            yield line_number, record
+                    record, end = _DECODER.raw_decode(line)
+                except json.JSONDecodeError:
+                    end = None
+                if end != len(line):  # json.loads words the error, extra data and a BOM too
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise DataError(f"invalid JSON: {exc}", line_number) from exc
+                if not isinstance(record, dict):
+                    raise DataError("record is not an object", line_number)
+                if "\\" in line and "\\u" in line and (key := unencodable_key(record)) is not None:
+                    raise DataError(f"field {key!r} holds a lone surrogate", line_number)
+                if line_number == 1 and HEADER_KEY in record:
+                    continue
+                yield line_number, record
+        except UnicodeDecodeError:  # raised a chunk ahead of the lines yielded: rescan
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as rescan:
+                for line_number, line in enumerate(rescan, start=1):
+                    if bad := _ESCAPED_BYTE.search(line):
+                        raise DataError(f"byte {ord(bad[0]) - 0xDC00:#04x} at column "
+                                        f"{bad.start() + 1} is not UTF-8", line_number) from None
+            raise  # the file changed since it was read
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

@@ -131,25 +131,19 @@ def check_indexed(
             indices[slot == 1].row(entry_id)
 
 
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """float32 of the float64 rows renormalized; rows normalize independently."""
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise DataError("index rows must be non-zero vectors")
-    return (matrix / norms).astype(np.float32)
-
-
 def build_index(
     embeddings: Sequence[tuple[str, np.ndarray]], kind: IndexKind
 ) -> EmbeddingIndex:
-    """Stack (id, vector) pairs in input order; rows are renormalized and
-    stored as float32."""
+    """Stack (id, vector) pairs in input order; rows are normalized
+    independently and stored as float32. A zero vector is a DataError."""
     ids = tuple(entry_id for entry_id, _ in embeddings)
     if not embeddings:
-        matrix = np.zeros((0, 0), dtype=np.float32)
-    else:
-        matrix = _unit_rows(np.stack([np.asarray(v, dtype=np.float64) for _, v in embeddings]))
-    return EmbeddingIndex(ids=ids, matrix=matrix, kind=kind)
+        return EmbeddingIndex(ids=ids, matrix=np.zeros((0, 0), dtype=np.float32), kind=kind)
+    matrix = np.stack([np.asarray(v, dtype=np.float64) for _, v in embeddings])
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    if np.any(norms == 0):
+        raise DataError("index rows must be non-zero vectors")
+    return EmbeddingIndex(ids=ids, matrix=(matrix / norms).astype(np.float32), kind=kind)
 
 
 def topk(
@@ -207,9 +201,9 @@ def embed_index(
     kind: IndexKind,
     mask_description: bool = False,
 ) -> EmbeddingIndex:
-    """``build_index`` over the entries' embeddings, one forward per
-    64-entry chunk (one forward over a whole store would allocate hundreds
-    of MB of temporaries). Each chunk's float32 rows go straight into the
+    """The index of the entries' unit embeddings, one forward per 64-entry
+    chunk (one forward over a whole store would allocate hundreds of MB of
+    temporaries). Each chunk's rows are cast straight into the float32
     index matrix, so no float64 copy of the store is held."""
     ids = tuple(e.id for e in entries)
     if not entries:
@@ -217,9 +211,7 @@ def embed_index(
     matrix = np.empty((len(entries), encoder.dim), dtype=np.float32)
     for start in range(0, len(entries), _EMBED_CHUNK):
         chunk = entries[start : start + _EMBED_CHUNK]
-        matrix[start : start + len(chunk)] = _unit_rows(
-            encoder.entry_embeds(chunk, mask_description)
-        )
+        matrix[start : start + len(chunk)] = encoder.entry_embeds(chunk, mask_description)
     return EmbeddingIndex(ids=ids, matrix=matrix, kind=kind)
 
 
@@ -262,17 +254,20 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         version, kind_value, count, dim = struct.unpack("<IBQI", fh.read(17))
         if version != _FLIX_VERSION:
             raise DataError(f"{path}: unsupported index version {version}")
+        # the ids (u32 length, bytes) end where the matrix starts: check each claim first
+        ids_end = os.fstat(fh.fileno()).st_size - count * dim * 4
+        claimed = fh.tell() + 4 * count  # every length, then each id read so far
+        if claimed > ids_end:
+            raise DataError(f"{path}: truncated index payload")
         ids = []
         for _ in range(count):
             (length,) = struct.unpack("<I", fh.read(4))
+            claimed += length
+            if claimed > ids_end:
+                raise DataError(f"{path}: truncated index payload")
             ids.append(fh.read(length).decode("utf-8"))
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if left < count * dim * 4:
-            raise DataError(f"{path}: truncated index payload")
-        if left > count * dim * 4:
-            raise DataError(
-                f"{path}: {left - count * dim * 4} bytes after the index payload; run index"
-            )
+        if claimed < ids_end:
+            raise DataError(f"{path}: {ids_end - claimed} bytes after the index payload; run index")
         matrix = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
         try:
             return EmbeddingIndex(ids=tuple(ids), matrix=matrix, kind=IndexKind(kind_value))

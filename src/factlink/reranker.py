@@ -198,7 +198,8 @@ def train_reranker(
     corruptions from top-k neighbor lists are negatives; each scored pair
     reads the label-only pair ``masked_indices`` with the configured
     probability, else ``indices``. Features are built 16 alignments at a
-    time; plain SGD with decoupled weight decay steps one pair at a time.
+    time, each chunk embedded before it draws; plain SGD with decoupled
+    weight decay steps one pair at a time.
     Returns params and a per-epoch {epoch, mean_loss} trace. A fact id
     missing from its slot kind's index is a DataError.
     """
@@ -218,17 +219,13 @@ def train_reranker(
         epoch_loss = 0.0
         for start in range(0, len(order), _TRAIN_CHUNK):
             chunk = [alignments[i] for i in order[start : start + _TRAIN_CHUNK]]
+            queries = encoder.slot_embeds([a.oie for a in chunk], with_context)
             facts, masks = [], []
-            for n, alignment in enumerate(chunk):  # negatives, then masks: chunk-size-free draws
-                try:
-                    facts += [alignment.fact] + [sample_hard_negative(
-                        alignment.fact, neighbor_lists, rng) for _ in labels[1:]]
-                except DataError:  # an earlier triple's missing sentence still fails first
-                    encoder.slot_embeds([a.oie for a in chunk[:n]], with_context)
-                    raise
+            for alignment in chunk:  # negatives, then masks: chunk-size-free draws
+                facts += [alignment.fact] + [sample_hard_negative(
+                    alignment.fact, neighbor_lists, rng) for _ in labels[1:]]
                 masks.append(rng.random(len(labels)) < config.description_mask_prob)
             masked = np.concatenate(masks)[:, None]
-            queries = encoder.slot_embeds([a.oie for a in chunk], with_context)
             blocks = []
             for slot, ids in enumerate(zip(*(fact.ids for fact in facts))):
                 entries = np.where(masked, masked_indices[slot == 1].vectors(ids),

@@ -639,6 +639,16 @@ def _kg_entry_with(**fields):
     return corrupt
 
 
+def _claim_in_flix(offset, layout, value):
+    """entities.flix whose id count (at 9) or first id length (at 21) claims ``value``."""
+    def corrupt(out):
+        path = out / "entities.flix"
+        data = bytearray(path.read_bytes())
+        struct.pack_into(layout, data, offset, value)
+        path.write_bytes(bytes(data))
+    return corrupt
+
+
 def _set_flix_kind(out):
     """entities.flix claims to hold predicates: its kind byte follows the
     magic and the u32 version."""
@@ -870,6 +880,14 @@ class TestFailureExitCodes:
             2, ["--set", "kg_entries={out}/kg_entries.jsonl", "train-preranker"],
             _kg_entry_with(description="\ud800"),
         ),
+        "out-of-memory-encoder-dim": (
+            2, ["--set", f"encoder.dim={10**15}", "train-preranker"], None
+        ),
+        "out-of-memory-negatives": (
+            2, ["--set", f"reranker.negatives_per_positive={10**15}", "train-reranker"], None
+        ),
+        "index-count-past-end": (2, ["link"], _claim_in_flix(9, "<Q", 2**40)),
+        "index-id-length-past-end": (2, ["link"], _claim_in_flix(21, "<I", 10**6)),
         "kg-entry-label-marker": (
             2, ["--set", "kg_entries={out}/kg_entries.jsonl", "build-benchmark"],
             _kg_entry_with(label="Bad <SUBJ> label"),
@@ -991,6 +1009,10 @@ class TestFailureExitCodes:
         if case.startswith("surrogate-"):
             field = "config key 'link_oie'" if code == 1 else "line 2: field 'description'"
             assert f"{field} holds a lone surrogate" in err
+        if case.startswith("out-of-memory-"):
+            assert err.startswith("error: out of memory")
+        if case.startswith("index-"):
+            assert err.strip().endswith("entities.flix: truncated index payload")
         if case.startswith("path-"):
             assert "must be a non-empty path string" in err
         if case == "resume-encoder-mismatch":

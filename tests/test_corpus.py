@@ -22,8 +22,9 @@ from factlink.corpus import (
     write_alignments,
 )
 from factlink.errors import DataError
-from factlink.io import iter_jsonl, write_jsonl
+from factlink.io import iter_jsonl, read_jsonl, write_jsonl
 from factlink.kg import KgFact, build_store, load_kg
+from factlink.ookg import OokgThresholds, thresholds_from_record, thresholds_record
 
 
 def triple(s, r, o, sentence=None):
@@ -417,6 +418,11 @@ def _read_facts(path, store):
     return load_kg(entries, path)
 
 
+def _read_thresholds(path, store):
+    """The first record of a thresholds file, as ``detect`` reads it."""
+    return thresholds_from_record(read_jsonl(path)[0], path)
+
+
 # Each line-record kind: (its reader over a path in tmp_path, a valid record,
 # the word its messages name it by, its required fields, and its optional
 # typed fields as (field, wrong value, message after "line 2: ")).
@@ -515,6 +521,25 @@ class TestRecordMessages:
             RECORD_KINDS[kind][0](tmp_path / "records.jsonl", jordan_store)
         assert str(raised.value) == f"line 2: {message}"
         assert raised.value.line_number == 2
+
+    @pytest.mark.parametrize("lines_before", [1, 400])
+    @pytest.mark.parametrize("kind", ["entry", "thresholds"])
+    def test_byte_not_utf8_names_its_line(self, kind, lines_before, tmp_path, jordan_store):
+        """A byte that UTF-8 cannot decode: one DataError naming its line and
+        column, also past the first chunk, which the decoder reads ahead of
+        the lines yielded."""
+        if kind == "entry":
+            records = [{**RECORD_KINDS["entry"][1], "id": f"Q{i}"} for i in range(lines_before + 1)]
+            read = _read_entries
+        else:
+            records = [thresholds_record(OokgThresholds())] * (lines_before + 1)
+            read = _read_thresholds
+        lines = [json.dumps(record).encode("utf-8") for record in records]
+        lines[-1] = b"{\xff" + lines[-1][1:]
+        (tmp_path / "records.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataError) as raised:
+            read(tmp_path / "records.jsonl", jordan_store)
+        assert str(raised.value) == f"line {lines_before + 1}: byte 0xff at column 2 is not UTF-8"
 
 
 class TestIterJsonl:
