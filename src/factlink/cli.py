@@ -343,8 +343,9 @@ def _inputs_digest(config: dict, encoder: ReferenceEncoder) -> str:
 def _store_indices(config: dict, encoder: ReferenceEncoder, store) -> tuple:
     """Entity and predicate indices of ``store``: the FLIX files that
     ``index`` wrote, as loaded or as row subsets, when they hold all its
-    entries, else embedded. FLIX files built from other inputs, or holding
-    the other slot's kind, are a data error."""
+    entries, else embedded. FLIX files built from other inputs, or that
+    ``load_index`` rejects (such as one holding the other slot's kind), are
+    a data error."""
     paths = [Path(config["out_dir"]) / f"{name}.flix" for name in ("entities", "predicates")]
     wanted = (tuple(store.entity_ids()), tuple(store.predicate_ids()))
     if all(path.exists() for path in paths):
@@ -354,11 +355,7 @@ def _store_indices(config: dict, encoder: ReferenceEncoder, store) -> tuple:
                 recorded = json.loads(meta.read_text("utf-8")) if meta.exists() else {}
                 if recorded.get("inputs_sha256") != digest:
                     raise DataError(f"{meta}: built from other params or KG entries; run index")
-        indices = tuple(map(load_index, paths))
-        for path, index, kind in zip(paths, indices, IndexKind):
-            if index.kind is not kind:
-                raise DataError(f"{path}: holds {index.kind.name.lower()}, "
-                                f"not {kind.name.lower()}; run index")
+        indices = tuple(map(load_index, paths, IndexKind))
         indices = tuple(index if index.ids == ids else index.subset(np.isin(index.ids, ids))
                         for index, ids in zip(indices, wanted))
         if all(index.ids == ids for index, ids in zip(indices, wanted)):

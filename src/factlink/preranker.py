@@ -246,7 +246,17 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(index.matrix, dtype="<f4").tobytes())
 
 
-def load_index(path: str | Path) -> EmbeddingIndex:
+def load_index(path: str | Path, kind: IndexKind) -> EmbeddingIndex:
+    """The ``kind`` index that ``save_index`` wrote to ``path``. Every fault
+    of the file, down to a row that is not a finite unit vector, is a
+    DataError naming it and ending with ``run index``."""
+    try:
+        return _read_index(path, kind)
+    except DataError as exc:
+        raise DataError(f"{exc}; run index") from None
+
+
+def _read_index(path: str | Path, kind: IndexKind) -> EmbeddingIndex:
     with reading_artifact(path), open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _FLIX_MAGIC:
@@ -254,6 +264,8 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         version, kind_value, count, dim = struct.unpack("<IBQI", fh.read(17))
         if version != _FLIX_VERSION:
             raise DataError(f"{path}: unsupported index version {version}")
+        if (held := IndexKind(kind_value)) is not kind:
+            raise DataError(f"{path}: holds {held.name.lower()}, not {kind.name.lower()}")
         # the ids (u32 length, bytes) end where the matrix starts: check each claim first
         ids_end = os.fstat(fh.fileno()).st_size - count * dim * 4
         claimed = fh.tell() + 4 * count  # every length, then each id read so far
@@ -267,12 +279,18 @@ def load_index(path: str | Path) -> EmbeddingIndex:
                 raise DataError(f"{path}: truncated index payload")
             ids.append(fh.read(length).decode("utf-8"))
         if claimed < ids_end:
-            raise DataError(f"{path}: {ids_end - claimed} bytes after the index payload; run index")
+            raise DataError(f"{path}: {ids_end - claimed} bytes after the index payload")
         matrix = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
+        # squared row norms in float32, no matrix-sized temporary; NaN fails the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            off_unit = np.flatnonzero(~(np.abs(np.einsum("ij,ij->i", matrix, matrix) - 1) <= 1e-4))
+        if off_unit.size:
+            row = int(off_unit[0])
+            raise DataError(f"{path}: row {row} ({ids[row]!r}) is not a finite unit vector")
         try:
-            return EmbeddingIndex(ids=tuple(ids), matrix=matrix, kind=IndexKind(kind_value))
+            return EmbeddingIndex(ids=tuple(ids), matrix=matrix, kind=kind)
         except DataError as exc:  # a repeated id
-            raise DataError(f"{path}: {exc}; run index") from None
+            raise DataError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ class TestCriterion2RetrievalExactness:
         )
         path_a, path_b = tmp_path / "a.flix", tmp_path / "b.flix"
         save_index(index, path_a)
-        save_index(load_index(path_a), path_b)
+        save_index(load_index(path_a, IndexKind.PREDICATES), path_b)
         check("criterion 2b", path_a.read_bytes() == path_b.read_bytes(),
               "index file round-trips bit-exactly")
 

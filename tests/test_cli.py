@@ -15,9 +15,9 @@ import pytest
 from factlink import cli
 from factlink.cli import main
 from factlink.encoder import EncoderConfig
-from factlink.io import load_arrays, read_jsonl, save_arrays, write_jsonl
+from factlink.io import HEADER_KEY, load_arrays, read_jsonl, save_arrays, write_jsonl
 from factlink.ookg import QkvTrainConfig
-from factlink.preranker import PrerankTrainConfig, load_index
+from factlink.preranker import IndexKind, PrerankTrainConfig, load_index
 from factlink.reranker import RerankTrainConfig
 from toyworld import build_toy_world, write_input_files
 
@@ -212,8 +212,8 @@ class TestIndexAndLink:
     def test_index_round_trip(self, pipeline):
         directory, _ = pipeline
         out = directory / "out"
-        entities = load_index(out / "entities.flix")
-        predicates = load_index(out / "predicates.flix")
+        entities = load_index(out / "entities.flix", IndexKind.ENTITIES)
+        predicates = load_index(out / "predicates.flix", IndexKind.PREDICATES)
         assert len(entities) > 0
         assert len(predicates) == 20
         meta = json.loads((out / "entities.flix.meta.json").read_text())
@@ -674,6 +674,17 @@ def _repeat_flix_id(out):
                      + data[offset:])
 
 
+def _flip_flix_exponent(out):
+    """entities.flix whose row 0, column 0 has the top bit of its float32
+    exponent flipped (-0.06 becomes about -2e37): the matrix fills the
+    file's last count * dim * 4 bytes."""
+    path = out / "entities.flix"
+    data = bytearray(path.read_bytes())
+    (count,), (dim,) = struct.unpack_from("<Q", data, 9), struct.unpack_from("<I", data, 17)
+    data[len(data) - count * dim * 4 + 3] ^= 0x40
+    path.write_bytes(bytes(data))
+
+
 def _negative_seed(header, arrays):
     """Rows not held are drawn from this seed's stream."""
     header["rng_seed"] = -1
@@ -859,6 +870,7 @@ class TestFailureExitCodes:
         ),
         "flix-kind-byte": (2, ["evaluate", "--facet", "transductive"], _set_flix_kind),
         "flix-repeated-id": (2, ["link"], _repeat_flix_id),
+        "flix-row-exponent": (2, ["link", "--k", "3"], _flip_flix_exponent),
         "kg-entry-aliases-int": (
             2, ["--set", "kg_entries={out}/kg_entries.jsonl", "build-benchmark"],
             _kg_entry_with(aliases=5),
@@ -984,7 +996,8 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, err
         assert "Traceback" not in err
-        assert err.strip().endswith("run index") == case.startswith(("stale-index", "flix-"))
+        assert err.strip().endswith("run index") == (
+            case.startswith(("stale-index", "flix-", "index-")) or case == "truncated-index")
         if case.startswith("table-"):
             assert "preranker.params" in err
         if case.startswith("kg-entry-"):
@@ -993,6 +1006,8 @@ class TestFailureExitCodes:
             assert "line 1: pair" in err
         if case.startswith("flix-"):
             assert "entities.flix" in err
+        if case == "flix-row-exponent":
+            assert "row 0 (" in err and "is not a finite unit vector" in err
         if case.startswith("dim-"):
             name, producer = {"dim-reranker": ("reranker.params", "train-reranker"),
                               "dim-qkv": ("qkv.params", "train-ookg")}[case]
@@ -1012,7 +1027,7 @@ class TestFailureExitCodes:
         if case.startswith("out-of-memory-"):
             assert err.startswith("error: out of memory")
         if case.startswith("index-"):
-            assert err.strip().endswith("entities.flix: truncated index payload")
+            assert err.strip().endswith("entities.flix: truncated index payload; run index")
         if case.startswith("path-"):
             assert "must be a non-empty path string" in err
         if case == "resume-encoder-mismatch":
@@ -1052,15 +1067,34 @@ FUZZ_STAGES = {
     "preranker_params": ["index"], "train_alignments": ["train-reranker"],
     "calibration_alignments": ["train-ookg"],
 }
-# each edited file and the stage that reads it; the KG files are fixture inputs
+# each edited file and the stage that reads it; the KG, OIE and pairs files are fixture inputs
 FUZZ_FILES = {
     "kg_entries.jsonl": ["build-benchmark"], "kg_facts.jsonl": ["build-benchmark"],
     "split-transductive.jsonl": ["evaluate", "--facet", "transductive"],
     "thresholds.jsonl": ["detect"], "preranker.params": ["index"],
     "reranker.params": POLYSEMOUS_RERANKED, "qkv.params": ["detect", "--detector", "qkv"],
     "entities.flix": ["link"],
+    "train_oie.jsonl": ["build-benchmark"], "train_pairs.jsonl": ["build-benchmark"],
 }
 FUZZ_EDITS = ("truncate", "xor", "extend")
+ALIGNMENT_FIELDS = ("subject", "relation", "object", "subject_id", "predicate_id", "object_id",
+                    "augmented", "sentence", "extractor")
+# each record file, the stage that reads it and the record fields it may hold
+FUZZ_RECORDS = {
+    "kg_entries.jsonl": (["build-benchmark"], ("id", "kind", "label", "description", "aliases")),
+    "kg_facts.jsonl": (["build-benchmark"], ("subject", "predicate", "object")),
+    "train_oie.jsonl": (
+        ["build-benchmark"],
+        ("sentence_id", "subject", "relation", "object", "sentence", "extractor"),
+    ),
+    "train_pairs.jsonl": (
+        ["build-benchmark"],
+        ("sentence_id", "sentence", "subject", "predicate", "object", "subject_mention",
+         "object_mention"),
+    ),
+    "alignments.jsonl": (["train-reranker"], ALIGNMENT_FIELDS),
+    "split-transductive.jsonl": (["evaluate", "--facet", "transductive"], ALIGNMENT_FIELDS),
+}
 
 
 def _fuzz_config_cases():
@@ -1073,10 +1107,16 @@ def _fuzz_config_cases():
             if not (value == 10**15 and key.split(".")[-1] in FUZZ_ENDLESS_AT_HUGE)]
 
 
-def _fuzz_byte_cases(draws=4):
-    """(file, edit, draw) for every fuzzed file and edit; a draw seeds the offset."""
-    return [(name, edit, draw) for name in FUZZ_FILES for edit in FUZZ_EDITS
-            for draw in range(draws)]
+def _fuzz_byte_cases(names, draws=4):
+    """(file, edit, draw) for each of the files ``names`` and every edit; a
+    draw seeds the offset."""
+    return [(name, edit, draw) for name in names for edit in FUZZ_EDITS for draw in range(draws)]
+
+
+def _fuzz_record_cases():
+    """(file, field, value) for every record file, field and fuzzed value."""
+    return [(name, field, value) for name, (_, fields) in FUZZ_RECORDS.items()
+            for field in fields for value in FUZZ_VALUES]
 
 
 def _fuzz_sample(cases, size, always):
@@ -1097,6 +1137,17 @@ def _edit_bytes(data, edit, rng):
     return data[:offset] + rng.bytes(8) + data[offset:]
 
 
+def _edit_record(data, field, value, rng):
+    """``data``, a JSONL file, whose record at one seeded line past any
+    header line sets ``field`` to ``value``: replaced when the record holds
+    it, else added."""
+    lines = data.decode("utf-8").splitlines(keepends=True)
+    first = int(HEADER_KEY in json.loads(lines[0]))
+    line = first + int(rng.integers(len(lines) - first))
+    lines[line] = json.dumps({**json.loads(lines[line]), field: value}) + "\n"
+    return "".join(lines).encode("utf-8")
+
+
 class TestContractFuzz:
     """Every fuzzed case exits 0-3; a nonzero exit prints one stderr line
     and no traceback; no case changes the bytes of the files it reads. A
@@ -1107,10 +1158,13 @@ class TestContractFuzz:
         _fuzz_config_cases(), 46,
         always=[("encoder.dim", 10**15), ("reranker.negatives_per_positive", 10**15)],
     )
-    BYTE_CASES = _fuzz_sample(
-        _fuzz_byte_cases(), 30, always=[("kg_entries.jsonl", "xor", 0),
-                                        ("thresholds.jsonl", "xor", 0)],
-    )
+    BYTE_CASES = [
+        *_fuzz_sample(_fuzz_byte_cases(list(FUZZ_FILES)[:8]), 30,
+                      always=[("kg_entries.jsonl", "xor", 0), ("thresholds.jsonl", "xor", 0)]),
+        # the OIE and pairs files draw apart, so the first eight files keep their cases
+        *_fuzz_sample(_fuzz_byte_cases(list(FUZZ_FILES)[8:]), 8, always=[]),
+    ]
+    RECORD_CASES = _fuzz_sample(_fuzz_record_cases(), 40, always=[])
 
     def _run(self, argv, out, inputs, capsys):
         before = {path: file_hash(path) for path in inputs}
@@ -1137,18 +1191,32 @@ class TestContractFuzz:
         self._run(["--config", str(config_path), "--set", f"{key}={json.dumps(value)}", *stage],
                   out, inputs, capsys)
 
-    @pytest.mark.parametrize("name,edit,draw", BYTE_CASES,
-                             ids=[f"{name}-{edit}-{draw}" for name, edit, draw in BYTE_CASES])
-    def test_byte_edit(self, name, edit, draw, pipeline, tmp_path, capsys):
+    def _edit(self, name, edit, stage, pipeline, out, capsys):
+        """Run ``stage`` on a copy of the pipeline's out_dir in which file
+        ``name`` holds ``edit(its bytes)``."""
         directory, config_path = pipeline
-        out = tmp_path / "out"
         shutil.copytree(directory / "out", out)
         argv = ["--config", str(config_path)]
         path = out / name
         if not path.exists():  # a fixture input, read through its config key
             shutil.copy(directory / name, path)
             argv += ["--set", f"{path.stem}={path}"]
+        path.write_bytes(edit(path.read_bytes()))
+        self._run([*argv, *stage], out, [path], capsys)
+
+    @pytest.mark.parametrize("name,edit,draw", BYTE_CASES,
+                             ids=[f"{name}-{edit}-{draw}" for name, edit, draw in BYTE_CASES])
+    def test_byte_edit(self, name, edit, draw, pipeline, tmp_path, capsys):
         rng = np.random.default_rng([FUZZ_SEED, list(FUZZ_FILES).index(name),
                                      FUZZ_EDITS.index(edit), draw])
-        path.write_bytes(_edit_bytes(path.read_bytes(), edit, rng))
-        self._run([*argv, *FUZZ_FILES[name]], out, [path], capsys)
+        self._edit(name, lambda data: _edit_bytes(data, edit, rng), FUZZ_FILES[name],
+                   pipeline, tmp_path / "out", capsys)
+
+    @pytest.mark.parametrize("name,field,value", RECORD_CASES,
+                             ids=[f"{name}-{field}={value!r}" for name, field, value in RECORD_CASES])
+    def test_record_field(self, name, field, value, pipeline, tmp_path, capsys):
+        stage, fields = FUZZ_RECORDS[name]
+        rng = np.random.default_rng([FUZZ_SEED, list(FUZZ_RECORDS).index(name),
+                                     fields.index(field)])
+        self._edit(name, lambda data: _edit_record(data, field, value, rng), stage,
+                   pipeline, tmp_path / "out", capsys)

@@ -152,7 +152,7 @@ class TestIndex:
         index = build_index(embeddings, IndexKind.ENTITIES)
         path = tmp_path / "entities.flix"
         save_index(index, path)
-        loaded = load_index(path)
+        loaded = load_index(path, IndexKind.ENTITIES)
         assert loaded.ids == index.ids
         assert loaded.kind is IndexKind.ENTITIES
         assert np.array_equal(loaded.matrix, index.matrix)
@@ -166,6 +166,18 @@ class TestIndex:
         pairs = [("Q1", random_unit(rng, 8)), ("Q1", random_unit(rng, 8))]
         with pytest.raises(DataError, match="^duplicate id 'Q1' in index$"):
             build_index(pairs, IndexKind.ENTITIES)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, 1e30, 2.0, 0.0])
+    def test_row_off_the_unit_sphere_names_it(self, scale, tmp_path):
+        # under the CLI's float policy: the check itself must not raise
+        rng = np.random.default_rng(7)
+        index = build_index([(f"Q{i}", random_unit(rng, 8)) for i in range(3)], IndexKind.ENTITIES)
+        index.matrix[1] *= scale
+        save_index(index, tmp_path / "e.flix")
+        with np.errstate(all="raise"), pytest.raises(
+            DataError, match=r"e\.flix: row 1 \('Q1'\) is not a finite unit vector; run index$"
+        ):
+            load_index(tmp_path / "e.flix", IndexKind.ENTITIES)
 
     def test_empty_index_queries(self):
         index = build_index([], IndexKind.PREDICATES)
