@@ -476,9 +476,7 @@ def cmd_train_ookg(config: dict, args, header: dict) -> int:
     indices = build_store_indices(encoder, store)
 
     params, trace = train_qkv(alignments, encoder, indices, train_config, config["with_context"])
-    save_qkv_params(params, out / "qkv.params", header=header)
-    write_jsonl(out / "qkv.trace.jsonl", trace, header=header)
-
+    # calibrate before writing anything, so a failure leaves the previous files
     if train_config.calibrate_thresholds:
         thresholds, grid_meta = calibrate_all_thresholds(
             alignments, indices, encoder, attention=train_config.attention_threshold,
@@ -487,6 +485,8 @@ def cmd_train_ookg(config: dict, args, header: dict) -> int:
     else:
         thresholds = OokgThresholds(attention=train_config.attention_threshold)
         grid_meta = {"grid_size": train_config.grid_size, "calibrated": False}
+    save_qkv_params(params, out / "qkv.params", header=header)
+    write_jsonl(out / "qkv.trace.jsonl", trace, header=header)
     write_jsonl(out / "thresholds.jsonl", [thresholds_record(thresholds, grid_meta)], header=header)
     print(f"final loss {trace[-1]['mean_loss']:.6f}")
     return 0

@@ -243,7 +243,8 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
             raw = entry_id.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-        fh.write(np.ascontiguousarray(index.matrix, dtype="<f4").tobytes())
+        # write() reads the array's own buffer: a <f4 C-contiguous matrix is not copied
+        fh.write(np.ascontiguousarray(index.matrix, dtype="<f4").data)
 
 
 def load_index(path: str | Path, kind: IndexKind) -> EmbeddingIndex:
@@ -393,10 +394,9 @@ def train_preranker(
     entity_ids = store.entity_ids()
     predicate_ids = store.predicate_ids()
 
-    # per-alignment slot texts and per-entry texts are stable across epochs;
-    # the hasher memoizes their compiled features
+    # per-alignment slot texts are stable across epochs; each batch renders
+    # only its own entries, and the hasher memoizes every compiled text
     slot_texts = [render_slots(a.oie, with_context) for a in alignments]
-    entry_texts = {i: render_entry(store.entry(i)) for i in (*entity_ids, *predicate_ids)}
 
     n = len(alignments)
     h = params.hidden
@@ -429,7 +429,8 @@ def train_preranker(
 
             # --- forward: the serving encoder's forward over the whole batch
             forward = encode_batch(
-                params, hasher, [slot_texts[i] for i in batch], [entry_texts[e] for e in all_ids]
+                params, hasher, [slot_texts[i] for i in batch],
+                [render_entry(store.entry(e)) for e in all_ids],
             )
             o_hat, k_hat = forward.slot_vectors, forward.entry_vectors
 

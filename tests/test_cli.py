@@ -197,6 +197,21 @@ class TestTraining:
         assert run(config_path, *argv, "train-ookg") == 0
         assert (out / "thresholds.jsonl").read_bytes() == written
 
+    def test_failed_calibration_keeps_the_previous_files(self, pipeline, tmp_path, capsys):
+        directory, config_path = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        argv = ("--out-dir", str(out), "--set", "ookg.calibrate_thresholds=true")
+        assert run(config_path, *argv, "train-ookg") == 0
+        names = ("qkv.params", "qkv.trace.jsonl", "thresholds.jsonl")
+        before = {name: (out / name).read_bytes() for name in names}
+        capsys.readouterr()
+        # trains with other settings, then cannot allocate the calibration grid
+        assert run(config_path, *argv, "--set", "ookg.grid_size=1000000000000000",
+                   "--set", "ookg.learning_rate=0.01", "train-ookg") == 2
+        assert capsys.readouterr().err.startswith("error: out of memory")
+        assert {name: (out / name).read_bytes() for name in names} == before
+
     def test_resume_continues(self, pipeline):
         directory, config_path = pipeline
         before = file_hash(directory / "out" / "preranker.params")

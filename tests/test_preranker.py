@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 import weakref
 
@@ -160,6 +161,36 @@ class TestIndex:
         path2 = tmp_path / "again.flix"
         save_index(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_save_writes_the_matrix_without_a_copy(self, tmp_path):
+        rng = np.random.default_rng(8)
+        matrix = rng.standard_normal((2000, 200)).astype(np.float32)
+        index = preranker.EmbeddingIndex(ids=tuple(f"Q{i}" for i in range(2000)),
+                                         matrix=matrix, kind=IndexKind.ENTITIES)
+        tracemalloc.start()
+        try:
+            save_index(index, tmp_path / "e.flix")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.nbytes / 2
+
+    @pytest.mark.parametrize("layout", ["float32", "float64", "column-slice"])
+    def test_save_writes_the_documented_layout(self, layout, tmp_path):
+        rng = np.random.default_rng(9)
+        wide = rng.standard_normal((3, 10))
+        matrix = {"float32": wide[:, :5].astype(np.float32),
+                  "float64": wide[:, :5].copy(),
+                  "column-slice": wide.astype(np.float32)[:, ::2]}[layout]
+        ids = ("Q1", "Qé", "Q10")
+        save_index(preranker.EmbeddingIndex(ids=ids, matrix=matrix, kind=IndexKind.PREDICATES),
+                   tmp_path / "p.flix")
+        expected = b"FLIX" + struct.pack("<IBQI", 1, IndexKind.PREDICATES.value, 3, 5)
+        for entry_id in ids:
+            raw = entry_id.encode("utf-8")
+            expected += struct.pack("<I", len(raw)) + raw
+        expected += matrix.astype("<f4").tobytes()
+        assert (tmp_path / "p.flix").read_bytes() == expected
 
     def test_duplicate_id(self):
         rng = np.random.default_rng(2)
