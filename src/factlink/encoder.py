@@ -9,9 +9,9 @@ pre-ranker's trainer and ``ReferenceEncoder`` both call it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 import hashlib
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -44,47 +44,33 @@ def _token_buckets(token: str, space: int) -> tuple[int, ...]:
     return tuple(_N_RESERVED + _hash_feature(feature, space) for feature in features)
 
 
-def featurize(
-    text: str, buckets: int, memo: dict[str, tuple[int, ...]] | None = None
-) -> Counter:
-    """Hashed feature multiset of a text: lowercased word tokens plus
-    boundary-marked character trigrams. Reserved marker tokens map to
-    their dedicated buckets and are never hashed. ``memo`` maps raw tokens
-    to their bucket ids for this bucket count; it is read and filled."""
-    if buckets <= _N_RESERVED:
-        raise ValueError(f"bucket count must exceed {_N_RESERVED}")
-    space = buckets - _N_RESERVED
-    memo = {} if memo is None else memo
-    features: Counter = Counter()
-    for token in text.split():
-        ids = memo.get(token)
-        if ids is None:
-            ids = memo[token] = _token_buckets(token, space)
-        features.update(ids)
-    return features
-
-
 class FeatureHasher:
-    """Caches compiled (bucket ids, mean weights) per text, and bucket ids
-    per token, for one bucket count."""
+    """Compiles texts for one bucket count. A text's compiled form is the
+    bucket ids of its features in order, a repeated feature repeated: per
+    whitespace token its marker bucket, or its lowercased word and then its
+    boundary-marked character trigrams. Reserved marker tokens map to their
+    dedicated buckets and are never hashed. The hasher memoizes the compiled
+    form per text and the bucket ids per raw token."""
 
     def __init__(self, buckets: int):
+        if buckets <= _N_RESERVED:
+            raise ValueError(f"bucket count must exceed {_N_RESERVED}")
         self.buckets = buckets
-        self._cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._cache: dict[str, tuple[int, ...]] = {}
         self._token_cache: dict[str, tuple[int, ...]] = {}
 
-    def compile(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+    def compile(self, text: str) -> tuple[int, ...]:
         hit = self._cache.get(text)
         if hit is not None:
             return hit
-        counts = featurize(text, self.buckets, self._token_cache)
-        ids = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-        weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-        total = weights.sum()
-        if total > 0:
-            weights = weights / total
-        compiled = (ids, weights)
-        self._cache[text] = compiled
+        memo, space = self._token_cache, self.buckets - _N_RESERVED
+        ids: list[int] = []
+        for token in text.split():
+            token_ids = memo.get(token)
+            if token_ids is None:
+                token_ids = memo[token] = _token_buckets(token, space)
+            ids += token_ids
+        compiled = self._cache[text] = tuple(ids)
         return compiled
 
 
@@ -237,13 +223,18 @@ def encode_batch(
         t[part] for part in range(2) for t in entry_texts
     ]
     compiled = [hasher.compile(t) for t in texts]
-    # a text's compiled bucket ids are distinct, so one assignment fills its
-    # row of weights; a featureless text is a zero row
-    positions = params.rows_of(np.concatenate([i for i, _ in compiled]))
-    rows, columns = np.unique(positions, return_inverse=True)
+    lengths = np.fromiter(map(len, compiled), dtype=np.int64, count=len(texts))
+    ids = np.fromiter(chain.from_iterable(compiled), dtype=np.int64, count=int(lengths.sum()))
+    # one count of every (text, bucket id) pair: each cell of weights is
+    # written once, a feature's count over its text's feature count; a
+    # featureless text is a zero row
+    pairs, counts = np.unique(
+        np.repeat(np.arange(len(texts)), lengths) * params.buckets + ids, return_counts=True
+    )
+    texts_of, bucket_ids = np.divmod(pairs, params.buckets)
+    rows, columns = np.unique(params.rows_of(bucket_ids), return_inverse=True)
     weights = np.zeros((len(texts), len(rows)))
-    texts_of = np.repeat(np.arange(len(texts)), [len(i) for i, _ in compiled])
-    weights[texts_of, columns] = np.concatenate([w for _, w in compiled])
+    weights[texts_of, columns] = counts / lengths[texts_of]
     segments = weights @ params.feature_table[rows]
     slots, triples, labels, descriptions = np.split(segments, [3 * b, 4 * b, 4 * b + m])
     u = np.concatenate([slots, np.tile(triples, (3, 1))], axis=1)

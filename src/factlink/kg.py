@@ -128,9 +128,40 @@ def build_store(entries: Iterable[KgEntry], *, case_fold: bool = False) -> KgSto
 
 
 _KINDS = {kind.value: kind for kind in EntryKind}
+_set_field = object.__setattr__  # a frozen dataclass's own field setter
 
 
 def _parse_entry(record: dict, line_number: int) -> KgEntry:
+    """The entry of one record. A record in the common valid form (a
+    non-empty string id, a known kind, a non-blank string label, a string or
+    null description, a list of distinct string aliases without the label,
+    and no "<" in any of those texts) is built without re-running
+    ``KgEntry``'s checks; any other goes through ``_checked_entry``."""
+    entry_id, kind, label = record.get("id"), record.get("kind"), record.get("label")
+    description, aliases = record.get("description"), record.get("aliases")
+    if (
+        type(kind) is str and kind in _KINDS and type(entry_id) is str and entry_id
+        and type(label) is str and label.strip() and "<" not in label
+        and (description is None or (type(description) is str and "<" not in description))
+        and type(aliases) is list
+        and (not aliases or (all(type(alias) is str and "<" not in alias for alias in aliases)
+                             and label not in aliases and len(set(aliases)) == len(aliases)))
+    ):
+        # set in field order, as the dataclass __init__ does, so that the
+        # instance dict shares its keys with every other entry's
+        entry = object.__new__(KgEntry)
+        _set_field(entry, "id", entry_id)
+        _set_field(entry, "kind", _KINDS[kind])
+        _set_field(entry, "label", label)
+        _set_field(entry, "description", description)
+        _set_field(entry, "aliases", tuple(aliases))
+        return entry
+    return _checked_entry(record, line_number)
+
+
+def _checked_entry(record: dict, line_number: int) -> KgEntry:
+    """The entry of one record through every field check; a failing check
+    raises a DataError naming the line."""
     require_fields(record, ("id", "kind", "label"), line_number, "entry")
     kind_raw = record["kind"]
     kind = _KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
@@ -167,7 +198,11 @@ def load_kg(
     Entry records: {id, kind: "entity"|"predicate", label, description?,
     aliases?}, the label a string, the description a string or null and the
     aliases a list of strings. Fact records: {subject, predicate, object}, each id an entry of
-    its slot's kind. Errors name the offending line. ``min_count`` 0 keeps
+    its slot's kind. Errors name the offending line. The common valid line
+    skips the full checks: an entry record of string fields, a list of
+    distinct aliases and no "<" builds its entry directly, and a fact whose
+    ids are entries of their slots' kinds builds no ``KgFact``; every other
+    line takes the full checks, which word each error. ``min_count`` 0 keeps
     every entry; n >= 1 drops the entries in fewer than n distinct facts,
     to a fixpoint. The facts are read for these two uses only.
     """

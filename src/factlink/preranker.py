@@ -395,7 +395,7 @@ def train_preranker(
     predicate_ids = store.predicate_ids()
 
     # per-alignment slot texts are stable across epochs; each batch renders
-    # only its own entries, and the hasher memoizes every compiled text
+    # only its own entries, and the hasher memoizes each text's bucket ids
     slot_texts = [render_slots(a.oie, with_context) for a in alignments]
 
     n = len(alignments)

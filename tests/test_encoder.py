@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import chain
 import re
 
 import numpy as np
@@ -14,8 +15,8 @@ from factlink.encoder import (
     ReferenceEncoder,
     _hash_feature,
     _N_RESERVED,
+    _token_buckets,
     encode_batch,
-    featurize,
     init_params,
 )
 from factlink.kg import KgFact, build_store
@@ -39,34 +40,36 @@ def triple(s="Michael Jordan", r="played for", o="Chicago Bulls", sentence=None)
 
 
 class TestFeaturize:
+    """``FeatureHasher.compile``: a text's bucket ids, in order, with repeats."""
+
     def test_hand_enumerated_trigrams(self):
         # "Bulls" decomposes into one word feature and five boundary-marked
         # trigrams: ^bu bul ull lls ls$
         expected_features = ["w:bulls", "t:^bu", "t:bul", "t:ull", "t:lls", "t:ls$"]
         space = CONFIG.buckets - _N_RESERVED
-        expected = Counter(
-            _N_RESERVED + _hash_feature(f, space) for f in expected_features
-        )
-        assert featurize("Bulls", CONFIG.buckets) == expected
+        expected = tuple(_N_RESERVED + _hash_feature(f, space) for f in expected_features)
+        assert FeatureHasher(CONFIG.buckets).compile("Bulls") == expected
 
     def test_empty_string(self):
-        assert featurize("", CONFIG.buckets) == Counter()
+        assert FeatureHasher(CONFIG.buckets).compile("") == ()
 
     def test_marker_maps_to_dedicated_bucket(self):
         for i, token in enumerate(MARKER_TOKENS):
-            assert featurize(token, CONFIG.buckets) == Counter({i: 1})
+            assert FeatureHasher(CONFIG.buckets).compile(token) == (i,)
 
     def test_lowercasing(self):
-        assert featurize("BULLS", CONFIG.buckets) == featurize("bulls", CONFIG.buckets)
+        hasher = FeatureHasher(CONFIG.buckets)
+        assert hasher.compile("BULLS") == hasher.compile("bulls")
 
     def test_multiset_counts_repeats(self):
-        once = featurize("Bulls", CONFIG.buckets)
-        twice = featurize("Bulls Bulls", CONFIG.buckets)
+        hasher = FeatureHasher(CONFIG.buckets)
+        once = Counter(hasher.compile("Bulls"))
+        twice = Counter(hasher.compile("Bulls Bulls"))
         assert twice == Counter({k: 2 * v for k, v in once.items()})
 
     def test_short_words(self):
         # one-char word: one word feature plus one trigram ^a$
-        assert sum(featurize("a", CONFIG.buckets).values()) == 2
+        assert len(FeatureHasher(CONFIG.buckets).compile("a")) == 2
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_memoized_compile_matches_fresh_featurize(self, order):
@@ -75,13 +78,15 @@ class TestFeaturize:
         texts = ["", "  ", "<SUBJ> Bulls <subj> bulls <Subj> BULLS Bulls", "a a a b",
                  "<mask> <MASK> <Mask> mask", "Chicago Bulls <REL> played for <OBJ> the Bulls",
                  "<DESC> <desc> <FACT> fact bulls"]
+        space = CONFIG.buckets - _N_RESERVED
         hasher = FeatureHasher(CONFIG.buckets)
         for text in texts[::order]:
-            ids, weights = hasher.compile(text)
-            counts = featurize(text, CONFIG.buckets)  # fresh: no memo
-            assert ids.tolist() == list(counts)  # first-occurrence order
-            total = sum(counts.values())
-            assert weights.tolist() == [count / total for count in counts.values()]
+            fresh = [_token_buckets(token, space) for token in text.split()]  # no memo
+            assert hasher.compile(text) == tuple(chain.from_iterable(fresh))
+
+    def test_bucket_count_must_exceed_the_markers(self):
+        with pytest.raises(ValueError, match="^bucket count must exceed"):
+            FeatureHasher(_N_RESERVED)
 
 
 class TestSlotEmbed:
@@ -170,15 +175,14 @@ def dense_stream(config, seed):
 
 
 def reference_segment(params, text):
-    """Weighted mean of the rows of one text in the dense init table: the
-    reference forward never reads the params' own table."""
-    counts = featurize(text, params.buckets)
-    if not counts:
+    """Mean of the rows of one text's features, a repeated feature once per
+    occurrence, in the dense init table: the reference forward never reads
+    the params' own table."""
+    ids = list(FeatureHasher(params.buckets).compile(text))
+    if not ids:
         return np.zeros(params.hidden)
-    ids = np.array(list(counts.keys()))
-    weights = np.array(list(counts.values()), dtype=np.float64)
     config = EncoderConfig(dim=params.dim, hidden=params.hidden, buckets=params.buckets)
-    return (weights / weights.sum()) @ dense_stream(config, params.rng_seed)[0][ids]
+    return dense_stream(config, params.rng_seed)[0][ids].mean(axis=0)
 
 
 def unit(vector):
@@ -481,8 +485,8 @@ class TestSlotEmbeds:
 
 class TestSegmentSums:
     """``encode_batch``'s per-text weighted sums and their backward against
-    an ``np.add.at`` oracle over each text's compiled (position, weight)
-    pairs."""
+    an ``np.add.at`` oracle over each text's compiled bucket ids, every
+    occurrence weighted one over its text's feature count."""
 
     SLOT_TEXTS = [
         ("Alice Harbor", "works with", "Harbor Town", "Alice Harbor works with Harbor Town"),
@@ -500,9 +504,10 @@ class TestSegmentSums:
         ]
         compiled = [hasher.compile(text) for text in texts]
         # every row is held, so rows_of draws nothing
-        positions = params.rows_of(np.concatenate([ids for ids, _ in compiled]))
-        weights = np.concatenate([w for _, w in compiled])
-        texts_of = np.repeat(np.arange(len(texts)), [len(ids) for ids, _ in compiled])
+        positions = params.rows_of(np.array([i for ids in compiled for i in ids]))
+        weights = np.array([1 / len(ids) for ids in compiled for _ in ids])
+        texts_of = np.repeat(np.arange(len(texts)), [len(ids) for ids in compiled])
+        assert any(len(set(ids)) < len(ids) for ids in compiled)  # a bucket repeats in a text
         assert len(np.unique(positions)) < len(positions)  # buckets repeat across texts
         return params, forward, texts, positions, weights, texts_of
 
@@ -520,6 +525,22 @@ class TestSegmentSums:
         np.testing.assert_allclose(
             forward.entry_inputs, np.hstack([labels, descriptions]), rtol=0, atol=FORWARD_TOL
         )
+
+    def test_each_weight_is_a_count_over_the_feature_count(self):
+        """Bitwise: a cell is its bucket's count in the text divided once by
+        the text's feature count, not a sum or a product of shares."""
+        params, hasher = init_params(CONFIG, 3), FeatureHasher(CONFIG.buckets)
+        # "a" has 2 features and "bcd" 4: 3 / 10 is not 3 * (1 / 10) in floats
+        entry_texts = [("a a a bcd", ""), *self.ENTRY_TEXTS]
+        forward = encode_batch(params, hasher, (), entry_texts)
+        texts = [t[part] for part in range(2) for t in entry_texts]
+        column = {row: j for j, row in enumerate(forward.rows)}
+        expected = np.zeros_like(forward.weights)
+        for i, text in enumerate(texts):
+            positions = params.rows_of(np.array(hasher.compile(text), dtype=np.int64))
+            for position, count in Counter(positions.tolist()).items():
+                expected[i, column[position]] = count / len(positions)
+        assert 3 / 10 != 3 * (1 / 10) and np.array_equal(forward.weights, expected)
 
     def test_backward_matches_add_at(self):
         params, forward, texts, positions, weights, texts_of = self.oracle()

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 
@@ -9,12 +10,14 @@ from factlink.errors import DataError
 from factlink.io import write_jsonl
 from factlink.kg import (
     EntryKind,
+    KgEntry,
     KgFact,
     build_store,
     load_kg,
     lookup_surface,
     restrict_to_benchmark,
 )
+from toyworld import TOY, generate, write_inputs
 
 
 def write_kg_files(tmp_path, entries, facts):
@@ -140,6 +143,54 @@ class TestLoadKg:
             with pytest.raises(expected[0]) as raised:
                 load_kg(entries_path, facts_path, min_count=1)
             assert str(raised.value) == expected[1]
+
+    @pytest.mark.parametrize("record", [
+        JORDAN_ENTRY, TEAM_ENTRY, {**JORDAN_ENTRY, "id": 5}, {**JORDAN_ENTRY, "id": ""},
+        {**JORDAN_ENTRY, "label": "  "}, {**JORDAN_ENTRY, "label": "a<b"},
+        {**JORDAN_ENTRY, "label": "Michael <DESC> Jordan"},
+        {**JORDAN_ENTRY, "description": None}, {**JORDAN_ENTRY, "description": ""},
+        {**JORDAN_ENTRY, "description": 5}, {**JORDAN_ENTRY, "description": "a <SUBJ> b"},
+        {**JORDAN_ENTRY, "aliases": None}, {**JORDAN_ENTRY, "aliases": "M.J."},
+        {**JORDAN_ENTRY, "aliases": ["M.J.", "Michael Jordan"]},
+        {**JORDAN_ENTRY, "aliases": ["M.J.", "M.J."]}, {**JORDAN_ENTRY, "aliases": ["<OBJ>"]},
+        {**JORDAN_ENTRY, "kind": "thing"}, {**JORDAN_ENTRY, "kind": ["entity"]},
+        {**JORDAN_ENTRY, "rank": 3, "sitelinks": ["enwiki"]},
+    ], ids=["valid", "no-aliases", "int-id", "empty-id", "blank-label", "lt-label",
+            "marker-label", "null-description", "empty-description", "int-description",
+            "marker-description", "null-aliases", "str-aliases", "label-alias",
+            "repeated-alias", "marker-alias", "unknown-kind", "list-kind", "extra-fields"])
+    def test_entry_line_outcome_matches_the_checked_path(self, tmp_path, record):
+        """The fast path yields the entry, or the error and line, that every
+        field check (``_checked_entry``) yields."""
+        entries_path, facts_path = write_kg_files(tmp_path, [PLAYS_FOR, record], [])
+        try:
+            expected = kg._checked_entry(record, 2)
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                load_kg(entries_path, facts_path)
+            assert str(raised.value) == str(exc)
+        else:
+            loaded = list(load_kg(entries_path, facts_path).entries.values())[1]
+            assert loaded == expected and type(loaded.description) is type(expected.description)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_every_toy_world_entry_takes_the_fast_path(self, tmp_path, monkeypatch, seed):
+        files = generate(seed, TOY)
+        paths = write_inputs(files, tmp_path)
+        fallbacks, checked = [], kg._checked_entry
+        monkeypatch.setattr(kg, "_checked_entry",
+                            lambda *args: fallbacks.append(args) or checked(*args))
+        store = load_kg(paths["kg_entries"], paths["kg_facts"])
+        assert len(store.entries) == len(files["kg_entries"]) and fallbacks == []
+
+    def test_fast_entries_share_instance_dict_keys(self):
+        """A fast-path entry sets its fields in the dataclass's order, so its
+        instance dict is the key-sharing kind the constructor makes."""
+        fast = kg._parse_entry(JORDAN_ENTRY, 1)
+        built = KgEntry("Q41421", EntryKind.ENTITY, "Michael Jordan",
+                        JORDAN_ENTRY["description"], tuple(JORDAN_ENTRY["aliases"]))
+        assert fast == built
+        assert sys.getsizeof(fast.__dict__) == sys.getsizeof(built.__dict__)
 
     def test_dangling_fact_reference_names_line(self, tmp_path):
         entries_path, facts_path = write_kg_files(
