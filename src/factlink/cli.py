@@ -6,7 +6,9 @@ FACTLINK_CONFIG environment variable); any key is overridable with
 ``--set section.key=value``, flags win over the file, and a command's
 flag sets its config key (``link --k`` is ``link_k``). Every artifact file
 carries a {tool_version, config_hash, seed} header; re-running a stage
-with an identical resolved config reproduces identical bytes.
+with an identical resolved config reproduces identical bytes. A stage
+computes its artifacts and ``main`` writes them, so a failing stage leaves
+out_dir as it was.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -20,6 +22,7 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +85,8 @@ FACETS = tuple(kind.value for kind in SplitKind)
 
 DETECTORS = ("confidence", "entropy", "qkv", "random", "always-in")
 
+SLOTS = ("subject", "relation", "object")
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "out_dir": "out",
@@ -105,8 +110,8 @@ PATH_KEYS = (
     "train_alignments", "test_alignments", "calibration_alignments", "facet_alignments",
     "preranker_params", "reranker_params", "qkv_params", "thresholds",
 )
-# the top-level keys without a default are the path-valued ones and qkv_key_pool
-KNOWN_KEYS = frozenset(DEFAULT_CONFIG) | {*PATH_KEYS, "qkv_key_pool"}
+# the top-level keys without a default are the path-valued ones
+KNOWN_KEYS = frozenset(DEFAULT_CONFIG) | frozenset(PATH_KEYS)
 
 # path key -> (its default file under out_dir, what the file holds, the stage that writes it)
 INPUTS = {
@@ -204,9 +209,8 @@ def load_config(
         raise UsageError(f"kg_min_count must be >= 0, got {config['kg_min_count']!r}")
     if not config["out_dir"]:
         raise UsageError("out_dir must not be empty")
-    for key in ("link_k", "rerank_k", "qkv_key_pool"):
-        if key in config:
-            _positive_int(config[key], key)
+    for key in ("link_k", "rerank_k"):
+        _positive_int(config[key], key)
     for key in PATH_KEYS:  # null means unset
         value = config.get(key)
         if value is not None and (type(value) is not str or not value):
@@ -270,12 +274,6 @@ def _input_path(config: dict, key: str, facet: str | None = None) -> Path:
 
 def _input_alignments(config: dict, key: str, store, facet: str | None = None):
     return read_alignments(_input_path(config, key, facet), store)
-
-
-def _out_dir(config: dict) -> Path:
-    out = Path(config["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load_store(config: dict):
@@ -364,59 +362,57 @@ def _store_indices(config: dict, encoder: ReferenceEncoder, store) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its artifacts, file name -> ``write(path, header=)``
+# (``main`` writes them under out_dir), and the summary line it prints
 
 
-def _write_facet(config: dict, header: dict, facet: str, test, train, polysemy_store) -> dict:
-    """Write ``facet``'s split file under ``out_dir``; its stats record."""
+def _facet(config: dict, facet: str, test, train, polysemy_store) -> tuple[list, dict]:
+    """``facet``'s split alignments and its stats record."""
     spec = SplitSpec(SplitKind(facet), InductiveMode(config["inductive_mode"]))
     result = build_split(spec, test, train, polysemy_store)
-    write_alignments(Path(config["out_dir"]) / f"split-{facet}.jsonl", result.alignments,
-                     header=header)
-    return {"split": facet, **result.stats.to_record()}
+    return result.alignments, {"split": facet, **result.stats.to_record()}
 
 
-def cmd_build_benchmark(config: dict, args, header: dict) -> int:
+def cmd_build_benchmark(config: dict, args) -> tuple[dict, str]:
     store = _load_store(config)
-    out = _out_dir(config)
-
     train = _benchmark_alignments(config, store, "train")
     test = _benchmark_alignments(config, store, "test")
     train = remove_leakage(train, test, case_fold=config["case_fold"])
-    write_alignments(out / "alignments.jsonl", train, header=header)
+    artifacts = {"alignments.jsonl": partial(write_alignments, alignments=train)}
 
     polysemy_store, _tag = _store_variant(config, store, train + test)
-    stats_records = [_write_facet(config, header, facet, test, train, polysemy_store)
-                     for facet in FACETS]
-    write_jsonl(out / "stats.jsonl", stats_records, header=header)
-    log.info("benchmark written to %s (train=%d, test=%d)", out, len(train), len(test))
-    print(f"alignments: {len(train)} train, {len(test)} test; splits: "
-          + ", ".join(f"{r['split']}={r['# Total Samples']}" for r in stats_records))
-    return 0
+    stats_records = []
+    for facet in FACETS:
+        alignments, record = _facet(config, facet, test, train, polysemy_store)
+        artifacts[f"split-{facet}.jsonl"] = partial(write_alignments, alignments=alignments)
+        stats_records.append(record)
+    artifacts["stats.jsonl"] = partial(write_jsonl, records=stats_records)
+    log.info("benchmark written to %s (train=%d, test=%d)",
+             Path(config["out_dir"]), len(train), len(test))
+    return artifacts, (f"alignments: {len(train)} train, {len(test)} test; splits: "
+                       + ", ".join(f"{r['split']}={r['# Total Samples']}" for r in stats_records))
 
 
-def cmd_split(config: dict, args, header: dict) -> int:
+def cmd_split(config: dict, args) -> tuple[dict, str]:
     store = _load_store(config)
-    out = _out_dir(config)
     train_path, test_path = _require_paths(config, "train_alignments", "test_alignments")
     train = read_alignments(train_path, store)
     test = read_alignments(test_path, store)
     polysemy_store, _tag = _store_variant(config, store, train + test)
-    record = _write_facet(config, header, args.facet, test, train, polysemy_store)
-    write_jsonl(out / f"split-{args.facet}.stats.jsonl", [record], header=header)
-    print(f"{args.facet}: {record['# Total Samples']} alignments")
-    return 0
+    alignments, record = _facet(config, args.facet, test, train, polysemy_store)
+    return ({f"split-{args.facet}.jsonl": partial(write_alignments, alignments=alignments),
+             f"split-{args.facet}.stats.jsonl": partial(write_jsonl, records=[record])},
+            f"{args.facet}: {record['# Total Samples']} alignments")
 
 
-def cmd_train_preranker(config: dict, args, header: dict) -> int:
+def cmd_train_preranker(config: dict, args) -> tuple[dict, str]:
     train_config = _section(
         config, "preranker", PrerankTrainConfig, seed=stream_seed(config["seed"], "negatives")
     )
     encoder_config = _section(config, "encoder", EncoderConfig)
     store = _load_store(config)
     alignments = _input_alignments(config, "train_alignments", store)
-    out = _out_dir(config)
-    params_path = out / "preranker.params"
+    params_path = Path(config["out_dir"]) / "preranker.params"
 
     initial_params = initial_tau = None
     if args.resume:
@@ -434,23 +430,21 @@ def cmd_train_preranker(config: dict, args, header: dict) -> int:
         initial_params=initial_params, initial_tau=initial_tau,
         with_context=config["with_context"],
     )
-    save_params(params, params_path, tau=trace[-1]["tau"], header=header)
     held = len(params.table_ids)
     log.info("feature table: %d of %d rows learned (%.2f%%)",
              held, params.buckets, 100 * held / params.buckets)
-    write_jsonl(out / "preranker.trace.jsonl", trace, header=header)
-    print(f"final loss {trace[-1]['mean_loss']:.6f} tau {trace[-1]['tau']:.4f}")
-    return 0
+    return ({"preranker.params": partial(save_params, params, tau=trace[-1]["tau"]),
+             "preranker.trace.jsonl": partial(write_jsonl, records=trace)},
+            f"final loss {trace[-1]['mean_loss']:.6f} tau {trace[-1]['tau']:.4f}")
 
 
-def cmd_train_reranker(config: dict, args, header: dict) -> int:
+def cmd_train_reranker(config: dict, args) -> tuple[dict, str]:
     train_config = _section(
         config, "reranker", RerankTrainConfig, seed=stream_seed(config["seed"], "corruption")
     )
     store = _load_store(config)
     alignments = _input_alignments(config, "train_alignments", store)
     encoder = _load_encoder(config)
-    out = _out_dir(config)
 
     indices = build_store_indices(encoder, store)
     neighbors = store_neighbor_lists(indices, train_config.hard_negative_pool)
@@ -458,25 +452,22 @@ def cmd_train_reranker(config: dict, args, header: dict) -> int:
     params, trace = train_reranker(
         alignments, encoder, indices, train_config, neighbors, masked, config["with_context"]
     )
-    save_cross_params(params, out / "reranker.params", header=header)
-    write_jsonl(out / "reranker.trace.jsonl", trace, header=header)
-    write_neighbor_lists(out / "neighbors.jsonl", neighbors, header=header)
-    print(f"final loss {trace[-1]['mean_loss']:.6f}")
-    return 0
+    return ({"reranker.params": partial(save_cross_params, params),
+             "reranker.trace.jsonl": partial(write_jsonl, records=trace),
+             "neighbors.jsonl": partial(write_neighbor_lists, neighbor_lists=neighbors)},
+            f"final loss {trace[-1]['mean_loss']:.6f}")
 
 
-def cmd_train_ookg(config: dict, args, header: dict) -> int:
+def cmd_train_ookg(config: dict, args) -> tuple[dict, str]:
     train_config = _section(
         config, "ookg", QkvTrainConfig, seed=stream_seed(config["seed"], "calibration")
     )
     store = _load_store(config)
     alignments = _input_alignments(config, "calibration_alignments", store)
     encoder = _load_encoder(config)
-    out = _out_dir(config)
     indices = build_store_indices(encoder, store)
 
     params, trace = train_qkv(alignments, encoder, indices, train_config, config["with_context"])
-    # calibrate before writing anything, so a failure leaves the previous files
     if train_config.calibrate_thresholds:
         thresholds, grid_meta = calibrate_all_thresholds(
             alignments, indices, encoder, attention=train_config.attention_threshold,
@@ -485,11 +476,11 @@ def cmd_train_ookg(config: dict, args, header: dict) -> int:
     else:
         thresholds = OokgThresholds(attention=train_config.attention_threshold)
         grid_meta = {"grid_size": train_config.grid_size, "calibrated": False}
-    save_qkv_params(params, out / "qkv.params", header=header)
-    write_jsonl(out / "qkv.trace.jsonl", trace, header=header)
-    write_jsonl(out / "thresholds.jsonl", [thresholds_record(thresholds, grid_meta)], header=header)
-    print(f"final loss {trace[-1]['mean_loss']:.6f}")
-    return 0
+    return ({"qkv.params": partial(save_qkv_params, params),
+             "qkv.trace.jsonl": partial(write_jsonl, records=trace),
+             "thresholds.jsonl": partial(write_jsonl,
+                                         records=[thresholds_record(thresholds, grid_meta)])},
+            f"final loss {trace[-1]['mean_loss']:.6f}")
 
 
 def _index_store(config: dict, store):
@@ -505,25 +496,28 @@ def _index_store(config: dict, store):
     return restrict_to_benchmark(store, referenced)
 
 
-def cmd_index(config: dict, args, header: dict) -> int:
+def _flix_artifacts(name: str, index, digest: str) -> dict:
+    """``name``'s FLIX file (no header) and its sidecar (header and ``inputs_sha256``)."""
+    return {f"{name}.flix": lambda path, header: save_index(index, path),
+            f"{name}.flix.meta.json": lambda path, header: write_jsonl(
+                path, (), header={**header, "inputs_sha256": digest})}
+
+
+def cmd_index(config: dict, args) -> tuple[dict, str]:
     store = _index_store(config, _load_store(config))
     encoder = _load_encoder(config)
-    out = _out_dir(config)
-    meta = {**header, "inputs_sha256": _inputs_digest(config, encoder)}
+    digest = _inputs_digest(config, encoder)
     entity_index, predicate_index = build_store_indices(encoder, store)
-    for index, name in ((entity_index, "entities"), (predicate_index, "predicates")):
-        save_index(index, out / f"{name}.flix")
-        (out / f"{name}.flix.meta.json").write_text(canonical_json(meta) + "\n", "utf-8")
-    print(f"indexed {len(entity_index)} entities, {len(predicate_index)} predicates")
-    return 0
+    return ({**_flix_artifacts("entities", entity_index, digest),
+             **_flix_artifacts("predicates", predicate_index, digest)},
+            f"indexed {len(entity_index)} entities, {len(predicate_index)} predicates")
 
 
-def cmd_link(config: dict, args, header: dict) -> int:
+def cmd_link(config: dict, args) -> tuple[dict, str]:
     store = _index_store(config, _load_store(config))
     encoder = _load_encoder(config)
     (oie_path,) = _require_paths(config, "link_oie")
     oies = read_oie_file(oie_path)
-    out = _out_dir(config)
     entity_index, predicate_index = _store_indices(config, encoder, store)
     k = config["link_k"]
     triples = [(sentence_id, triple)
@@ -531,23 +525,15 @@ def cmd_link(config: dict, args, header: dict) -> int:
     results = link(encoder, entity_index, predicate_index, [triple for _, triple in triples], k,
                    config["with_context"])
     records = (
-        {
-            "sentence_id": sentence_id,
-            "subject": triple.subject,
-            "relation": triple.relation,
-            "object": triple.object,
-            "subject_candidates": [[i, s] for i, s in result.subject],
-            "relation_candidates": [[i, s] for i, s in result.relation],
-            "object_candidates": [[i, s] for i, s in result.object],
-        }
+        {"sentence_id": sentence_id, **{slot: getattr(triple, slot) for slot in SLOTS},
+         **{f"{slot}_candidates": [[i, s] for i, s in getattr(result, slot)] for slot in SLOTS}}
         for (sentence_id, triple), result in zip(triples, results)
     )
-    write_jsonl(out / "links.jsonl", records, header=header)
-    print(f"linked {sum(len(v) for v in oies.values())} OIE triples at k={k}")
-    return 0
+    return ({"links.jsonl": partial(write_jsonl, records=records)},
+            f"linked {len(triples)} OIE triples at k={k}")
 
 
-def cmd_evaluate(config: dict, args, header: dict) -> int:
+def cmd_evaluate(config: dict, args) -> tuple[dict, str]:
     if args.rerank_k is not None and not args.use_reranker:
         raise UsageError("--rerank-k needs --use-reranker")
     if args.use_reranker and args.linker != "preranker":
@@ -574,38 +560,32 @@ def cmd_evaluate(config: dict, args, header: dict) -> int:
             log.info("reranking %d candidates per OIE", k**3)
         triples = [alignment.oie for alignment in test]
         results = dict(zip(triples, link(encoder, *indices, triples, k, with_context)))
-        if args.use_reranker:
 
-            def linker(triple):
-                best, _scores = rerank(scorer, encoder, indices, triple,
-                                       enumerate_candidates(results[triple]), with_context)
-                return best.to_fact()
-
-        else:
-
-            def linker(triple):
+        def linker(triple):
+            if not args.use_reranker:
                 return results[triple].linked_fact
+            best, _scores = rerank(scorer, encoder, indices, triple,
+                                   enumerate_candidates(results[triple]), with_context)
+            return best.to_fact()
 
     report = evaluate_linker(linker, test, split=args.facet, store=store_tag)
-    out = _out_dir(config)
     suffix = f"{args.facet}-{store_tag.lower()}"
-    write_jsonl(out / f"report-{suffix}.jsonl", report_records(report), header=header)
-    print(format_table(report))
-    return 0
+    return ({f"report-{suffix}.jsonl": partial(write_jsonl, records=report_records(report))},
+            format_table(report))
 
 
-def cmd_detect(config: dict, args, header: dict) -> int:
+def cmd_detect(config: dict, args) -> tuple[dict, str]:
     store = _load_store(config)
     facet = args.facet or "out-of-kg"
     test = _input_alignments(config, "facet_alignments", store, facet)
     if not test:
         raise DataError(f"facet {facet!r} is empty")
     encoder = _load_encoder(config)
-    out = _out_dir(config)
 
     name = config["detector"]
     thresholds = OokgThresholds()
-    thresholds_path = _path_value(config, "thresholds") or out / "thresholds.jsonl"
+    thresholds_path = (_path_value(config, "thresholds")
+                       or Path(config["out_dir"]) / "thresholds.jsonl")
     if name in ("confidence", "entropy", "qkv") and thresholds_path.exists():
         records = read_jsonl(thresholds_path)
         if not records:
@@ -618,7 +598,7 @@ def cmd_detect(config: dict, args, header: dict) -> int:
         detector = EntropyDetector(thresholds)
     elif name == "qkv":
         params = load_qkv_params(_input_path(config, "qkv_params"), encoder.dim)
-        detector = QkvDetector(params, thresholds, config.get("qkv_key_pool", 64))
+        detector = QkvDetector(params, thresholds)
     elif name == "random":
         detector = RandomDetector(seed=stream_seed(config["seed"], "detector"))
     else:  # "always-in"; load_config and the parser admit only DETECTORS
@@ -628,14 +608,26 @@ def cmd_detect(config: dict, args, header: dict) -> int:
         detector, test, _store_indices(config, encoder, store), encoder,
         with_context=config["with_context"],
     )
-    write_jsonl(out / f"detection-{name}.jsonl", report.records, header=header)
-    slots = " ".join(
-        f"{label}={value:.3f}"
-        for label, value in zip(("subject", "relation", "object"), report.slot_accuracy)
-    )
-    print(f"{name}: {slots} fact={report.fact_accuracy:.3f} "
-          f"(n={report.trials_per_scenario} per scenario)")
-    return 0
+    slots = " ".join(f"{slot}={value:.3f}" for slot, value in zip(SLOTS, report.slot_accuracy))
+    return ({f"detection-{name}.jsonl": partial(write_jsonl, records=report.records)},
+            f"{name}: {slots} fact={report.fact_accuracy:.3f} "
+            f"(n={report.trials_per_scenario} per scenario)")
+
+
+def _write_artifacts(out: Path, artifacts: dict, header: dict) -> None:
+    """Write each of ``artifacts`` under ``out``: all to temporary names
+    first, then each renamed onto its own. A failure removes the temporary
+    files, so ``out`` keeps its files as they were unless a rename fails."""
+    out.mkdir(parents=True, exist_ok=True)
+    staged = {out / name: out / f".{name}.partial" for name in artifacts}
+    try:
+        for write, partial_path in zip(artifacts.values(), staged.values()):
+            write(partial_path, header=header)
+        for path, partial_path in staged.items():
+            os.replace(partial_path, path)
+    finally:
+        for partial_path in staged.values():
+            partial_path.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +699,10 @@ def main(argv: list[str] | None = None) -> int:
         header = artifact_header(config)
         # a stage stops at its first overflow (exit 3) and writes no inf or NaN
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return COMMANDS[args.command](config, args, header)
+            artifacts, summary = COMMANDS[args.command](config, args)
+            _write_artifacts(Path(config["out_dir"]), artifacts, header)
+        print(summary)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,9 @@
 import argparse
+import ast
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import re
@@ -241,6 +243,18 @@ class TestIndexAndLink:
         assert records
         assert all(len(r["subject_candidates"]) == 2 for r in records)
 
+    def test_link_over_an_empty_oie_file(self, pipeline, tmp_path, capsys):
+        directory, config_path = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        (tmp_path / "empty_oie.jsonl").write_text("")
+        capsys.readouterr()
+        assert run(config_path, "--out-dir", str(out),
+                   "--set", f"link_oie={tmp_path / 'empty_oie.jsonl'}", "link") == 0
+        assert capsys.readouterr().out == "linked 0 OIE triples at k=1\n"
+        (header,) = (out / "links.jsonl").read_text("utf-8").splitlines()
+        assert HEADER_KEY in json.loads(header)
+
     def test_links_pass_the_benchmark_link_check(self, pipeline, tmp_path, monkeypatch):
         """perfbench's output check accepts what ``link --k 3`` writes: the
         candidate counts and a brute-force top-k over the FLIX matrices."""
@@ -411,6 +425,13 @@ class TestCliContract:
                    "split", "--facet", "inductive") == 0
         assert (override_dir / "split-inductive.jsonl").exists()
 
+    def test_empty_out_dir_in_the_config_file(self, pipeline, tmp_path, capsys):
+        _, config_path = pipeline
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**json.loads(config_path.read_text()), "out_dir": ""}))
+        assert main(["--config", str(path), "index"]) == 1
+        assert capsys.readouterr().err == "usage error: out_dir must not be empty\n"
+
     def test_set_requires_key_value(self, pipeline, capsys):
         _, config_path = pipeline
         assert run(config_path, "--set", "nonsense", "build-benchmark") == 1
@@ -451,6 +472,57 @@ class TestStageTable:
         (stages,) = [action.choices for action in cli.build_parser()._actions
                      if isinstance(action, argparse._SubParsersAction)]
         assert set(stages) == set(cli.COMMANDS)
+
+
+class TestStageContract:
+    """A stage computes its artifacts and returns them; ``main`` alone
+    writes under out_dir, so a failing stage leaves it as it was."""
+
+    WRITERS = frozenset({
+        "write_jsonl", "write_alignments", "write_neighbor_lists", "save_params",
+        "save_cross_params", "save_qkv_params", "save_index", "write_text", "write_bytes", "open",
+    })
+
+    def test_stages_take_config_and_args(self):
+        for name, stage in cli.COMMANDS.items():
+            assert list(inspect.signature(stage).parameters) == ["config", "args"], name
+
+    def test_no_stage_calls_a_writer(self):
+        tree = ast.parse(Path(cli.__file__).read_text("utf-8"))
+        stages = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+        assert {stage.name for stage in stages} == {f.__name__ for f in cli.COMMANDS.values()}
+        for stage in stages:
+            for node in ast.walk(stage):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    assert name not in self.WRITERS, f"{stage.name} calls {name}, line {node.lineno}"
+
+    def test_a_successful_stage_leaves_no_temporary_file(self, pipeline):
+        directory, _ = pipeline
+        assert not [path.name for path in (directory / "out").iterdir()
+                    if path.name.endswith(".partial")]
+
+    def test_a_failed_write_leaves_out_dir_as_it_was(self, pipeline, tmp_path, monkeypatch,
+                                                      capsys):
+        """``train-reranker`` writes three files; its trace writer fails after
+        the first record. No file of out_dir changes, and none is added."""
+        directory, config_path = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(directory / "out", out)
+        before = {path.name: file_hash(path) for path in out.iterdir()}
+
+        def first_then_full(records):
+            yield next(iter(records))
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_jsonl", lambda path, records, header=None: write_jsonl(
+            path, first_then_full(records), header=header))
+        capsys.readouterr()
+        assert run(config_path, "--out-dir", str(out), "--set", "reranker.learning_rate=0.1",
+                   "train-reranker") == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert {path.name: file_hash(path) for path in out.iterdir()} == before
 
 
 class TestFloatPolicy:
@@ -655,7 +727,8 @@ def _kg_entry_with(**fields):
 
 
 def _claim_in_flix(offset, layout, value):
-    """entities.flix whose id count (at 9) or first id length (at 21) claims ``value``."""
+    """entities.flix whose magic (at 0), version (at 4), id count (at 9) or
+    first id length (at 21) claims ``value``."""
     def corrupt(out):
         path = out / "entities.flix"
         data = bytearray(path.read_bytes())
@@ -700,6 +773,10 @@ def _flip_flix_exponent(out):
     path.write_bytes(bytes(data))
 
 
+def _single_slot_projection(header, arrays):
+    arrays["slot_projection"] = arrays["slot_projection"].astype("<f4")
+
+
 def _negative_seed(header, arrays):
     """Rows not held are drawn from this seed's stream."""
     header["rng_seed"] = -1
@@ -728,9 +805,9 @@ def _delete(name):
 
 class TestFailureExitCodes:
     """Bad config files and values exit 1, corrupt artifacts 2, diverging
-    training 3: each with one line on stderr, no traceback, and the stage's
-    params left as they were. ``{out}`` in argv is the case's out_dir; a
-    stale index names the stage that mends it."""
+    training 3: each with one line on stderr, no traceback, and out_dir left
+    as it was. ``{out}`` in argv is the case's out_dir; a stale index names
+    the stage that mends it."""
 
     CASES = {
         "unknown-key": (1, ["--set", "preranker.bogus=1", "train-preranker"], None),
@@ -821,9 +898,14 @@ class TestFailureExitCodes:
             1, ["evaluate", "--facet", "polysemous", "--linker", "frequency", "--use-reranker"],
             None,
         ),
-        "qkv-key-pool-zero": (
-            1, ["--set", "qkv_key_pool=0", "detect", "--detector", "qkv"], None
+        "preranker-not-object": (1, ["--set", "preranker=5", "train-preranker"], None),
+        "kg-entries-null": (2, ["--set", "kg_entries=null", "build-benchmark"], None),
+        "frequency-without-training-alignments": (
+            2, ["evaluate", "--facet", "transductive", "--linker", "frequency"],
+            _header_only("alignments.jsonl"),
         ),
+        "calibration-alignments-empty": (2, ["train-ookg"], _header_only("alignments.jsonl")),
+        "params-slot-projection-f4": (2, ["index"], _edit_params(_single_slot_projection)),
         "preranker-diverges": (
             3, ["--set", "preranker.learning_rate=1e9", "train-preranker"], None
         ),
@@ -884,6 +966,8 @@ class TestFailureExitCodes:
             ),
         ),
         "flix-kind-byte": (2, ["evaluate", "--facet", "transductive"], _set_flix_kind),
+        "flix-bad-magic": (2, ["link"], _claim_in_flix(0, "4s", b"XLIX")),
+        "flix-version-7": (2, ["link"], _claim_in_flix(4, "<I", 7)),
         "flix-repeated-id": (2, ["link"], _repeat_flix_id),
         "flix-row-exponent": (2, ["link", "--k", "3"], _flip_flix_exponent),
         "kg-entry-aliases-int": (
@@ -1004,7 +1088,7 @@ class TestFailureExitCodes:
         shutil.copytree(directory / "out", out)
         if corrupt is not None:
             corrupt(out)
-        before = {p.name: file_hash(p) for p in out.glob("*.params")}
+        before = {p.name: file_hash(p) for p in out.iterdir()}
         capsys.readouterr()
         argv = [arg.replace("{out}", str(out)) for arg in argv]
         assert run(config_path, "--out-dir", str(out), *argv) == code
@@ -1054,7 +1138,11 @@ class TestFailureExitCodes:
             assert f"section {section!r}" in err and key in err
         if case.startswith(("thresholds-", "config-file")) and case != "thresholds-int":
             assert str(out) in err
-        assert {p.name: file_hash(p) for p in out.glob("*.params")} == before
+        if case == "kg-entries-null":
+            assert "config key 'kg_entries' is required" in err
+        if case == "preranker-not-object":
+            assert "must be a JSON object" in err
+        assert {p.name: file_hash(p) for p in out.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------
@@ -1065,12 +1153,17 @@ FUZZ_VALUES = ("x", 0, -1, "", [], {}, None, 10**15)
 # a legitimate endless run at the huge value: every epoch or k^3 candidate runs
 FUZZ_ENDLESS_AT_HUGE = frozenset({"epochs", "rerank_k"})
 POLYSEMOUS_RERANKED = ["evaluate", "--facet", "polysemous", "--use-reranker"]
+# each section, and the settings and stage of its cases: the fuzzed value is
+# set after the settings, so that a case of the same key overrides them
 FUZZ_SECTIONS = {
-    "encoder": (EncoderConfig, ["train-preranker"]),
-    "preranker": (PrerankTrainConfig, ["train-preranker"]),
-    "reranker": (RerankTrainConfig, ["train-reranker"]),
-    "ookg": (QkvTrainConfig, ["train-ookg"]),
+    "encoder": (EncoderConfig, [], ["train-preranker"]),
+    "preranker": (PrerankTrainConfig, [], ["train-preranker"]),
+    "reranker": (RerankTrainConfig, [], ["train-reranker"]),
+    "ookg": (QkvTrainConfig, ["--set", "ookg.calibrate_thresholds=true"], ["train-ookg"]),
 }
+# a key retired from the config keeps its place in the seeded draw, so that
+# the other keys keep their cases; its own cases are dropped
+FUZZ_RETIRED_KEYS = frozenset({"qkv_key_pool"})
 # a top-level key runs the stage that reads it, else build-benchmark
 FUZZ_STAGES = {
     "link_k": ["link"], "link_oie": ["link"], "with_context": ["link"],
@@ -1078,7 +1171,7 @@ FUZZ_STAGES = {
     "facet_alignments": ["evaluate", "--facet", "transductive"],
     "rerank_k": POLYSEMOUS_RERANKED, "reranker_params": POLYSEMOUS_RERANKED,
     "detector": ["detect"], "thresholds": ["detect"],
-    "qkv_key_pool": ["detect", "--detector", "qkv"], "qkv_params": ["detect", "--detector", "qkv"],
+    "qkv_params": ["detect", "--detector", "qkv"],
     "preranker_params": ["index"], "train_alignments": ["train-reranker"],
     "calibration_alignments": ["train-ookg"],
 }
@@ -1115,8 +1208,8 @@ FUZZ_RECORDS = {
 def _fuzz_config_cases():
     """(key, value) for every fuzzed top-level and section key and value;
     ``out_dir`` is left out, because ``--out-dir`` overrides it."""
-    keys = sorted(cli.KNOWN_KEYS - set(FUZZ_SECTIONS) - {"out_dir"})
-    keys += [f"{section}.{f.name}" for section, (cls, _) in FUZZ_SECTIONS.items()
+    keys = sorted((cli.KNOWN_KEYS | FUZZ_RETIRED_KEYS) - set(FUZZ_SECTIONS) - {"out_dir"})
+    keys += [f"{section}.{f.name}" for section, (cls, _, _) in FUZZ_SECTIONS.items()
              for f in dataclasses.fields(cls)]
     return [(key, value) for key in keys for value in FUZZ_VALUES
             if not (value == 10**15 and key.split(".")[-1] in FUZZ_ENDLESS_AT_HUGE)]
@@ -1164,15 +1257,21 @@ def _edit_record(data, field, value, rng):
 
 
 class TestContractFuzz:
-    """Every fuzzed case exits 0-3; a nonzero exit prints one stderr line
-    and no traceback; no case changes the bytes of the files it reads. A
-    byte that is not UTF-8 and an allocation past the address space are
-    always among the cases."""
+    """Every fuzzed case exits 0-3; a nonzero exit prints one stderr line,
+    no traceback, and leaves every out_dir file with its bytes and adds
+    none; no case changes the bytes of the files it reads. A byte that is
+    not UTF-8 and an allocation past the address space are always among
+    the cases."""
 
-    CONFIG_CASES = _fuzz_sample(
-        _fuzz_config_cases(), 46,
-        always=[("encoder.dim", 10**15), ("reranker.negatives_per_positive", 10**15)],
-    )
+    CONFIG_CASES = [
+        *(case for case in _fuzz_sample(
+            _fuzz_config_cases(), 46,
+            always=[("encoder.dim", 10**15), ("reranker.negatives_per_positive", 10**15)],
+        ) if case[0] not in FUZZ_RETIRED_KEYS),
+        # apart from the draw, so that it keeps its cases: trains, then cannot
+        # allocate the calibration grid
+        ("ookg.grid_size", 10**15),
+    ]
     BYTE_CASES = [
         *_fuzz_sample(_fuzz_byte_cases(list(FUZZ_FILES)[:8]), 30,
                       always=[("kg_entries.jsonl", "xor", 0), ("thresholds.jsonl", "xor", 0)]),
@@ -1183,6 +1282,7 @@ class TestContractFuzz:
 
     def _run(self, argv, out, inputs, capsys):
         before = {path: file_hash(path) for path in inputs}
+        outputs = {path.name: file_hash(path) for path in out.iterdir()}
         capsys.readouterr()
         code = main(["--out-dir", str(out), *argv])
         captured = capsys.readouterr()
@@ -1190,6 +1290,7 @@ class TestContractFuzz:
         if code:
             assert len(captured.err.strip().splitlines()) == 1, captured.err
             assert "Traceback" not in captured.err
+            assert {path.name: file_hash(path) for path in out.iterdir()} == outputs
         assert {path: file_hash(path) for path in inputs} == before
 
     @pytest.mark.parametrize("key,value", CONFIG_CASES,
@@ -1200,11 +1301,11 @@ class TestContractFuzz:
         out = tmp_path / "out"
         shutil.copytree(directory / "out", out)
         section = key.split(".")[0]
-        stage = FUZZ_SECTIONS[section][1] if section in FUZZ_SECTIONS else FUZZ_STAGES.get(
-            key, ["build-benchmark"])
+        _, settings, stage = FUZZ_SECTIONS.get(
+            section, (None, [], FUZZ_STAGES.get(key, ["build-benchmark"])))
         inputs = [config_path, *directory.glob("*.jsonl")]
-        self._run(["--config", str(config_path), "--set", f"{key}={json.dumps(value)}", *stage],
-                  out, inputs, capsys)
+        self._run(["--config", str(config_path), *settings, "--set", f"{key}={json.dumps(value)}",
+                   *stage], out, inputs, capsys)
 
     def _edit(self, name, edit, stage, pipeline, out, capsys):
         """Run ``stage`` on a copy of the pipeline's out_dir in which file
